@@ -187,37 +187,39 @@ func logDelta(beta float64) float64 {
 	return lllLogDelta*(1-t) + f40*t
 }
 
-// successMargin is positive when BKZ-β solves the (normalized) uSVP
-// instance under the GSA: δ^{2β−d−1}·Vol^{1/d} ≥ √β (the primal attack
-// condition with unit σ after normalization).
-func (in *Instance) successMargin(beta float64) float64 {
-	d := float64(in.dim)
-	rhs := (2*beta-d-1)*logDelta(beta) + in.normalizedLogVol()/d
-	lhs := 0.5 * math.Log(beta)
-	return rhs - lhs
-}
-
 // EstimateBikz returns the estimated BKZ block size required to solve the
-// instance, with linear interpolation to a fractional value (the paper's
-// "bikz"). The minimum reported hardness is 2 (LLL).
+// instance (the paper's "bikz"), bisected to within 1e-3. The minimum
+// reported hardness is 2 (LLL).
 func (in *Instance) EstimateBikz() (float64, error) {
 	sp := obs.StartSpan("dbdd")
 	defer sp.End()
-	d := in.dim
-	if d < 3 {
+	if in.dim < 3 {
 		return 2, nil
 	}
-	if in.successMargin(2) >= 0 {
+	return estimateBikz(in.dim, in.normalizedLogVol())
+}
+
+// estimateBikz bisects the smallest block size β at which BKZ-β solves the
+// normalized uSVP instance of dimension d ≥ 3 and normalized log-volume nlv
+// under the GSA: δ^{2β−d−1}·Vol^{1/d} ≥ √β (the primal attack condition
+// with unit σ after normalization). nlv does not depend on β, so callers
+// compute it once per estimate rather than once per probe.
+func estimateBikz(d int, nlv float64) (float64, error) {
+	margin := func(beta float64) float64 {
+		rhs := (2*beta-float64(d)-1)*logDelta(beta) + nlv/float64(d)
+		return rhs - 0.5*math.Log(beta)
+	}
+	if margin(2) >= 0 {
 		return 2, nil
 	}
 	maxBeta := float64(d)
-	if in.successMargin(maxBeta) < 0 {
+	if margin(maxBeta) < 0 {
 		return 0, fmt.Errorf("dbdd: instance appears harder than full enumeration (d=%d)", d)
 	}
 	lo, hi := 2.0, maxBeta
 	for hi-lo > 1e-3 {
 		mid := (lo + hi) / 2
-		if in.successMargin(mid) >= 0 {
+		if margin(mid) >= 0 {
 			hi = mid
 		} else {
 			lo = mid

@@ -2,6 +2,7 @@ package dbdd
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -239,6 +240,55 @@ func TestHintFromProbabilities(t *testing.T) {
 	h = HintFromProbabilities(nil)
 	if h.Mean != 0 || h.Variance != 0 {
 		t.Errorf("empty hint: %+v", h)
+	}
+}
+
+// sortedHint is the ascending-label reference for HintFromProbabilities.
+func sortedHint(probs map[int]float64) CoefficientHint {
+	labels := make([]int, 0, len(probs))
+	for v := range probs {
+		labels = append(labels, v)
+	}
+	sort.Ints(labels)
+	var mean, total, variance float64
+	for _, v := range labels {
+		mean += float64(v) * probs[v]
+		total += probs[v]
+	}
+	if total > 0 {
+		mean /= total
+	}
+	for _, v := range labels {
+		d := float64(v) - mean
+		variance += probs[v] * d * d
+	}
+	if total > 0 {
+		variance /= total
+	}
+	return CoefficientHint{Mean: mean, Variance: variance}
+}
+
+// TestHintFromProbabilitiesDeterministic: the hint feeds every streamed
+// DBDD estimate, so its sums must not follow map iteration order. Repeated
+// calls on one table must agree with the ascending-order accumulation to
+// the bit, for a dense 29-label posterior like the attack's and for sparse
+// tables up to the extremes of int.
+func TestHintFromProbabilitiesDeterministic(t *testing.T) {
+	dense := map[int]float64{}
+	for v := -14; v <= 14; v++ {
+		dense[v] = math.Exp(-float64(v*v)/20) * (1 + float64(v&3)/7)
+	}
+	sparse := map[int]float64{-1 << 40: 0.1, -3: 0.2, 0: 0.3, 5: 0.15, 1 << 40: 0.25}
+	extreme := map[int]float64{math.MinInt: 0.5, 0: 0.25, math.MaxInt: 0.25}
+	for name, probs := range map[string]map[int]float64{"dense": dense, "sparse": sparse, "extreme": extreme} {
+		want := sortedHint(probs)
+		for i := 0; i < 1000; i++ {
+			got := HintFromProbabilities(probs)
+			if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
+				math.Float64bits(got.Variance) != math.Float64bits(want.Variance) {
+				t.Fatalf("%s call %d: %+v, want %+v (ascending-label sums)", name, i, got, want)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package dbdd
 
 import (
 	"fmt"
-	"math"
 
 	"reveal/internal/linalg"
 	"reveal/internal/obs"
@@ -190,33 +189,12 @@ func (in *FullInstance) normalizedLogVol() (float64, error) {
 func (in *FullInstance) EstimateBikz() (float64, error) {
 	sp := obs.StartSpan("dbdd")
 	defer sp.End()
-	d := in.dim
-	if d < 3 {
+	if in.dim < 3 {
 		return 2, nil
 	}
 	nlv, err := in.normalizedLogVol()
 	if err != nil {
 		return 0, err
 	}
-	margin := func(beta float64) float64 {
-		rhs := (2*beta-float64(d)-1)*logDelta(beta) + nlv/float64(d)
-		return rhs - 0.5*math.Log(beta)
-	}
-	if margin(2) >= 0 {
-		return 2, nil
-	}
-	maxBeta := float64(d)
-	if margin(maxBeta) < 0 {
-		return 0, fmt.Errorf("dbdd: instance appears harder than full enumeration (d=%d)", d)
-	}
-	lo, hi := 2.0, maxBeta
-	for hi-lo > 1e-3 {
-		mid := (lo + hi) / 2
-		if margin(mid) >= 0 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
+	return estimateBikz(in.dim, nlv)
 }

@@ -5,7 +5,7 @@ import "testing"
 // Layer benchmarks for the dense kernels on the template-attack hot path:
 // matrix product (LDA, covariance work), matrix-vector product (DBDD
 // covariance updates), and the Cholesky solve (Mahalanobis distances),
-// cached versus fresh.
+// cached versus fresh and class by class versus interleaved.
 //
 //	go test -bench . ./internal/linalg
 
@@ -68,6 +68,45 @@ func BenchmarkSolveCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := f.SolveInto(x, y, rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveClassByClass and BenchmarkSolveManyInterleaved solve the
+// sixteen residuals of a pooled 28-POI template against one factor: one
+// SolveInto per class, against one interleaved call.
+func BenchmarkSolveClassByClass(b *testing.B) {
+	const n, k = 28, 16
+	f, err := NewCholFactor(seededSPD(n, 5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := seededVec(n, 6)
+	x := make([]float64, n)
+	y := make([]float64, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < k; c++ {
+			if err := f.SolveInto(x, y, rhs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkSolveManyInterleaved(b *testing.B) {
+	const n, k = 28, 16
+	f, err := NewCholFactor(seededSPD(n, 5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := seededVec(n*k, 6)
+	x := make([]float64, n*k)
+	y := make([]float64, n*k)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.SolveManyInto(x, y, rhs, k); err != nil {
 			b.Fatal(err)
 		}
 	}

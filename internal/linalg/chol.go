@@ -68,35 +68,96 @@ func (f *CholFactor) Lower() *Matrix {
 
 // SolveInto solves m x = b into caller-owned buffers: x receives the
 // solution, y is forward-substitution scratch. x, y and b must all have
-// length n (x and y may not alias b). No allocation happens on this path,
-// and the arithmetic matches SolveCholesky operation for operation.
+// length n (x and y may not alias b). It is SolveManyInto with one
+// right-hand side: no allocation, and the arithmetic matches SolveCholesky
+// operation for operation.
 func (f *CholFactor) SolveInto(x, y, b []float64) error {
+	return f.SolveManyInto(x, y, b, 1)
+}
+
+// SolveManyInto solves m X = B for k right-hand sides stored interleaved:
+// element i of right-hand side c is b[i·k+c], and its solution lands in
+// x[i·k+c]; y is forward-substitution scratch of the same shape. x, y and b
+// must all have length n·k (x and y may not alias b).
+//
+// Right-hand sides go four at a time through one leaf loop, so their
+// independent subtraction chains overlap instead of each waiting on its
+// own latency. Each right-hand side still sees exactly the floating-point
+// operations of SolveCholesky in the same order: every column is bitwise
+// identical to solving it alone.
+func (f *CholFactor) SolveManyInto(x, y, b []float64, k int) error {
 	n := f.n
-	if len(b) != n {
-		return fmt.Errorf("linalg: rhs length %d, want %d", len(b), n)
+	if k < 1 {
+		return fmt.Errorf("linalg: %d right-hand sides, want at least 1", k)
 	}
-	if len(x) != n || len(y) != n {
-		return fmt.Errorf("linalg: solve buffers %d/%d, want %d", len(x), len(y), n)
+	if len(b) != n*k {
+		return fmt.Errorf("linalg: rhs length %d, want %d×%d", len(b), n, k)
 	}
-	// Forward substitution L y = b.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		row := f.lower[i*n : i*n+i]
-		for k, v := range row {
-			s -= v * y[k]
+	if len(x) != n*k || len(y) != n*k {
+		return fmt.Errorf("linalg: solve buffers %d/%d, want %d×%d", len(x), len(y), n, k)
+	}
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		// Forward substitution L y = b.
+		for i := 0; i < n; i++ {
+			o := i*k + c
+			s0, s1, s2, s3 := sub4(f.lower[i*n:i*n+i], y[c:], k, b[o], b[o+1], b[o+2], b[o+3])
+			d := f.diag[i]
+			y[o], y[o+1], y[o+2], y[o+3] = s0/d, s1/d, s2/d, s3/d
 		}
-		y[i] = s / f.diag[i]
-	}
-	// Back substitution L^T x = y, reading L^T rows sequentially.
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		row := f.upper[i*n+i+1 : (i+1)*n]
-		for k, v := range row {
-			s -= v * x[i+1+k]
+		// Back substitution L^T x = y, reading L^T rows sequentially. Row
+		// i's terms start at x row i+1 (the last row has none: min keeps
+		// the empty view in range).
+		for i := n - 1; i >= 0; i-- {
+			o := i*k + c
+			s0, s1, s2, s3 := sub4(f.upper[i*n+i+1:(i+1)*n], x[min(o+k, len(x)):], k, y[o], y[o+1], y[o+2], y[o+3])
+			d := f.diag[i]
+			x[o], x[o+1], x[o+2], x[o+3] = s0/d, s1/d, s2/d, s3/d
 		}
-		x[i] = s / f.diag[i]
+	}
+	for ; c < k; c++ {
+		for i := 0; i < n; i++ {
+			o := i*k + c
+			y[o] = sub1(f.lower[i*n:i*n+i], y[c:], k, b[o]) / f.diag[i]
+		}
+		for i := n - 1; i >= 0; i-- {
+			o := i*k + c
+			x[o] = sub1(f.upper[i*n+i+1:(i+1)*n], x[min(o+k, len(x)):], k, y[o]) / f.diag[i]
+		}
 	}
 	return nil
+}
+
+// sub4 returns s_j − Σ_t row[t]·v[t·stride+j] for j = 0..3, subtracting
+// term by term in ascending t. It stays a separate, non-inlined leaf: in
+// its own frame the compiler keeps the four accumulators and the loop state
+// in registers, while inlined into the solve it spilled the loop counter
+// and lost most of the overlap.
+//
+//go:noinline
+func sub4(row, v []float64, stride int, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	j := 0
+	for _, a := range row {
+		w := v[j : j+4 : j+4]
+		s0 -= a * w[0]
+		s1 -= a * w[1]
+		s2 -= a * w[2]
+		s3 -= a * w[3]
+		j += stride
+	}
+	return s0, s1, s2, s3
+}
+
+// sub1 is sub4 for a single right-hand side.
+//
+//go:noinline
+func sub1(row, v []float64, stride int, s float64) float64 {
+	j := 0
+	for _, a := range row {
+		s -= a * v[j]
+		j += stride
+	}
+	return s
 }
 
 // Solve solves m x = b, allocating fresh buffers.
@@ -109,23 +170,15 @@ func (f *CholFactor) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Inverse returns m^-1, computed column by column through the cached
-// factor. Intended for train-time precomputation (the inverse covariance a
-// template serializes), not for per-classification use.
+// Inverse returns m^-1: one SolveManyInto call whose n interleaved
+// right-hand sides are the columns of the identity, so the row-major
+// solution is the inverse itself and each column equals its own
+// SolveInto. Intended for train-time precomputation (the inverse
+// covariance a template serializes), not for per-classification use.
 func (f *CholFactor) Inverse() *Matrix {
 	n := f.n
 	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for j := 0; j < n; j++ {
-		e[j] = 1
-		// The factor is known-good, buffers are sized: SolveInto cannot fail.
-		_ = f.SolveInto(x, y, e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, x[i])
-		}
-		e[j] = 0
-	}
+	// The factor is known-good, buffers are sized: the solve cannot fail.
+	_ = f.SolveManyInto(inv.Data, make([]float64, n*n), Identity(n).Data, n)
 	return inv
 }

@@ -87,6 +87,44 @@ func TestCholFactorSolveBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestSolveManyIntoBitwiseIdentical: every interleaved right-hand side must
+// equal a fresh SolveCholesky of that column alone, to the bit, across the
+// four-wide leaf, the single-column remainder and every mix of the two.
+func TestSolveManyIntoBitwiseIdentical(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		m := seededSPD(n, uint64(n)*131)
+		l, err := Cholesky(m)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		f := CholFactorOf(l)
+		for k := 1; k <= 33; k++ {
+			b := seededVec(n*k, uint64(n*1000+k))
+			x := make([]float64, n*k)
+			y := make([]float64, n*k)
+			if err := f.SolveManyInto(x, y, b, k); err != nil {
+				t.Fatal(err)
+			}
+			col := make([]float64, n)
+			for c := 0; c < k; c++ {
+				for i := range col {
+					col[i] = b[i*k+c]
+				}
+				want, err := SolveCholesky(l, col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range want {
+					if got := x[i*k+c]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("n=%d k=%d column %d: x[%d] = %x, want %x", n, k, c, i,
+							math.Float64bits(got), math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestCholFactorSolveShapeErrors(t *testing.T) {
 	f, err := NewCholFactor(seededSPD(4, 9))
 	if err != nil {
@@ -98,19 +136,45 @@ func TestCholFactorSolveShapeErrors(t *testing.T) {
 	if err := f.SolveInto(make([]float64, 3), make([]float64, 4), make([]float64, 4)); err == nil {
 		t.Fatal("want buffer length error")
 	}
+	if err := f.SolveManyInto(nil, nil, nil, 0); err == nil {
+		t.Fatal("want right-hand-side count error")
+	}
+	if err := f.SolveManyInto(make([]float64, 8), make([]float64, 8), make([]float64, 12), 2); err == nil {
+		t.Fatal("want interleaved rhs length error")
+	}
+	if err := f.SolveManyInto(make([]float64, 8), make([]float64, 7), make([]float64, 8), 2); err == nil {
+		t.Fatal("want interleaved buffer length error")
+	}
 	if _, err := NewCholFactor(NewMatrix(3, 3)); err == nil {
 		t.Fatal("want not-positive-definite error for the zero matrix")
 	}
 }
 
 func TestCholFactorInverse(t *testing.T) {
-	for _, n := range []int{1, 4, 12} {
+	for _, n := range []int{1, 4, 5, 12} {
 		m := seededSPD(n, uint64(n)+5)
 		f, err := NewCholFactor(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		inv := f.Inverse()
+		// The one-call inverse must equal solving each identity column on
+		// its own, bit for bit.
+		e := make([]float64, n)
+		for j := 0; j < n; j++ {
+			e[j] = 1
+			col, err := f.Solve(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e[j] = 0
+			for i, w := range col {
+				if math.Float64bits(inv.At(i, j)) != math.Float64bits(w) {
+					t.Fatalf("n=%d: inverse(%d,%d) = %x, want %x", n, i, j,
+						math.Float64bits(inv.At(i, j)), math.Float64bits(w))
+				}
+			}
+		}
 		prod, err := m.Mul(inv)
 		if err != nil {
 			t.Fatal(err)

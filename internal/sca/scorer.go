@@ -15,31 +15,61 @@ import (
 // map-based Templates API. One Scorer serves one goroutine; create one per
 // worker for parallel classification.
 //
-// Every score is computed with exactly the floating-point operations of
-// Templates.LogLikelihoods in the same order, so classifications and
-// posteriors derived from a Scorer are bitwise identical to the per-vector
-// path — the property the replay-determinism selftest enforces.
+// When every class shares one Cholesky factor (a pooled template), the
+// residuals of all classes are solved together in one interleaved
+// linalg.CholFactor.SolveManyInto call, padded to a multiple of four with
+// zero columns that are discarded. Otherwise each class is solved on its
+// own. Either way every score is computed with exactly the floating-point
+// operations of Templates.LogLikelihoods in the same order, so
+// classifications and posteriors derived from a Scorer are bitwise
+// identical to the per-vector path — the property the replay-determinism
+// selftest enforces.
 type Scorer struct {
 	t        *Templates
 	logTwoPi float64 // d·log(2π), shared additive constant of every score
 	f        []float64
-	resid    []float64
-	y, x     []float64
-	ll       []float64
+	// shared is the factor common to every class, or nil when classes
+	// carry their own; k is then the padded class count, else 1. resid,
+	// y and x hold d×k interleaved columns: entry i of class ci at i·k+ci.
+	shared *linalg.CholFactor
+	k      int
+	resid  []float64
+	y, x   []float64
+	ll     []float64
 }
 
 // NewScorer prepares a reusable scoring context for the template set.
 func (t *Templates) NewScorer() *Scorer {
 	d := len(t.POIs)
+	shared, k := sharedFactor(t.classes), 1
+	if shared != nil {
+		k = (len(t.classes) + 3) &^ 3
+	}
 	return &Scorer{
 		t:        t,
 		logTwoPi: float64(d) * math.Log(2*math.Pi),
 		f:        make([]float64, d),
-		resid:    make([]float64, d),
-		y:        make([]float64, d),
-		x:        make([]float64, d),
+		shared:   shared,
+		k:        k,
+		resid:    make([]float64, d*k),
+		y:        make([]float64, d*k),
+		x:        make([]float64, d*k),
 		ll:       make([]float64, len(t.classes)),
 	}
+}
+
+// sharedFactor returns the Cholesky factor every class uses, or nil when
+// the classes carry their own.
+func sharedFactor(cs []classTemplate) *linalg.CholFactor {
+	if len(cs) == 0 {
+		return nil
+	}
+	for _, c := range cs[1:] {
+		if c.fact != cs[0].fact {
+			return nil
+		}
+	}
+	return cs[0].fact
 }
 
 // Templates returns the template set this scorer was built for.
@@ -72,18 +102,42 @@ func (s *Scorer) ScoreVector(f []float64) ([]float64, error) {
 	if len(f) != len(s.t.POIs) {
 		return nil, fmt.Errorf("sca: feature vector of %d entries, want %d", len(f), len(s.t.POIs))
 	}
+	if s.shared == nil {
+		for ci := range s.t.classes {
+			c := &s.t.classes[ci]
+			for i := range f {
+				s.resid[i] = f[i] - c.mean[i]
+			}
+			// Mahalanobis distance via the cached Cholesky solve (bitwise
+			// identical to factoring fresh; see linalg.CholFactor).
+			if err := c.fact.SolveInto(s.x, s.y, s.resid); err != nil {
+				return nil, err
+			}
+			s.ll[ci] = -0.5 * (linalg.Dot(s.resid, s.x) + c.logDet + s.logTwoPi)
+		}
+		return s.ll, nil
+	}
+	k := s.k
 	for ci := range s.t.classes {
-		c := &s.t.classes[ci]
+		mean := s.t.classes[ci].mean
 		for i := range f {
-			s.resid[i] = f[i] - c.mean[i]
+			s.resid[i*k+ci] = f[i] - mean[i]
 		}
-		// Mahalanobis distance via the cached Cholesky solve (bitwise
-		// identical to factoring fresh; see linalg.CholFactor).
-		if err := c.fact.SolveInto(s.x, s.y, s.resid); err != nil {
-			return nil, err
+	}
+	if err := s.shared.SolveManyInto(s.x, s.y, s.resid, k); err != nil {
+		return nil, err
+	}
+	// Each class's Mahalanobis sum runs over i in ascending order from
+	// 0.0, exactly as linalg.Dot over its own residual and solution.
+	clear(s.ll)
+	for i := range f {
+		row, sol := s.resid[i*k:i*k+len(s.ll)], s.x[i*k:i*k+len(s.ll)]
+		for ci, r := range row {
+			s.ll[ci] += r * sol[ci]
 		}
-		mahal := linalg.Dot(s.resid, s.x)
-		s.ll[ci] = -0.5 * (mahal + c.logDet + s.logTwoPi)
+	}
+	for ci := range s.ll {
+		s.ll[ci] = -0.5 * (s.ll[ci] + s.t.classes[ci].logDet + s.logTwoPi)
 	}
 	return s.ll, nil
 }

@@ -124,6 +124,60 @@ func TestScorerBitwiseIdenticalToReference(t *testing.T) {
 	}
 }
 
+// FuzzScorerReference drives the Scorer — the batched path over a pooled
+// template and the class-by-class path over per-class covariances — with
+// arbitrary float patterns, NaN and ±Inf included, and requires every score
+// to equal the per-class SolveCholesky reference bit for bit (any NaN
+// matches any NaN).
+func FuzzScorerReference(f *testing.F) {
+	mk := func(vals ...float64) []byte {
+		out := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+		}
+		return out
+	}
+	f.Add(mk(0, 0.5, -0.5, 1, -1, 0.25, 0, 0.1))
+	f.Add(mk(math.NaN(), math.Inf(1), math.Inf(-1), 0, 1))
+	f.Add(mk(1e308, -1e308, 1e-308, 5e-324))
+	f.Add([]byte{1, 2, 3})
+	var tmpls []*Templates
+	for _, pooled := range []bool{true, false} {
+		train := synthSet(7, []int{-3, -1, 0, 2, 5}, 60, 24, 0.08)
+		opts := DefaultTemplateOptions()
+		opts.Pooled = pooled
+		tmpl, err := BuildTemplates(train, opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		tmpls = append(tmpls, tmpl)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := make(trace.Trace, 24)
+		for i := range tr {
+			if (i+1)*8 <= len(data) {
+				tr[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
+			}
+		}
+		for _, tmpl := range tmpls {
+			want, err := referenceLogLikelihoods(tmpl, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tmpl.NewScorer().ScoreTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, c := range tmpl.classes {
+				if !sameScore(got[ci], want[c.label]) {
+					t.Fatalf("pooled=%v class %d: score %x, want %x", tmpl.pooled, c.label,
+						math.Float64bits(got[ci]), math.Float64bits(want[c.label]))
+				}
+			}
+		}
+	})
+}
+
 // TestScoreBatchMatchesPerTrace: the batch path is the per-trace path.
 func TestScoreBatchMatchesPerTrace(t *testing.T) {
 	tmpl, test := trainedScorerFixture(t, true)
@@ -224,44 +278,60 @@ func TestTemplatesPrecomputedStructures(t *testing.T) {
 
 // TestSerializationCarriesPrecomputed: a v2 round-trip must preserve the
 // inverse covariance and log-determinant bit for bit and keep scoring
-// bitwise identical.
+// bitwise identical. A pooled stream repeats the shared covariance per
+// class; loading it must rebuild one shared factor, inverse and
+// log-determinant, as training does, so the loaded set scores through the
+// batched path.
 func TestSerializationCarriesPrecomputed(t *testing.T) {
-	tmpl, test := trainedScorerFixture(t, false)
-	var buf bytes.Buffer
-	if err := WriteTemplates(&buf, tmpl); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTemplates(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range tmpl.Labels() {
-		a, b := tmpl.InverseCovariance(l), back.InverseCovariance(l)
-		if b == nil || a.Rows != b.Rows || a.Cols != b.Cols {
-			t.Fatalf("label %d: inverse covariance lost in round trip", l)
+	for _, pooled := range []bool{false, true} {
+		tmpl, test := trainedScorerFixture(t, pooled)
+		var buf bytes.Buffer
+		if err := WriteTemplates(&buf, tmpl); err != nil {
+			t.Fatal(err)
 		}
-		for i := range a.Data {
-			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-				t.Fatalf("label %d: inverse covariance entry %d drifted", l, i)
+		back, err := ReadTemplates(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range tmpl.Labels() {
+			a, b := tmpl.InverseCovariance(l), back.InverseCovariance(l)
+			if b == nil || a.Rows != b.Rows || a.Cols != b.Cols {
+				t.Fatalf("pooled=%v label %d: inverse covariance lost in round trip", pooled, l)
+			}
+			for i := range a.Data {
+				if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+					t.Fatalf("pooled=%v label %d: inverse covariance entry %d drifted", pooled, l, i)
+				}
+			}
+			if math.Float64bits(tmpl.ClassLogDet(l)) != math.Float64bits(back.ClassLogDet(l)) {
+				t.Fatalf("pooled=%v label %d: log-determinant drifted", pooled, l)
 			}
 		}
-		if math.Float64bits(tmpl.ClassLogDet(l)) != math.Float64bits(back.ClassLogDet(l)) {
-			t.Fatalf("label %d: log-determinant drifted", l)
+		s1, s2 := tmpl.NewScorer(), back.NewScorer()
+		if pooled {
+			first := &back.classes[0]
+			for ci := range back.classes {
+				if c := &back.classes[ci]; c.fact != first.fact || c.chol != first.chol || c.invCov != first.invCov {
+					t.Fatalf("class %d: pooled load built its own covariance structures", ci)
+				}
+			}
+			if s2.shared == nil {
+				t.Fatal("loaded pooled templates do not take the batched scoring path")
+			}
 		}
-	}
-	s1, s2 := tmpl.NewScorer(), back.NewScorer()
-	for i, tr := range test.Traces {
-		ll1, err := s1.ScoreTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ll2, err := s2.ScoreTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ci := range ll1 {
-			if math.Float64bits(ll1[ci]) != math.Float64bits(ll2[ci]) {
-				t.Fatalf("trace %d: round-tripped score drifted at class %d", i, ci)
+		for i, tr := range test.Traces {
+			ll1, err := s1.ScoreTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ll2, err := s2.ScoreTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci := range ll1 {
+				if math.Float64bits(ll1[ci]) != math.Float64bits(ll2[ci]) {
+					t.Fatalf("pooled=%v trace %d: round-tripped score drifted at class %d", pooled, i, ci)
+				}
 			}
 		}
 	}

@@ -86,12 +86,29 @@ func WriteTemplates(w io.Writer, t *Templates) error {
 	return bw.Flush()
 }
 
+// readChunk bounds the up-front allocation of every float array read from a
+// template stream: arrays grow as their values arrive, so a header that
+// claims a huge dimension fails on the missing bytes, not on a giant
+// allocation.
+const readChunk = 4096
+
 // ReadTemplates deserializes a template set written by WriteTemplates. The
 // cached triangular-solve structures are rebuilt from the stored Cholesky
 // factor; the inverse covariance and log-determinant are loaded as written,
 // so a round-tripped template scores bitwise identically to the original.
+//
+// A pooled stream repeats the shared covariance for every class. Each copy
+// must be bit-equal to the first class's, and all classes then share one
+// factor, inverse and log-determinant — as after training, so the Scorer
+// solves all classes in one call. A stream whose copies differ is rejected.
 func ReadTemplates(r io.Reader) (*Templates, error) {
 	br := bufio.NewReader(r)
+	read := func(field string, v any) error {
+		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
+			return fmt.Errorf("sca: reading %s: %w", field, err)
+		}
+		return nil
+	}
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("sca: reading magic: %w", err)
@@ -100,8 +117,11 @@ func ReadTemplates(r io.Reader) (*Templates, error) {
 		return nil, fmt.Errorf("sca: bad magic %q", magic)
 	}
 	var version, pooled, d, nClasses uint32
-	for _, p := range []*uint32{&version, &pooled, &d, &nClasses} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
+	for _, h := range []struct {
+		field string
+		v     *uint32
+	}{{"version", &version}, {"pooled flag", &pooled}, {"dimension", &d}, {"class count", &nClasses}} {
+		if err := read(h.field, h.v); err != nil {
 			return nil, err
 		}
 	}
@@ -111,13 +131,13 @@ func ReadTemplates(r io.Reader) (*Templates, error) {
 		}
 		return nil, fmt.Errorf("sca: unsupported version %d", version)
 	}
-	if d == 0 || d > 4096 || nClasses == 0 || nClasses > 4096 {
-		return nil, fmt.Errorf("sca: implausible header d=%d classes=%d", d, nClasses)
+	if pooled > 1 || d == 0 || d > 4096 || nClasses == 0 || nClasses > 4096 {
+		return nil, fmt.Errorf("sca: implausible header pooled=%d d=%d classes=%d", pooled, d, nClasses)
 	}
 	t := &Templates{POIs: make([]int, d), pooled: pooled == 1}
 	for i := range t.POIs {
 		var p int32
-		if err := binary.Read(br, binary.LittleEndian, &p); err != nil {
+		if err := read("POI", &p); err != nil {
 			return nil, err
 		}
 		if p < 0 {
@@ -125,49 +145,67 @@ func ReadTemplates(r io.Reader) (*Templates, error) {
 		}
 		t.POIs[i] = int(p)
 	}
-	readFloats := func(n int) ([]float64, error) {
-		out := make([]float64, n)
-		for i := range out {
-			var bits uint64
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return nil, err
+	readFloats := func(n int, field string, c uint32) ([]float64, error) {
+		out := make([]float64, 0, min(n, readChunk))
+		var b [8]byte
+		for len(out) < n {
+			if _, err := io.ReadFull(br, b[:]); err != nil {
+				return nil, fmt.Errorf("sca: reading class %d %s: %w", c, field, err)
 			}
-			out[i] = math.Float64frombits(bits)
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
 		}
 		return out, nil
 	}
 	for c := uint32(0); c < nClasses; c++ {
 		var label int32
 		var count uint32
-		if err := binary.Read(br, binary.LittleEndian, &label); err != nil {
+		if err := read("class label", &label); err != nil {
 			return nil, err
 		}
-		if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+		if err := read("class count", &count); err != nil {
 			return nil, err
 		}
-		mean, err := readFloats(int(d))
+		mean, err := readFloats(int(d), "mean", c)
 		if err != nil {
 			return nil, err
 		}
-		cholData, err := readFloats(int(d * d))
+		cholData, err := readFloats(int(d*d), "Cholesky factor", c)
 		if err != nil {
 			return nil, err
 		}
-		invData, err := readFloats(int(d * d))
+		invData, err := readFloats(int(d*d), "inverse covariance", c)
 		if err != nil {
 			return nil, err
 		}
 		var ldBits uint64
-		if err := binary.Read(br, binary.LittleEndian, &ldBits); err != nil {
+		if err := read("log-determinant", &ldBits); err != nil {
 			return nil, err
 		}
-		chol := &linalg.Matrix{Rows: int(d), Cols: int(d), Data: cholData}
-		invCov := &linalg.Matrix{Rows: int(d), Cols: int(d), Data: invData}
-		t.classes = append(t.classes, classTemplate{
-			label: int(label), count: int(count), mean: mean,
-			chol: chol, fact: linalg.CholFactorOf(chol), invCov: invCov,
-			logDet: math.Float64frombits(ldBits),
-		})
+		ct := classTemplate{label: int(label), count: int(count), mean: mean}
+		if t.pooled && c > 0 {
+			f := &t.classes[0]
+			if !sameBits(cholData, f.chol.Data) || !sameBits(invData, f.invCov.Data) || ldBits != math.Float64bits(f.logDet) {
+				return nil, fmt.Errorf("sca: pooled template class %d carries a covariance that differs from class 0's", c)
+			}
+			ct.chol, ct.fact, ct.invCov, ct.logDet = f.chol, f.fact, f.invCov, f.logDet
+		} else {
+			ct.chol = &linalg.Matrix{Rows: int(d), Cols: int(d), Data: cholData}
+			ct.fact = linalg.CholFactorOf(ct.chol)
+			ct.invCov = &linalg.Matrix{Rows: int(d), Cols: int(d), Data: invData}
+			ct.logDet = math.Float64frombits(ldBits)
+		}
+		t.classes = append(t.classes, ct)
 	}
 	return t, nil
+}
+
+// sameBits reports whether two equal-length float slices hold the same bit
+// patterns.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

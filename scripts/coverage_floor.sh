@@ -1,5 +1,6 @@
 #!/bin/sh
-# Coverage floor gate for the arithmetic core: each package listed in
+# Coverage floor gate for the arithmetic core and the attack path (linear
+# algebra, template scoring, DBDD): each package listed in
 # scripts/coverage_floor.txt must keep its statement coverage at or above
 # the committed floor. Raise a floor when coverage improves; lowering one
 # is a reviewed decision, not a silent CI edit.
