@@ -672,9 +672,9 @@ func BenchmarkSegmentStage(b *testing.B) {
 	br.Metric(float64(len(segs)), "segments")
 }
 
-// BenchmarkParallelClassification measures the sharded worker-pool
-// classification of a Table-1-sized campaign (both error polynomials of
-// one encryption, 2·n coefficients) against the serial loop, verifying the
+// BenchmarkParallelClassification measures the multi-worker claim loop
+// on a Table-1-sized campaign (both error polynomials of one encryption,
+// 2·n coefficients) against its one-worker case, verifying the
 // outputs are identical. The speedup scales with available cores; the
 // snapshot records the worker count so runs on different hardware stay
 // comparable.

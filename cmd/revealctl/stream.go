@@ -1,19 +1,20 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"reveal/internal/core"
 	"reveal/internal/experiments"
-	"reveal/internal/trace"
 )
 
 // runAttackStream is the -stream variant of 'revealctl attack': each e2
 // trace is fed to the streaming engine in fixed-size chunks, every
 // coefficient is classified the moment its segment closes, and — unless
 // the attack early-exited on -target-bikz — the streamed result's digest
-// is cross-checked against the batch Segment+AttackSegments path over the
-// same trace (the determinism contract, verified on real output).
+// is cross-checked against the batch attack over the same trace with
+// core's MatchesBatchPrefix (the determinism contract, verified on real
+// output).
 func runAttackStream(camp *campaign, s *experiments.Session, messages int, targetBikz float64, chunk int) error {
 	if chunk < 1 {
 		return fmt.Errorf("chunk must be at least 1 sample, got %d", chunk)
@@ -70,7 +71,7 @@ func runAttackStream(camp *campaign, s *experiments.Session, messages int, targe
 				msg, verdict.SamplesIngested, verdict.HintedBikz, targetBikz, verdict.BaselineBikz)
 			continue
 		}
-		match, err := streamDigestMatchesBatch(s, tr, res, verdict.Classified)
+		match, err := s.Classifier.MatchesBatchPrefix(context.Background(), tr, s.Params.N, res)
 		if err != nil {
 			return err
 		}
@@ -91,27 +92,4 @@ func runAttackStream(camp *campaign, s *experiments.Session, messages int, targe
 		return fmt.Errorf("%d of %d streamed messages diverged from the batch attack", mismatches, messages)
 	}
 	return nil
-}
-
-// streamDigestMatchesBatch reruns the batch path over the complete trace
-// and compares canonical digests against the streamed prefix.
-func streamDigestMatchesBatch(s *experiments.Session, tr trace.Trace, streamRes *core.AttackResult, classified int) (bool, error) {
-	sg := trace.NewSegmenter(s.Params.N + 1)
-	segs, err := sg.Segment(tr, s.Params.N+1, 8)
-	if err != nil {
-		return false, err
-	}
-	batchRes, err := s.Classifier.AttackSegments(segs[:s.Params.N])
-	if err != nil {
-		return false, err
-	}
-	sd, err := streamRes.Digest()
-	if err != nil {
-		return false, err
-	}
-	bd, err := batchRes.Prefix(classified).Digest()
-	if err != nil {
-		return false, err
-	}
-	return sd == bd, nil
 }

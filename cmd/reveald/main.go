@@ -1,9 +1,10 @@
 // Command reveald is the attack-campaign daemon: it serves the HTTP/JSON
 // campaign API (submit a campaign spec, poll status, fetch results) next to
 // the live observability endpoints, executes campaigns on a job queue with
-// retries and deadlines, parallelizes classification on a sharded worker
-// pool, and caches trained templates so repeated campaigns against the same
-// device configuration skip profiling.
+// retries and deadlines, classifies each polynomial on a pool of workers
+// claiming coefficients from a shared counter, and caches trained
+// templates so repeated campaigns against the same device configuration
+// skip profiling.
 //
 // Campaign kinds: "attack" (batch single-trace attacks), "stream" (the
 // streaming engine: each trace replayed chunk by chunk through the RVTS

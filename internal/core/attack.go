@@ -79,11 +79,12 @@ type AttackOutcome struct {
 
 // AttackOptions tunes one attack execution.
 type AttackOptions struct {
-	// Workers is the number of classification goroutines used per error
-	// polynomial; values <= 1 run the serial path. The sharded parallel
-	// path produces byte-identical results to the serial one, so this is
-	// purely a throughput knob. When Workers > 1 the two polynomials are
-	// additionally segmented and classified concurrently.
+	// Workers is how many goroutines classify each error polynomial: the
+	// caller plus Workers−1 more, each claiming 16 coefficients at a time
+	// (see AttackSegmentsParallel); values <= 1 classify on the calling
+	// goroutine alone. Results are byte-identical for every value, so this
+	// is purely a throughput knob. The two polynomials are always attacked
+	// one after the other, e1 first.
 	Workers int
 }
 
@@ -91,17 +92,12 @@ type AttackOptions struct {
 // captured encryption (each trace contains n real coefficients plus the
 // sentinel iteration, which is discarded).
 func (c *CoefficientClassifier) Attack(cap *EncryptionCapture, n int) (*AttackOutcome, error) {
-	return c.AttackCtx(context.Background(), cap, n)
+	return c.AttackWithOptions(context.Background(), cap, n, AttackOptions{})
 }
 
-// AttackCtx is Attack with cancellation: the classification aborts at the
-// next stage boundary once ctx is done.
-func (c *CoefficientClassifier) AttackCtx(ctx context.Context, cap *EncryptionCapture, n int) (*AttackOutcome, error) {
-	return c.AttackWithOptions(ctx, cap, n, AttackOptions{})
-}
-
-// AttackWithOptions runs the single-trace attack with explicit concurrency
-// options. It is the full entry point behind Attack/AttackCtx.
+// AttackWithOptions is Attack with cancellation and a worker count: each
+// polynomial is segmented, then classified by AttackSegmentsParallel,
+// which checks ctx once per claim.
 func (c *CoefficientClassifier) AttackWithOptions(ctx context.Context, cap *EncryptionCapture, n int, opts AttackOptions) (*AttackOutcome, error) {
 	sp := obs.StartSpanCtx(ctx, "attack")
 	sp.AddItems(2 * n)
@@ -113,40 +109,17 @@ func (c *CoefficientClassifier) AttackWithOptions(ctx context.Context, cap *Encr
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: attack canceled: %w", err)
 		}
-		// Zero-copy segmentation: the segment views only need to live for
-		// the classification below, and tr outlives it.
+		// The segments are views into tr, which outlives the
+		// classification below.
 		ssp := obs.StartSpanCtx(ctx, "segment")
-		sg := trace.NewSegmenter(n + 1)
-		segs, err := sg.Segment(tr, n+1, 8)
+		segs, err := trace.NewSegmenter(n+1).Segment(tr, n+1, 8)
 		if err != nil {
 			ssp.End()
 			return nil, err
 		}
 		ssp.AddItems(len(segs))
 		ssp.End()
-		return c.attackSegments(ctx, segs[:n], opts.Workers)
-	}
-	if opts.Workers > 1 {
-		// The two error polynomials are independent: segment and classify
-		// them concurrently, each with its own shard pool.
-		type polyRes struct {
-			r   *AttackResult
-			err error
-		}
-		ch := make(chan polyRes, 1)
-		go func() {
-			r, err := attackOne("e1", cap.TraceE1)
-			ch <- polyRes{r, err}
-		}()
-		r2, err2 := attackOne("e2", cap.TraceE2)
-		p1 := <-ch
-		if p1.err != nil {
-			return nil, fmt.Errorf("core: attacking e1 trace: %w", p1.err)
-		}
-		if err2 != nil {
-			return nil, fmt.Errorf("core: attacking e2 trace: %w", err2)
-		}
-		return &AttackOutcome{E1: p1.r, E2: r2}, nil
+		return c.AttackSegmentsParallel(ctx, segs[:n], opts.Workers)
 	}
 	r1, err := attackOne("e1", cap.TraceE1)
 	if err != nil {

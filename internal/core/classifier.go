@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"reveal/internal/obs"
 	"reveal/internal/sca"
 	"reveal/internal/trace"
 )
@@ -85,42 +84,6 @@ type AttackResult struct {
 	Probs  []map[int]float64
 }
 
-// AttackSegments classifies every per-coefficient segment of an already
-// segmented encryption trace.
-func (c *CoefficientClassifier) AttackSegments(segs []trace.Segment) (*AttackResult, error) {
-	return c.AttackSegmentsCtx(context.Background(), segs)
-}
-
-// AttackSegmentsCtx is AttackSegments with cancellation: the loop checks
-// ctx between coefficients and aborts early once it is done.
-func (c *CoefficientClassifier) AttackSegmentsCtx(ctx context.Context, segs []trace.Segment) (*AttackResult, error) {
-	sp := obs.StartSpanCtx(ctx, "classify")
-	sp.AddItems(len(segs))
-	defer sp.End()
-	res := &AttackResult{
-		Values: make([]int, len(segs)),
-		Signs:  make([]int, len(segs)),
-		Probs:  make([]map[int]float64, len(segs)),
-	}
-	ss := c.scorer()
-	defer c.release(ss)
-	for i, s := range segs {
-		if i%classifyCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: classification canceled at coefficient %d: %w", i, err)
-			}
-		}
-		cl, err := ss.classify(s.Samples)
-		if err != nil {
-			return nil, fmt.Errorf("core: coefficient %d: %w", i, err)
-		}
-		res.Values[i] = cl.Value
-		res.Signs[i] = cl.Sign
-		res.Probs[i] = cl.Probs
-	}
-	return res, nil
-}
-
 // AttackTrace segments a full sampling trace into n coefficients and
 // classifies each — the complete single-trace attack of §III.
 func (c *CoefficientClassifier) AttackTrace(tr trace.Trace, n int) (*AttackResult, error) {
@@ -128,7 +91,7 @@ func (c *CoefficientClassifier) AttackTrace(tr trace.Trace, n int) (*AttackResul
 	if err != nil {
 		return nil, err
 	}
-	return c.AttackSegments(segs)
+	return c.AttackSegmentsCtx(context.Background(), segs)
 }
 
 // Accuracy compares recovered values with ground truth.

@@ -73,11 +73,11 @@ func Diagnose(dev *Device, opts DiagnosticsOptions) (*DiagnosticsReport, error) 
 func DiagnoseCtx(ctx context.Context, dev *Device, opts DiagnosticsOptions) (*DiagnosticsReport, error) {
 	sp := obs.StartSpanCtx(ctx, "diagnose")
 	defer sp.End()
-	sets, err := CollectProfilingSetsCtx(ctx, dev, opts.Profile, sp)
+	sets, err := CollectProfilingSets(ctx, dev, opts.Profile, sp)
 	if err != nil {
 		return nil, err
 	}
-	cls, err := TrainClassifierCtx(ctx, sets, opts.Profile, sp)
+	cls, err := TrainClassifier(ctx, sets, opts.Profile, sp)
 	if err != nil {
 		return nil, err
 	}

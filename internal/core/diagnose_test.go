@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -87,11 +88,11 @@ func TestProfileSplitMatchesMonolith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets, err := CollectProfilingSets(NewDevice(72), opts, nil)
+	sets, err := CollectProfilingSets(context.Background(), NewDevice(72), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := TrainClassifier(sets, opts, nil)
+	split, err := TrainClassifier(context.Background(), sets, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestEmitCoeffEvents(t *testing.T) {
 			{-2: 0.6, -1: 0.4},
 		},
 	}
-	EmitCoeffEvents("e1", res, []int64{1, -1})
+	EmitCoeffEvents(context.Background(), "e1", res, []int64{1, -1})
 	events, dropped := rec.CoeffEvents()
 	if len(events) != 2 || dropped != 0 {
 		t.Fatalf("events=%d dropped=%d", len(events), dropped)
@@ -141,10 +142,10 @@ func TestEmitCoeffEvents(t *testing.T) {
 
 	// Truth shorter than the result must not panic, and the disabled path
 	// must be a no-op.
-	EmitCoeffEvents("e2", res, []int64{1})
+	EmitCoeffEvents(context.Background(), "e2", res, []int64{1})
 	if events, _ := rec.CoeffEvents(); len(events) != 3 {
 		t.Fatalf("short-truth emission got %d events", len(events))
 	}
 	obs.SetGlobal(nil)
-	EmitCoeffEvents("e2", res, []int64{1, 2})
+	EmitCoeffEvents(context.Background(), "e2", res, []int64{1, 2})
 }

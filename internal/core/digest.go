@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+
+	"reveal/internal/trace"
 )
 
 // Digest returns the canonical SHA-256 fingerprint of the result: values,
@@ -33,4 +36,29 @@ func (r *AttackResult) Prefix(n int) *AttackResult {
 		n = len(r.Values)
 	}
 	return &AttackResult{Values: r.Values[:n], Signs: r.Signs[:n], Probs: r.Probs[:n]}
+}
+
+// MatchesBatchPrefix is the stream-vs-batch cross-check of the determinism
+// contract: it segments the complete trace tr (n coefficients plus the
+// sentinel iteration), classifies its first len(streamed.Values)
+// coefficients with AttackSegmentsCtx, and reports whether that batch
+// prefix digests equal to the streamed result.
+func (c *CoefficientClassifier) MatchesBatchPrefix(ctx context.Context, tr trace.Trace, n int, streamed *AttackResult) (bool, error) {
+	segs, err := trace.NewSegmenter(n+1).Segment(tr, n+1, 8)
+	if err != nil {
+		return false, err
+	}
+	batch, err := c.AttackSegmentsCtx(ctx, segs[:min(len(streamed.Values), n)])
+	if err != nil {
+		return false, err
+	}
+	sd, err := streamed.Digest()
+	if err != nil {
+		return false, err
+	}
+	bd, err := batch.Digest()
+	if err != nil {
+		return false, err
+	}
+	return sd == bd, nil
 }

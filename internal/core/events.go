@@ -12,16 +12,11 @@ import (
 // post-hoc scoring for the coeffs.jsonl journal and the aggregate
 // classification-quality metrics. No-op (and zero cost) when observability
 // is disabled.
-func EmitCoeffEvents(poly string, res *AttackResult, truth []int64) {
-	EmitCoeffEventsCtx(context.Background(), poly, res, truth)
-}
-
-// EmitCoeffEventsCtx is EmitCoeffEvents carrying the caller's trace
-// identity: each journaled CoeffEvent is stamped with the request trace ID
-// from ctx. Outside the service path the ID is empty and (being omitempty)
-// leaves the coeffs.jsonl byte stream — and thus the selftest digest —
-// unchanged.
-func EmitCoeffEventsCtx(ctx context.Context, poly string, res *AttackResult, truth []int64) {
+//
+// Each event is stamped with the request trace ID from ctx. Outside the
+// service path the ID is empty and (being omitempty) leaves the
+// coeffs.jsonl byte stream — and thus the selftest digest — unchanged.
+func EmitCoeffEvents(ctx context.Context, poly string, res *AttackResult, truth []int64) {
 	rec := obs.Global()
 	if rec == nil {
 		return
@@ -61,6 +56,6 @@ func EmitOutcomeEventsCtx(ctx context.Context, out *AttackOutcome, cap *Encrypti
 	if cap.Truth == nil {
 		return
 	}
-	EmitCoeffEventsCtx(ctx, "e1", out.E1, cap.Truth.E1)
-	EmitCoeffEventsCtx(ctx, "e2", out.E2, cap.Truth.E2)
+	EmitCoeffEvents(ctx, "e1", out.E1, cap.Truth.E1)
+	EmitCoeffEvents(ctx, "e2", out.E2, cap.Truth.E2)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"reveal/internal/sampler"
@@ -227,7 +228,7 @@ func EvaluateMasking(dev *Device, q uint64, tracesPerValue int, attackCoeffs int
 	if err != nil {
 		return nil, err
 	}
-	res, err := cls.AttackSegments(segs[:attackCoeffs])
+	res, err := cls.AttackSegmentsCtx(context.Background(), segs[:attackCoeffs])
 	if err != nil {
 		return nil, err
 	}

@@ -4,90 +4,69 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"reveal/internal/obs"
 	"reveal/internal/trace"
 )
 
-// classifyCancelStride is how many coefficients each worker classifies
-// between context checks: cheap enough to keep cancellation latency low
-// without paying a ctx.Err() per coefficient.
-const classifyCancelStride = 16
+// classifyClaim is how many consecutive coefficients one claim covers.
+// Each claim costs one atomic add and one ctx check; 16 keeps that
+// overhead negligible while a preempted worker holds back at most 16
+// coefficients, so no goroutine idles behind a long contiguous shard.
+const classifyClaim = 16
 
-// attackSegments dispatches between the serial and the sharded-parallel
-// classification paths. Both produce identical results.
-func (c *CoefficientClassifier) attackSegments(ctx context.Context, segs []trace.Segment, workers int) (*AttackResult, error) {
-	if workers <= 1 || len(segs) < 2 {
-		return c.AttackSegmentsCtx(ctx, segs)
-	}
-	return c.AttackSegmentsParallel(ctx, segs, workers)
+// AttackSegmentsCtx classifies every per-coefficient segment of an already
+// segmented trace on the calling goroutine: AttackSegmentsParallel with
+// one worker.
+func (c *CoefficientClassifier) AttackSegmentsCtx(ctx context.Context, segs []trace.Segment) (*AttackResult, error) {
+	return c.AttackSegmentsParallel(ctx, segs, 1)
 }
 
-// AttackSegmentsParallel classifies the per-coefficient segments on a
-// sharded worker pool: the segment index space is split into `workers`
-// contiguous shards, and each shard is classified by its own goroutine
-// writing results by index. Because every coefficient's classification is
-// an independent pure function of its segment, the output is byte-identical
-// to AttackSegments — parallelism is purely a throughput optimization.
-// The pool aborts early (and cancels its siblings) on the first error or
-// when ctx is done.
+// AttackSegmentsParallel is the one classification loop over a segment
+// slice. The caller and workers−1 further goroutines (none when
+// workers ≤ 1) each claim the next classifyClaim coefficients from a shared
+// counter, check ctx once per claim, and write each result by index.
+// Because every coefficient's classification is an independent pure
+// function of its segment, the output is byte-identical for every worker
+// count. The first error wins; it also exhausts the counter, so the other
+// workers stop at their next claim.
 func (c *CoefficientClassifier) AttackSegmentsParallel(ctx context.Context, segs []trace.Segment, workers int) (*AttackResult, error) {
-	if workers <= 1 || len(segs) < 2 {
-		return c.AttackSegmentsCtx(ctx, segs)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
 	sp := obs.StartSpanCtx(ctx, "classify")
 	sp.AddItems(len(segs))
 	defer sp.End()
-
 	res := &AttackResult{
 		Values: make([]int, len(segs)),
 		Signs:  make([]int, len(segs)),
 		Probs:  make([]map[int]float64, len(segs)),
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
-		wg       sync.WaitGroup
+		next     atomic.Int64
 		errOnce  sync.Once
 		firstErr error
+		wg       sync.WaitGroup
 	)
 	fail := func(err error) {
 		errOnce.Do(func() {
 			firstErr = err
-			cancel()
+			next.Store(int64(len(segs)))
 		})
 	}
-	// Contiguous shards: worker w owns [w*quota, min((w+1)*quota, n)), the
-	// last one absorbing the remainder. Contiguity keeps each worker's
-	// memory walk sequential over the segment slice.
-	quota := (len(segs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * quota
-		hi := lo + quota
-		if hi > len(segs) {
-			hi = len(segs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// One pooled scoring context per shard: scratch buffers are
-			// goroutine-local, results stay bitwise identical to serial.
-			ss := c.scorer()
-			defer c.release(ss)
-			for i := lo; i < hi; i++ {
-				if (i-lo)%classifyCancelStride == 0 {
-					if err := ctx.Err(); err != nil {
-						fail(fmt.Errorf("core: classification canceled at coefficient %d: %w", i, err))
-						return
-					}
-				}
+	work := func() {
+		// One pooled scoring context per worker: scratch buffers are
+		// goroutine-local, results stay bitwise identical.
+		ss := c.scorer()
+		defer c.release(ss)
+		for {
+			lo := int(next.Add(classifyClaim)) - classifyClaim
+			if lo >= len(segs) {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				fail(fmt.Errorf("core: classification canceled at coefficient %d: %w", lo, err))
+				return
+			}
+			for i := lo; i < min(lo+classifyClaim, len(segs)); i++ {
 				cl, err := ss.classify(segs[i].Samples)
 				if err != nil {
 					fail(fmt.Errorf("core: coefficient %d: %w", i, err))
@@ -97,8 +76,17 @@ func (c *CoefficientClassifier) AttackSegmentsParallel(ctx context.Context, segs
 				res.Signs[i] = cl.Sign
 				res.Probs[i] = cl.Probs
 			}
-		}(lo, hi)
+		}
 	}
+	claims := (len(segs) + classifyClaim - 1) / classifyClaim
+	for w := 1; w < min(workers, claims); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr

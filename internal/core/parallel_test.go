@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"reveal/internal/bfv"
@@ -31,40 +34,120 @@ func captureSmall(t *testing.T, seed uint64) (*CoefficientClassifier, *Encryptio
 	return cls, cap, params
 }
 
-// TestParallelClassificationMatchesSerial is the worker-pool determinism
-// guarantee: sharded parallel classification must be byte-identical to the
-// serial loop for any worker count.
-func TestParallelClassificationMatchesSerial(t *testing.T) {
-	cls, cap, params := captureSmall(t, 11)
+// legacyAttack classifies every segment with legacyClassifySegment, the
+// independent oracle of segscorer_test.go.
+func legacyAttack(t *testing.T, cls *CoefficientClassifier, segs []trace.Segment) *AttackResult {
+	t.Helper()
+	res := &AttackResult{}
+	for i, s := range segs {
+		cl, err := legacyClassifySegment(cls, s.Samples)
+		if err != nil {
+			t.Fatalf("coefficient %d: legacy: %v", i, err)
+		}
+		res.Values = append(res.Values, cl.Value)
+		res.Signs = append(res.Signs, cl.Sign)
+		res.Probs = append(res.Probs, cl.Probs)
+	}
+	return res
+}
+
+// smallSegments captures one encryption at the test scale and returns its
+// classifier and the first n e2 segments (sentinel dropped).
+func smallSegments(t *testing.T, seed uint64) (*CoefficientClassifier, []trace.Segment) {
+	t.Helper()
+	cls, cap, params := captureSmall(t, seed)
 	segs, err := trace.SegmentEncryptionTrace(cap.TraceE2, params.N+1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs = segs[:params.N]
-	ctx := context.Background()
-	serial, err := cls.AttackSegmentsCtx(ctx, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 7, 64, 200} {
-		par, err := cls.AttackSegmentsParallel(ctx, segs, workers)
+	return cls, segs[:params.N]
+}
+
+// TestParallelClassificationMatchesSerial is the worker-pool determinism
+// guarantee: the claim loop must reproduce the legacy per-segment
+// classification, every posterior to the bit, for any worker count.
+func TestParallelClassificationMatchesSerial(t *testing.T) {
+	cls, segs := smallSegments(t, 11)
+	want := legacyAttack(t, cls, segs)
+	for _, workers := range []int{0, 1, 2, 3, 7, 64, 200} {
+		got, err := cls.AttackSegmentsParallel(context.Background(), segs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(serial.Values, par.Values) {
-			t.Fatalf("workers=%d: Values diverge from serial", workers)
+		assertResultsBitIdentical(t, want, got)
+	}
+}
+
+// TestParallelClassificationFirstErrorWins: a classifier without negative
+// templates fails on a negative coefficient. With one such coefficient
+// among 256, the other workers are still claiming when it fails; the loop
+// must return that error — not a cancellation seen while stopping them —
+// whatever the worker count.
+func TestParallelClassificationFirstErrorWins(t *testing.T) {
+	cls, segs := smallSegments(t, 22)
+	onlyPos := &CoefficientClassifier{
+		Length: cls.Length, MaxAbsValue: cls.MaxAbsValue,
+		Sign: cls.Sign, Pos: cls.Pos,
+	}
+	var ok []trace.Segment
+	bad := -1
+	for i, s := range segs {
+		if _, err := legacyClassifySegment(onlyPos, s.Samples); err != nil {
+			bad = i
+		} else {
+			ok = append(ok, s)
 		}
-		if !reflect.DeepEqual(serial.Signs, par.Signs) {
-			t.Fatalf("workers=%d: Signs diverge from serial", workers)
+	}
+	if bad < 0 || len(ok) == 0 {
+		t.Fatalf("fixture needs classifiable and failing coefficients (%d ok, failing %d)", len(ok), bad)
+	}
+	long := make([]trace.Segment, 256)
+	for i := range long {
+		long[i] = ok[i%len(ok)]
+	}
+	long[40] = segs[bad]
+	for _, workers := range []int{1, 4} {
+		_, err := onlyPos.AttackSegmentsParallel(context.Background(), long, workers)
+		if err == nil {
+			t.Fatalf("workers=%d: classified a negative coefficient without negative templates", workers)
 		}
-		if !reflect.DeepEqual(serial.Probs, par.Probs) {
-			t.Fatalf("workers=%d: Probs diverge from serial", workers)
+		if !strings.Contains(err.Error(), "no negative templates") {
+			t.Errorf("workers=%d: error %q does not name the missing templates", workers, err)
+		}
+		if errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: error %q reports a cancellation", workers, err)
 		}
 	}
 }
 
-// TestAttackWithOptionsMatchesAttack checks the full parallel attack path
-// (concurrent e1/e2 + sharded classification) against the serial Attack.
+// TestParallelClassificationConcurrentCallers: concurrent attacks on one
+// classifier share its scorer pool; every result must still equal the
+// oracle. Run under -race.
+func TestParallelClassificationConcurrentCallers(t *testing.T) {
+	cls, segs := smallSegments(t, 23)
+	want := legacyAttack(t, cls, segs)
+	const callers = 8
+	results := make([]*AttackResult, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g], errs[g] = cls.AttackSegmentsParallel(context.Background(), segs, 4)
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < callers; g++ {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		assertResultsBitIdentical(t, want, results[g])
+	}
+}
+
+// TestAttackWithOptionsMatchesAttack checks the full attack with four
+// classification workers per polynomial against the one-worker Attack.
 func TestAttackWithOptionsMatchesAttack(t *testing.T) {
 	cls, cap, params := captureSmall(t, 12)
 	serial, err := cls.Attack(cap, params.N)
@@ -80,8 +163,9 @@ func TestAttackWithOptionsMatchesAttack(t *testing.T) {
 	}
 }
 
-// TestClassificationCancellation verifies both classification paths honor
-// an already-canceled context.
+// TestClassificationCancellation verifies the classification loop, at one
+// and at four workers, and the full attack honor an already-canceled
+// context.
 func TestClassificationCancellation(t *testing.T) {
 	cls, cap, params := captureSmall(t, 13)
 	segs, err := trace.SegmentEncryptionTrace(cap.TraceE2, params.N+1, 8)
@@ -92,10 +176,10 @@ func TestClassificationCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := cls.AttackSegmentsCtx(ctx, segs); err == nil {
-		t.Error("serial classification ignored canceled context")
+		t.Error("one-worker classification ignored canceled context")
 	}
 	if _, err := cls.AttackSegmentsParallel(ctx, segs, 4); err == nil {
-		t.Error("parallel classification ignored canceled context")
+		t.Error("four-worker classification ignored canceled context")
 	}
 	if _, err := cls.AttackWithOptions(ctx, cap, params.N, AttackOptions{Workers: 2}); err == nil {
 		t.Error("AttackWithOptions ignored canceled context")
@@ -126,15 +210,15 @@ func TestTrainClassifierCtxMatchesSerialTraining(t *testing.T) {
 	opts := DefaultProfileOptions()
 	opts.Q = 12289
 	opts.TracesPerValue = 20
-	sets, err := CollectProfilingSets(dev, opts, nil)
+	sets, err := CollectProfilingSets(context.Background(), dev, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := TrainClassifierCtx(context.Background(), sets, opts, nil)
+	a, err := TrainClassifier(context.Background(), sets, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainClassifierCtx(context.Background(), sets, opts, nil)
+	b, err := TrainClassifier(context.Background(), sets, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

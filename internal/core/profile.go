@@ -83,23 +83,18 @@ func Profile(dev *Device, opts ProfileOptions) (*CoefficientClassifier, error) {
 func ProfileCtx(ctx context.Context, dev *Device, opts ProfileOptions) (*CoefficientClassifier, error) {
 	sp := obs.StartSpanCtx(ctx, "profile")
 	defer sp.End()
-	sets, err := CollectProfilingSetsCtx(ctx, dev, opts, sp)
+	sets, err := CollectProfilingSets(ctx, dev, opts, sp)
 	if err != nil {
 		return nil, err
 	}
-	return TrainClassifierCtx(ctx, sets, opts, sp)
+	return TrainClassifier(ctx, sets, opts, sp)
 }
 
 // CollectProfilingSets runs the capture half of the profiling campaign and
-// returns the labeled sets. The collection is timed as a "collect" child of
-// parent (nil parent is fine — the child span is then a no-op).
-func CollectProfilingSets(dev *Device, opts ProfileOptions, parent *obs.Span) (*ProfilingSets, error) {
-	return CollectProfilingSetsCtx(context.Background(), dev, opts, parent)
-}
-
-// CollectProfilingSetsCtx is CollectProfilingSets with cancellation,
-// checked once per capture run.
-func CollectProfilingSetsCtx(ctx context.Context, dev *Device, opts ProfileOptions, parent *obs.Span) (*ProfilingSets, error) {
+// returns the labeled sets; ctx is checked once per capture run. The
+// collection is timed as a "collect" child of parent (nil parent is fine —
+// the child span is then a no-op).
+func CollectProfilingSets(ctx context.Context, dev *Device, opts ProfileOptions, parent *obs.Span) (*ProfilingSets, error) {
 	sp := parent.Child("collect")
 	defer sp.End()
 	if opts.MaxAbsValue < 1 {
@@ -234,16 +229,11 @@ func CollectProfilingSetsCtx(ctx context.Context, dev *Device, opts ProfileOptio
 
 // TrainClassifier builds the sign and per-sign value templates from
 // collected profiling sets — the training half of Profile, timed as a
-// "train" child of parent.
-func TrainClassifier(sets *ProfilingSets, opts ProfileOptions, parent *obs.Span) (*CoefficientClassifier, error) {
-	return TrainClassifierCtx(context.Background(), sets, opts, parent)
-}
-
-// TrainClassifierCtx is TrainClassifier with cancellation. The three
+// "train" child of parent and abandoned if ctx is already done. The three
 // template sets (sign, positive, negative) are independent, so they are
 // trained concurrently — training is the per-class half of the profiling
 // cost and parallelizes cleanly.
-func TrainClassifierCtx(ctx context.Context, sets *ProfilingSets, opts ProfileOptions, parent *obs.Span) (*CoefficientClassifier, error) {
+func TrainClassifier(ctx context.Context, sets *ProfilingSets, opts ProfileOptions, parent *obs.Span) (*CoefficientClassifier, error) {
 	sp := parent.Child("train")
 	sp.AddItems(sets.Sign.Len())
 	defer sp.End()

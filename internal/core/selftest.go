@@ -15,11 +15,12 @@ import (
 
 // Selftest is the end-to-end replay-determinism gate: it runs the full
 // profile→attack→hints pipeline twice at a small deterministic scale —
-// once on the serial classification path, once through the sharded
-// AttackSegmentsParallel path — each under a fresh observability recorder,
-// and requires every deterministic artifact (recovered coefficients,
-// posterior tables, accuracies, DBDD hardness, and the coeffs.jsonl
-// journal) to be byte-identical. The daemon runs this at startup and
+// once with one classification worker, once with several goroutines
+// claiming coefficients from AttackSegmentsParallel's shared counter —
+// each under a fresh observability recorder, and requires every
+// deterministic artifact (recovered coefficients, posterior tables,
+// accuracies, DBDD hardness, and the coeffs.jsonl journal) to be
+// byte-identical. The daemon runs this at startup and
 // `revealctl selftest` exposes it on the command line; running the command
 // twice in fresh processes and comparing the printed digest extends the
 // gate across process boundaries.
@@ -155,11 +156,12 @@ func runSelftestPipeline(ctx context.Context, seed uint64, workers int) (*selfte
 	return s, hex.EncodeToString(sum[:]), nil
 }
 
-// Selftest runs the replay-determinism gate. workers configures the
-// parallel pass (values < 2 use 4). A non-nil error either means the
-// pipeline failed outright or — the case the gate exists for — the serial
-// and parallel executions diverged; the report is returned in both cases
-// when available.
+// Selftest runs the replay-determinism gate. workers is the
+// classification worker count of the second pass (values < 2 use 4); the
+// first pass uses one. A non-nil error either means the pipeline failed
+// outright or — the case the gate exists for — the one-worker ("serial")
+// and multi-worker ("parallel") executions diverged; the report is
+// returned in both cases when available.
 func Selftest(ctx context.Context, seed uint64, workers int) (*SelftestReport, error) {
 	if workers < 2 {
 		workers = 4

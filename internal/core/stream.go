@@ -95,9 +95,9 @@ type StreamVerdict struct {
 // incrementally and stops as soon as the estimate reaches the target.
 //
 // Determinism contract: over a complete trace with early exit disabled the
-// result is byte-identical (Float64bits level) to the batch
-// Segment+AttackSegments path at the same threshold, independent of chunk
-// sizes; with early exit enabled, the exit point depends only on the
+// result is byte-identical (Float64bits level) to the batch path
+// (SegmentEncryptionTrace + AttackSegmentsCtx) at the same threshold,
+// independent of chunk sizes; with early exit enabled, the exit point depends only on the
 // classified-coefficient count, so equal trace prefixes produce equal
 // banked results under any chunking.
 type StreamAttack struct {

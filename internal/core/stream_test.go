@@ -6,6 +6,7 @@ package core
 // prefix (same prefix ⇒ same hints, whatever the chunking).
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -71,8 +72,8 @@ func streamTestFixture(t *testing.T) (*bfv.Parameters, *CoefficientClassifier, *
 }
 
 // batchE2 runs the batch path on the capture's e2 trace: segment n+1 peaks
-// (sentinel included), classify the first n — exactly what AttackCtx does
-// per polynomial.
+// (sentinel included), classify the first n — exactly what
+// AttackWithOptions does per polynomial.
 func batchE2(t *testing.T, params *bfv.Parameters, cls *CoefficientClassifier, cap *EncryptionCapture) *AttackResult {
 	t.Helper()
 	sg := trace.NewSegmenter(params.N + 1)
@@ -80,7 +81,7 @@ func batchE2(t *testing.T, params *bfv.Parameters, cls *CoefficientClassifier, c
 	if err != nil {
 		t.Fatalf("batch segmentation: %v", err)
 	}
-	res, err := cls.AttackSegments(segs[:params.N])
+	res, err := cls.AttackSegmentsCtx(context.Background(), segs[:params.N])
 	if err != nil {
 		t.Fatalf("batch attack: %v", err)
 	}
@@ -206,6 +207,17 @@ func TestStreamAttackEarlyExitStopsBeforeTraceEnd(t *testing.T) {
 	}
 	// The banked prefix is exactly the batch result's prefix.
 	assertResultsBitIdentical(t, full.Prefix(verdict.Classified), got)
+	// MatchesBatchPrefix agrees, and notices a single changed value.
+	ctx := context.Background()
+	if ok, err := cls.MatchesBatchPrefix(ctx, cap.TraceE2, params.N, got); err != nil || !ok {
+		t.Fatalf("MatchesBatchPrefix = %v, %v; want true", ok, err)
+	}
+	bad := *got
+	bad.Values = append([]int(nil), got.Values...)
+	bad.Values[0]++
+	if ok, err := cls.MatchesBatchPrefix(ctx, cap.TraceE2, params.N, &bad); err != nil || ok {
+		t.Fatalf("perturbed prefix: MatchesBatchPrefix = %v, %v; want false", ok, err)
+	}
 }
 
 func TestStreamAttackEarlyExitDeterministicAcrossChunkSizes(t *testing.T) {

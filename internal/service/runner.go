@@ -21,7 +21,7 @@ import (
 
 // Runner executes campaign jobs: it resolves templates through the shared
 // LRU cache, captures deterministic synthetic encryptions, and runs the
-// (optionally sharded-parallel) single-trace attack.
+// (optionally multi-worker) single-trace attack.
 // TemplateSource resolves trained classifiers by template key — the
 // in-process core.TemplateCache in single-node deployments, or a
 // RemoteTemplateCache chaining the local LRU to the coordinator's

@@ -1,7 +1,7 @@
 // Package service exposes the attack pipeline as a long-running campaign
 // service: an HTTP/JSON API for submitting campaign specs, polling job
-// status, and fetching results, backed by the internal/jobs queue, a
-// sharded classification worker pool in internal/core, and an LRU template
+// status, and fetching results, backed by the internal/jobs queue, the
+// parallel classification loop in internal/core, and an LRU template
 // cache so repeated campaigns against the same device configuration skip
 // the profiling stage.
 package service

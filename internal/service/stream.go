@@ -147,7 +147,7 @@ func (r *Runner) runStream(ctx context.Context, spec *CampaignSpec) (*StreamCamp
 			return nil, err
 		}
 		if spec.VerifyBatch {
-			match, err := verifyAgainstBatch(ctx, cls, params, cap.TraceE2, streamRes, verdict.Classified)
+			match, err := cls.MatchesBatchPrefix(ctx, cap.TraceE2, params.N, streamRes)
 			if err != nil {
 				return nil, fmt.Errorf("service: batch verification of encryption %d: %w", run, err)
 			}
@@ -246,30 +246,4 @@ func streamOneTrace(ctx context.Context, cls *core.CoefficientClassifier, params
 		return nil, nil, 0, err
 	}
 	return res, verdict, ingested, nil
-}
-
-// verifyAgainstBatch runs the batch Segment+AttackSegments path over the
-// complete trace and reports whether the stream result digests identical
-// to the batch result truncated to the streamed prefix — the determinism
-// contract, verified end to end on every run that asks for it.
-func verifyAgainstBatch(ctx context.Context, cls *core.CoefficientClassifier, params *bfv.Parameters,
-	tr trace.Trace, streamRes *core.AttackResult, classified int) (bool, error) {
-	sg := trace.NewSegmenter(params.N + 1)
-	segs, err := sg.Segment(tr, params.N+1, 8)
-	if err != nil {
-		return false, err
-	}
-	batchRes, err := cls.AttackSegmentsCtx(ctx, segs[:params.N])
-	if err != nil {
-		return false, err
-	}
-	sd, err := streamRes.Digest()
-	if err != nil {
-		return false, err
-	}
-	bd, err := batchRes.Prefix(classified).Digest()
-	if err != nil {
-		return false, err
-	}
-	return sd == bd, nil
 }

@@ -6,6 +6,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -182,6 +183,100 @@ func FuzzStreamReader(f *testing.F) {
 					t.Fatalf("trace %d sample %d: bits differ from ReadSet", i, j)
 				}
 			}
+		}
+	})
+}
+
+// segmenterInput encodes a FuzzSegmenter input: the want offset,
+// minDistance and chunk-size bytes, then the samples as little-endian
+// float64 bits.
+func segmenterInput(wantOffset, minDistance int8, chunk byte, t trace.Trace) []byte {
+	data := []byte{byte(wantOffset), byte(minDistance), chunk}
+	for _, v := range t {
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+	}
+	return data
+}
+
+// FuzzSegmenter: the one segmenter against the reference scan. On any
+// samples — NaN and ±Inf included — SegmentEncryptionTrace must agree with
+// FindPeaks + SegmentByPeaks at AutoThreshold(t, 0.5): the same
+// error-or-not outcome, the same boundaries and bit-equal samples; and a
+// StreamSegmenter fed in chunks, calibrating over the whole trace, must
+// agree with both. (The threshold is not passed through Threshold, where 0
+// means "calibrate over the default window".) want is the reference peak
+// count plus a fuzzed offset, so offset 0 exercises the accepting path on
+// any samples and other offsets the count checks, want < 1 included.
+func FuzzSegmenter(f *testing.F) {
+	f.Add(segmenterInput(0, 8, 7, trace.SpikedTrace(6, 12, 7)))
+	f.Add(segmenterInput(-1, 8, 0, trace.SpikedTrace(6, 12, 7)))
+	f.Add(segmenterInput(0, 8, 40, synthTrace(480, []int{1, 41, 80, 120, 167, 200, 239, 281, 320, 358, 397, 438})))
+	f.Add(segmenterInput(0, 8, 63, synthTrace(320, []int{30, 64, 127, 192, 252, 258}))) // taller-peak swap across a chunk edge
+	odd := trace.SpikedTrace(4, 9, 3)
+	odd[5], odd[20], odd[31] = math.NaN(), math.Inf(1), math.Inf(-1)
+	f.Add(segmenterInput(0, 4, 2, odd))
+	f.Add(segmenterInput(0, 1, 0, trace.Trace{0, 10, 10, 0, 10, 0})) // plateau
+	f.Add(segmenterInput(0, 4, 1, trace.Trace{0, 10, 0, 10, 0, 0}))  // tie within minDistance: the first stays
+	f.Add(segmenterInput(-2, 8, 1, trace.SpikedTrace(2, 5, 1)))      // want 0
+	f.Add(segmenterInput(1, 8, 1, nil))
+	// Past the default 512-sample calibration window only the tall late
+	// spike clears the whole-trace threshold.
+	late := make(trace.Trace, 1024)
+	for i := range late {
+		late[i] = 0.1
+		if i < 512 && i%32 == 16 {
+			late[i] = 4
+		}
+	}
+	late[900] = 40
+	f.Add(segmenterInput(0, 8, 100, late))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		minDistance, chunk := int(int8(data[1])), 1+int(data[2])
+		tr := make(trace.Trace, min((len(data)-3)/8, 4096))
+		for i := range tr {
+			tr[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[3+8*i:]))
+		}
+		peaks := trace.FindPeaks(tr, trace.AutoThreshold(tr, 0.5), minDistance)
+		want := len(peaks) + int(int8(data[0]))
+
+		var ref []trace.Segment
+		if len(tr) > 0 && want >= 1 && len(peaks) == want {
+			var err error
+			if ref, err = trace.SegmentByPeaks(tr, peaks); err != nil {
+				t.Fatalf("reference cut failed on its own peaks: %v", err)
+			}
+		}
+
+		got, err := trace.SegmentEncryptionTrace(tr, want, minDistance)
+		if (err == nil) != (ref != nil) {
+			t.Fatalf("SegmentEncryptionTrace error %v, reference accepted: %v", err, ref != nil)
+		}
+		if err == nil {
+			assertSegmentsEqual(t, ref, got)
+		}
+
+		var streamed []trace.Segment
+		sg, err := trace.NewStreamSegmenter(trace.StreamSegmenterConfig{
+			Want: want, MinDistance: minDistance, CalibrationSamples: len(tr),
+		})
+		for off := 0; err == nil && off < len(tr); off += chunk {
+			var out []trace.Segment
+			out, err = sg.Feed(tr[off:min(off+chunk, len(tr))])
+			streamed = append(streamed, out...)
+		}
+		if err == nil {
+			var out []trace.Segment
+			out, err = sg.Flush()
+			streamed = append(streamed, out...)
+		}
+		if (err == nil) != (ref != nil) {
+			t.Fatalf("chunked StreamSegmenter error %v, reference accepted: %v", err, ref != nil)
+		}
+		if err == nil {
+			assertSegmentsEqual(t, ref, streamed)
 		}
 	})
 }

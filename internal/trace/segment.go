@@ -1,43 +1,8 @@
 package trace
 
 import (
-	"fmt"
-
 	"reveal/internal/obs"
 )
-
-// FindPeaks returns the indices of local maxima exceeding threshold, with
-// at least minDistance samples between accepted peaks (the larger peak
-// wins in a conflict). This is how the attacker locates the start of each
-// coefficient's sampling (the paper's visible distribution-call peaks,
-// Fig. 3a).
-func FindPeaks(t Trace, threshold float64, minDistance int) []int {
-	if minDistance < 1 {
-		minDistance = 1
-	}
-	var peaks []int
-	for i := 1; i < len(t)-1; i++ {
-		if t[i] < threshold {
-			continue
-		}
-		if t[i] < t[i-1] || t[i] < t[i+1] {
-			continue
-		}
-		// Plateau handling: only take the first sample of a plateau.
-		if t[i] == t[i-1] {
-			continue
-		}
-		if len(peaks) > 0 && i-peaks[len(peaks)-1] < minDistance {
-			// Keep the taller of the two.
-			if t[i] > t[peaks[len(peaks)-1]] {
-				peaks[len(peaks)-1] = i
-			}
-			continue
-		}
-		peaks = append(peaks, i)
-	}
-	return peaks
-}
 
 // AutoThreshold picks a peak threshold between the trace's bulk level and
 // its maximum: mean + frac·(max − mean). frac = 0.5 works well for the
@@ -53,47 +18,16 @@ type Segment struct {
 	Samples    Trace
 }
 
-// SegmentByPeaks cuts the trace at each peak index: segment k covers
-// [peak_k, peak_{k+1}) and the last segment runs to the end of the trace.
-// It returns an error when fewer than one peak was found.
-func SegmentByPeaks(t Trace, peaks []int) ([]Segment, error) {
-	if len(peaks) == 0 {
-		return nil, fmt.Errorf("trace: no peaks to segment by")
-	}
-	segs := make([]Segment, 0, len(peaks))
-	for k, p := range peaks {
-		end := len(t)
-		if k+1 < len(peaks) {
-			end = peaks[k+1]
-		}
-		if p >= end {
-			return nil, fmt.Errorf("trace: invalid peak ordering at %d", k)
-		}
-		segs = append(segs, Segment{Start: p, End: end, Samples: t[p:end].Clone()})
-	}
-	return segs, nil
-}
-
 // SegmentEncryptionTrace performs the full §III-C procedure: find the
 // sampler-port peaks and cut the trace into exactly want sub-traces (one
 // per coefficient). It returns an error when the count does not match,
-// which signals mis-calibration of the threshold.
+// which signals mis-calibration of the threshold. The segments are views
+// into t, each with its capacity clipped at its own end; t must not be
+// modified while they are in use.
 func SegmentEncryptionTrace(t Trace, want int, minDistance int) ([]Segment, error) {
-	if len(t) == 0 {
-		return nil, fmt.Errorf("trace: cannot segment an empty trace")
-	}
-	if want < 1 {
-		return nil, fmt.Errorf("trace: want %d segments, need at least 1", want)
-	}
 	sp := obs.StartSpan("segment")
 	defer sp.End()
-	thr := AutoThreshold(t, 0.5)
-	peaks := FindPeaks(t, thr, minDistance)
-	if len(peaks) != want {
-		return nil, fmt.Errorf("trace: found %d sampling peaks, want %d (threshold %.3f)",
-			len(peaks), want, thr)
-	}
-	segs, err := SegmentByPeaks(t, peaks)
+	segs, err := segmentWhole(t, want, minDistance)
 	if err != nil {
 		return nil, err
 	}
@@ -101,30 +35,37 @@ func SegmentEncryptionTrace(t Trace, want int, minDistance int) ([]Segment, erro
 	return segs, nil
 }
 
-// NormalizeSegments resamples every segment to the same length (the median
-// length), producing the aligned matrix the template attack operates on.
-func NormalizeSegments(segs []Segment, length int) []Trace {
-	out := make([]Trace, len(segs))
-	for i, s := range segs {
-		out[i] = s.Samples.Resample(length)
-	}
-	return out
+// Segmenter is the handle form of SegmentEncryptionTrace without its
+// "segment" span, for callers that time segmentation under their own span.
+// It holds no state.
+type Segmenter struct{}
+
+// NewSegmenter returns a Segmenter; the coefficient hint is ignored.
+func NewSegmenter(coeffHint int) *Segmenter { return &Segmenter{} }
+
+// Segment cuts t into exactly want sub-traces, exactly as
+// SegmentEncryptionTrace does.
+func (*Segmenter) Segment(t Trace, want int, minDistance int) ([]Segment, error) {
+	return segmentWhole(t, want, minDistance)
 }
 
-// MedianLength returns the median segment length (0 for empty input).
-func MedianLength(segs []Segment) int {
-	if len(segs) == 0 {
-		return 0
+// segmentWhole runs one StreamSegmenter over the complete trace, fed once:
+// the segmenter adopts t as its buffer instead of copying it, and its
+// calibration window is the whole trace, so the threshold is exactly
+// AutoThreshold(t, 0.5). The returned segments are views into t, which no
+// segmentation step writes to.
+func segmentWhole(t Trace, want int, minDistance int) ([]Segment, error) {
+	sg, err := NewStreamSegmenter(StreamSegmenterConfig{
+		Want:               want,
+		MinDistance:        minDistance,
+		CalibrationSamples: len(t),
+	})
+	if err != nil {
+		return nil, err
 	}
-	lengths := make([]int, len(segs))
-	for i, s := range segs {
-		lengths[i] = len(s.Samples)
-	}
-	// Insertion sort: segment counts are small (≤ 32768).
-	for i := 1; i < len(lengths); i++ {
-		for j := i; j > 0 && lengths[j] < lengths[j-1]; j-- {
-			lengths[j], lengths[j-1] = lengths[j-1], lengths[j]
-		}
-	}
-	return lengths[len(lengths)/2]
+	n := min(want, len(t))
+	sg.buf = t[:len(t):len(t)]
+	sg.peaks = make([]int, 0, n)
+	sg.out = make([]Segment, 0, n)
+	return sg.Flush()
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -92,8 +93,101 @@ func TestSegmentByPeaksNoPeaks(t *testing.T) {
 	}
 }
 
-func TestMedianLengthEmpty(t *testing.T) {
-	if got := MedianLength(nil); got != 0 {
-		t.Fatalf("MedianLength(nil) = %d, want 0", got)
+// SpikedTrace builds a synthetic encryption trace with coeffs port spikes
+// separated by gap samples (plus jitter from the seed). It is exported for
+// the trace_test fuzz seeds.
+func SpikedTrace(coeffs, gap int, seed uint64) Trace {
+	tr := make(Trace, 0, coeffs*(gap+1)+gap)
+	s := seed
+	noise := func() float64 {
+		s = s*6364136223846793005 + 1442695040888963407
+		return float64(int64(s>>40)) / float64(1<<25) * 0.05
+	}
+	for i := 0; i < gap; i++ {
+		tr = append(tr, 0.1+noise())
+	}
+	for c := 0; c < coeffs; c++ {
+		tr = append(tr, 4.0+noise())
+		extra := int(s>>60) % 3
+		for i := 0; i < gap+extra; i++ {
+			tr = append(tr, 0.1+noise())
+		}
+	}
+	return tr
+}
+
+// TestSegmenterMatchesSegmentEncryptionTrace: SegmentEncryptionTrace and
+// the span-free Segmenter handle must both reproduce the reference
+// whole-trace scan and cut — same boundaries, bitwise-equal samples — and
+// hand out views of the input whose capacity ends at the segment end, so
+// appending to one cannot overwrite its neighbour.
+func TestSegmenterMatchesSegmentEncryptionTrace(t *testing.T) {
+	sg := NewSegmenter(8)
+	for rep := 0; rep < 5; rep++ {
+		coeffs := 5 + rep
+		tr := SpikedTrace(coeffs, 12, uint64(rep)*31+7)
+		want, err := SegmentByPeaks(tr, FindPeaks(tr, AutoThreshold(tr, 0.5), 8))
+		if err != nil {
+			t.Fatalf("rep %d: reference: %v", rep, err)
+		}
+		if len(want) != coeffs {
+			t.Fatalf("rep %d: reference found %d segments, want %d", rep, len(want), coeffs)
+		}
+		viaTrace, err := SegmentEncryptionTrace(tr, coeffs, 8)
+		if err != nil {
+			t.Fatalf("rep %d: SegmentEncryptionTrace: %v", rep, err)
+		}
+		viaHandle, err := sg.Segment(tr, coeffs, 8)
+		if err != nil {
+			t.Fatalf("rep %d: Segmenter: %v", rep, err)
+		}
+		for _, got := range [][]Segment{viaTrace, viaHandle} {
+			if len(got) != len(want) {
+				t.Fatalf("rep %d: %d segments, want %d", rep, len(got), len(want))
+			}
+			for k := range want {
+				if got[k].Start != want[k].Start || got[k].End != want[k].End {
+					t.Fatalf("rep %d seg %d: bounds [%d,%d), want [%d,%d)", rep, k,
+						got[k].Start, got[k].End, want[k].Start, want[k].End)
+				}
+				s := got[k].Samples
+				if len(s) != len(want[k].Samples) || cap(s) != len(s) {
+					t.Fatalf("rep %d seg %d: len %d cap %d, want len = cap = %d",
+						rep, k, len(s), cap(s), len(want[k].Samples))
+				}
+				if &s[0] != &tr[got[k].Start] {
+					t.Fatalf("rep %d seg %d: samples copied, want a view of the trace", rep, k)
+				}
+				for i := range want[k].Samples {
+					if math.Float64bits(s[i]) != math.Float64bits(want[k].Samples[i]) {
+						t.Fatalf("rep %d seg %d sample %d drifted", rep, k, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSegmenterErrors(t *testing.T) {
+	sg := NewSegmenter(4)
+	if _, err := sg.Segment(Trace{}, 4, 8); err == nil {
+		t.Error("empty trace should fail")
+	}
+	if _, err := sg.Segment(Trace{1, 2, 3}, 0, 8); err == nil {
+		t.Error("want 0 should fail")
+	}
+	flat := make(Trace, 64)
+	if _, err := sg.Segment(flat, 4, 8); err == nil {
+		t.Error("flat trace should fail peak-count check")
+	}
+}
+
+func BenchmarkSegmentEncryptionTrace(b *testing.B) {
+	tr := SpikedTrace(65, 14, 5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SegmentEncryptionTrace(tr, 65, 8); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -161,7 +161,8 @@ func (sr *StreamReader) ReadChunk(dst Trace) (int, error) {
 // auto-calibrates the peak threshold over when none is given explicitly.
 // The sampler-port spikes tower an order of magnitude above the bulk
 // instruction-power level, so any window covering a handful of iterations
-// separates them as cleanly as the batch path's whole-trace AutoThreshold.
+// separates them as cleanly as the whole-trace AutoThreshold that
+// SegmentEncryptionTrace uses.
 const DefaultCalibrationSamples = 512
 
 // StreamSegmenterConfig configures an incremental segmenter.
@@ -169,29 +170,33 @@ type StreamSegmenterConfig struct {
 	// Want is the exact number of segments (peaks) the trace must contain;
 	// more is an error as soon as observed, fewer is an error at Flush.
 	Want int
-	// MinDistance is the FindPeaks minimum peak spacing (values < 1 mean 1).
+	// MinDistance is the minimum spacing between accepted peaks; of two
+	// closer peaks the taller one wins (values < 1 mean 1).
 	MinDistance int
 	// Threshold fixes the peak threshold. When 0, the threshold is
 	// auto-calibrated with AutoThreshold over the first CalibrationSamples
-	// buffered samples (or the whole trace at Flush, matching the batch
-	// path exactly, if the trace is shorter than the window).
+	// buffered samples (or the whole trace at Flush, matching
+	// SegmentEncryptionTrace exactly, if the trace is shorter than the
+	// window).
 	Threshold float64
 	// CalibrationSamples sizes the auto-calibration window (0 means
 	// DefaultCalibrationSamples).
 	CalibrationSamples int
 }
 
-// StreamSegmenter is the incremental form of Segmenter: samples arrive in
+// StreamSegmenter is the repository's one segmenter: samples arrive in
 // chunks, and a Segment is emitted the moment its closing peak is
 // confirmed — i.e. once enough subsequent samples have been seen that no
 // later, taller local maximum can displace that peak within MinDistance.
-// Over a complete trace the emitted peak set and segment boundaries are
-// identical to FindPeaks/SegmentByPeaks at the same threshold, regardless
-// of how the samples were chunked.
+// SegmentEncryptionTrace is this segmenter fed the whole trace at once.
+// The emitted peak set and segment boundaries do not depend on how the
+// samples were chunked; the tests hold them to a plain whole-trace
+// reference scan (oracle_test.go) at the same threshold.
 //
-// Emitted Segment.Samples are views into the segmenter's internal buffer;
-// already-written samples are never mutated, so the views stay valid for
-// the segmenter's lifetime even as the buffer grows.
+// Emitted Segment.Samples are views into the segmenter's internal buffer,
+// with their capacity clipped at the segment end; already-written samples
+// are never mutated, so the views stay valid for the segmenter's lifetime
+// even as the buffer grows.
 type StreamSegmenter struct {
 	cfg     StreamSegmenterConfig
 	thr     float64
@@ -298,10 +303,11 @@ func (sg *StreamSegmenter) Flush() ([]Segment, error) {
 }
 
 // scan advances the incremental peak detection over the unprocessed
-// buffer. The candidate test is byte-for-byte the FindPeaks logic —
-// threshold, plateau skip, taller-peak-wins within MinDistance — applied
-// to indices whose right neighbour exists; final forces calibration and
-// lets the scan consume the last interior index.
+// buffer. A candidate is an interior local maximum at or above the
+// threshold that is not the continuation of a plateau; of two candidates
+// closer than MinDistance the taller one wins. Only indices whose right
+// neighbour exists are tested; final forces calibration and lets the scan
+// consume the last interior index.
 func (sg *StreamSegmenter) scan(final bool) error {
 	if !sg.calib {
 		switch {
@@ -371,7 +377,7 @@ func (sg *StreamSegmenter) emit(final bool) []Segment {
 		out = append(out, Segment{
 			Start:   sg.peaks[k],
 			End:     sg.peaks[k+1],
-			Samples: sg.buf[sg.peaks[k]:sg.peaks[k+1]],
+			Samples: sg.buf[sg.peaks[k]:sg.peaks[k+1]:sg.peaks[k+1]],
 		})
 		sg.emitted++
 	}
@@ -380,7 +386,7 @@ func (sg *StreamSegmenter) emit(final bool) []Segment {
 		out = append(out, Segment{
 			Start:   sg.peaks[k],
 			End:     len(sg.buf),
-			Samples: sg.buf[sg.peaks[k]:],
+			Samples: sg.buf[sg.peaks[k]:len(sg.buf):len(sg.buf)],
 		})
 		sg.emitted++
 	}

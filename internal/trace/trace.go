@@ -91,6 +91,39 @@ func (t Trace) Resample(n int) Trace {
 	return out
 }
 
+// ResampleInto stretches or compresses the trace into dst using the exact
+// linear interpolation of Resample, without allocating. It returns dst.
+func (t Trace) ResampleInto(dst Trace) Trace {
+	n := len(dst)
+	if n == 0 {
+		return dst
+	}
+	if len(t) == 0 {
+		for i := range dst {
+			dst[i] = 0
+		}
+		return dst
+	}
+	if len(t) == 1 || n == 1 {
+		for i := range dst {
+			dst[i] = t[0]
+		}
+		return dst
+	}
+	scale := float64(len(t)-1) / float64(n-1)
+	for i := 0; i < n; i++ {
+		pos := float64(i) * scale
+		lo := int(pos)
+		if lo >= len(t)-1 {
+			dst[i] = t[len(t)-1]
+			continue
+		}
+		frac := pos - float64(lo)
+		dst[i] = t[lo]*(1-frac) + t[lo+1]*frac
+	}
+	return dst
+}
+
 // LowPass applies a simple moving-average filter of the given window,
 // approximating the band-limiting of a real acquisition chain.
 func (t Trace) LowPass(window int) Trace {

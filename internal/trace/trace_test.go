@@ -197,23 +197,28 @@ func TestSegmentEncryptionTrace(t *testing.T) {
 	}
 }
 
-func TestNormalizeAndMedian(t *testing.T) {
-	segs := []Segment{
-		{Samples: Trace{1, 2, 3}},
-		{Samples: Trace{1, 2, 3, 4, 5}},
-		{Samples: Trace{1, 2, 3, 4}},
-	}
-	if MedianLength(segs) != 4 {
-		t.Errorf("median=%d", MedianLength(segs))
-	}
-	norm := NormalizeSegments(segs, 4)
-	for i, tr := range norm {
-		if len(tr) != 4 {
-			t.Errorf("segment %d length %d", i, len(tr))
+func TestResampleIntoMatchesResample(t *testing.T) {
+	tr := SpikedTrace(4, 9, 3)
+	for _, n := range []int{1, 2, 7, len(tr), len(tr) * 2} {
+		want := tr.Resample(n)
+		dst := make(Trace, n)
+		got := tr.ResampleInto(dst)
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("n=%d sample %d: %x, want %x", n, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
 		}
 	}
-	if MedianLength(nil) != 0 {
-		t.Error("empty median should be 0")
+	// Degenerate inputs.
+	if got := (Trace{}).ResampleInto(make(Trace, 3)); got[0] != 0 || got[2] != 0 {
+		t.Errorf("empty source should zero-fill, got %v", got)
+	}
+	if got := (Trace{5}).ResampleInto(make(Trace, 3)); got[0] != 5 || got[2] != 5 {
+		t.Errorf("single-sample source should broadcast, got %v", got)
+	}
+	if got := (Trace{1, 2}).ResampleInto(Trace{}); len(got) != 0 {
+		t.Errorf("empty destination should stay empty")
 	}
 }
 

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Coverage floor gate for the arithmetic core and the attack path (linear
-# algebra, template scoring, DBDD): each package listed in
-# scripts/coverage_floor.txt must keep its statement coverage at or above
-# the committed floor. Raise a floor when coverage improves; lowering one
-# is a reviewed decision, not a silent CI edit.
+# algebra, template scoring, DBDD, segmentation and classification): each
+# package listed in scripts/coverage_floor.txt must keep its statement
+# coverage at or above the committed floor. Raise a floor when coverage
+# improves; lowering one is a reviewed decision, not a silent CI edit.
 #
 # Usage: scripts/coverage_floor.sh [floor-file]
 set -eu
