@@ -1,10 +1,12 @@
 // BenchmarkLoadgen measures sustained campaign throughput through the
 // service API under synthetic multi-tenant load, in two topologies built
-// in-process: a single-process daemon (queue + local pool) and a fabric of
-// one pure coordinator with two worker nodes leasing over HTTP. The fabric
-// run is the timed headline; the single-process run is recorded alongside
-// it as the scale-out reference. Sleep campaigns keep the measurement on
-// the queue/fabric machinery rather than the classifier.
+// in-process: a single-process daemon (a coordinator whose in-process
+// fabric worker leases from its own queue through direct calls) and a
+// fabric of one pure coordinator with two worker nodes leasing over HTTP.
+// Both run the same executor; the fabric run is the timed headline and the
+// single-process run is recorded alongside it as the scale-out reference.
+// Sleep campaigns keep the measurement on the queue/fabric machinery
+// rather than the classifier.
 package reveal
 
 import (
@@ -24,9 +26,9 @@ type loadTopology struct {
 	stop   func()
 }
 
-// startTopology boots a coordinator with poolWorkers in-process slots
-// (negative = pure coordinator) and fabricWorkers × slotsPerWorker fabric
-// nodes leasing from it over a real HTTP listener.
+// startTopology boots a coordinator with poolWorkers in-process worker
+// slots (negative = pure coordinator) and fabricWorkers × slotsPerWorker
+// fabric nodes leasing from it over a real HTTP listener.
 func startTopology(b *testing.B, poolWorkers, fabricWorkers, slotsPerWorker int) *loadTopology {
 	b.Helper()
 	svc := service.New(service.Config{

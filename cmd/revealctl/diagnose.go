@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -84,7 +85,7 @@ func runDiagnose(args []string) error {
 		fmt.Printf("collecting profiling campaign (%d traces per value, %d values)...\n",
 			cfg.Opts.Profile.TracesPerValue, 2*cfg.Opts.Profile.MaxAbsValue+1)
 	}
-	report, err := core.Diagnose(dev, cfg.Opts)
+	report, err := core.Diagnose(context.Background(), dev, cfg.Opts)
 	if err != nil {
 		return err
 	}

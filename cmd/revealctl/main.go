@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -252,7 +253,7 @@ func runAttack(args []string) error {
 		if err != nil {
 			return err
 		}
-		core.EmitOutcomeEvents(out, cap)
+		core.EmitOutcomeEvents(context.Background(), out, cap)
 		lastOutcome = out
 		vAcc, sAcc, err := out.E2.Accuracy(cap.Truth.E2)
 		if err != nil {

@@ -1,10 +1,11 @@
 // Command reveald is the attack-campaign daemon: it serves the HTTP/JSON
 // campaign API (submit a campaign spec, poll status, fetch results) next to
-// the live observability endpoints, executes campaigns on a job queue with
-// retries and deadlines, classifies each polynomial on a pool of workers
-// claiming coefficients from a shared counter, and caches trained
-// templates so repeated campaigns against the same device configuration
-// skip profiling.
+// the live observability endpoints, queues campaigns with retries and
+// deadlines, executes each one under a lease on a fabric worker (in
+// process, remote, or both), classifies each polynomial on a pool of
+// goroutines claiming coefficients from a shared counter, and caches
+// trained templates so repeated campaigns against the same device
+// configuration skip profiling.
 //
 // Campaign kinds: "attack" (batch single-trace attacks), "stream" (the
 // streaming engine: each trace replayed chunk by chunk through the RVTS
@@ -23,10 +24,14 @@
 //	        [-profile-interval DUR] [-profile-cpu DUR]
 //	        [-drain-timeout DUR] [-log-level LEVEL] [-log-json] [-selftest]
 //
-// Roles (the distributed campaign fabric):
+// Roles (the distributed campaign fabric). Every role that executes jobs
+// runs the same fabric worker: it leases a job, heartbeats the lease, and
+// reports the attempt back to the coordinator, which journals and records
+// it.
 //
-//	all          single process: API, queue, and in-process execution
-//	             (the default — identical to the pre-fabric daemon)
+//	all          the default: a coordinator plus an in-process worker with
+//	             -workers slots, leasing from its own queue through direct
+//	             calls instead of HTTP; remote workers may join it
 //	coordinator  serve the API and the fabric endpoints but execute
 //	             nothing locally; jobs wait for workers to lease them
 //	worker       no API: lease jobs from -coordinator over HTTP, execute
@@ -71,7 +76,10 @@
 //
 // On SIGTERM/SIGINT the daemon flips /readyz to 503 (load balancers stop
 // routing), stops accepting submissions, lets running jobs finish for up
-// to -drain-timeout, then cancels them and exits. With -data-dir the
+// to -drain-timeout, then cancels them and exits. A worker drains the same
+// way: it stops leasing, lets its running jobs finish and report for up to
+// -drain-timeout, then cancels them (their failures are reported, so the
+// coordinator retries them) and exits. With -data-dir the
 // service journal is additionally appended to <data-dir>/events.jsonl
 // (flushed and fsynced on drain), every finished campaign appends one
 // quality record to the <data-dir>/history store watched by the drift
@@ -254,6 +262,7 @@ func run(args []string) error {
 			CacheCapacity:   *cacheCap,
 			DataDir:         *dataDir,
 			LeaseTTL:        *leaseTTL,
+			DrainTimeout:    *drainTimeout,
 		})
 	}
 
@@ -323,7 +332,7 @@ func run(args []string) error {
 		close(snapDone)
 	}
 
-	// draining flips before the pool drains so load balancers watching
+	// draining flips before the worker drains so load balancers watching
 	// /readyz stop routing while running jobs are still finishing.
 	var draining atomic.Bool
 	srv, err := obs.ServeMetricsCfg(rec, *addr, obs.ServeConfig{
@@ -393,6 +402,7 @@ type workerConfig struct {
 	CacheCapacity   int
 	DataDir         string
 	LeaseTTL        time.Duration
+	DrainTimeout    time.Duration
 }
 
 // runWorker runs the worker role: lease campaigns from the coordinator,
@@ -439,19 +449,26 @@ func runWorker(rec *obs.Recorder, cfg workerConfig) error {
 		obs.Log().Info("worker observability listening", "addr", srv.Addr())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	err := worker.Run(ctx)
-	if errors.Is(err, context.Canceled) {
-		err = nil
-	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = worker.Run(context.Background())
+	}()
+	s := <-sig
+	obs.Log().Info("worker draining", "signal", s.String(), "drain_timeout", cfg.DrainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout)
+	defer cancel()
+	drainErr := worker.Shutdown(ctx)
+	<-done
 	if srv != nil {
 		httpCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(httpCtx)
 	}
-	if err != nil {
-		return err
+	if drainErr != nil {
+		return drainErr
 	}
 	obs.Log().Info("worker stopped cleanly", "id", id)
 	return nil

@@ -63,14 +63,9 @@ type DiagnosticsReport struct {
 // leakage: SNR curves, adjacent-pair Welch t-tests against the TVLA
 // threshold, SOSD-vs-SNR POI overlap, and template-health checks for each
 // of the three template sets. Warnings are also emitted as instant events
-// into the trace stream.
-func Diagnose(dev *Device, opts DiagnosticsOptions) (*DiagnosticsReport, error) {
-	return DiagnoseCtx(context.Background(), dev, opts)
-}
-
-// DiagnoseCtx is Diagnose with cancellation, checked at every stage
-// boundary (collection runs, training, and between set assessments).
-func DiagnoseCtx(ctx context.Context, dev *Device, opts DiagnosticsOptions) (*DiagnosticsReport, error) {
+// into the trace stream. Cancellation is checked at every stage boundary
+// (collection runs, training, and between set assessments).
+func Diagnose(ctx context.Context, dev *Device, opts DiagnosticsOptions) (*DiagnosticsReport, error) {
 	sp := obs.StartSpanCtx(ctx, "diagnose")
 	defer sp.End()
 	sets, err := CollectProfilingSets(ctx, dev, opts.Profile, sp)

@@ -21,7 +21,7 @@ func smallDiagnosticsOptions() DiagnosticsOptions {
 
 func TestDiagnoseReportsLeakage(t *testing.T) {
 	dev := NewLowNoiseDevice(71)
-	report, err := Diagnose(dev, smallDiagnosticsOptions())
+	report, err := Diagnose(context.Background(), dev, smallDiagnosticsOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

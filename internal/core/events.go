@@ -45,14 +45,8 @@ func EmitCoeffEvents(ctx context.Context, poly string, res *AttackResult, truth 
 }
 
 // EmitOutcomeEvents journals both polynomials of an attack outcome against
-// the capture's transcript.
-func EmitOutcomeEvents(out *AttackOutcome, cap *EncryptionCapture) {
-	EmitOutcomeEventsCtx(context.Background(), out, cap)
-}
-
-// EmitOutcomeEventsCtx is EmitOutcomeEvents with trace-identity
-// propagation from ctx.
-func EmitOutcomeEventsCtx(ctx context.Context, out *AttackOutcome, cap *EncryptionCapture) {
+// the capture's transcript, stamping each event with ctx's trace identity.
+func EmitOutcomeEvents(ctx context.Context, out *AttackOutcome, cap *EncryptionCapture) {
 	if cap.Truth == nil {
 		return
 	}

@@ -197,8 +197,8 @@ func TestProfileCancellation(t *testing.T) {
 	if _, err := ProfileCtx(ctx, dev, opts); err == nil {
 		t.Error("ProfileCtx ignored canceled context")
 	}
-	if _, err := DiagnoseCtx(ctx, dev, DiagnosticsOptions{Profile: opts}); err == nil {
-		t.Error("DiagnoseCtx ignored canceled context")
+	if _, err := Diagnose(ctx, dev, DiagnosticsOptions{Profile: opts}); err == nil {
+		t.Error("Diagnose ignored canceled context")
 	}
 }
 

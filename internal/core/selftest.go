@@ -118,7 +118,7 @@ func runSelftestPipeline(ctx context.Context, seed uint64, workers int) (*selfte
 	if err != nil {
 		return nil, "", fmt.Errorf("core: selftest attack (workers=%d): %w", workers, err)
 	}
-	EmitOutcomeEvents(out, capture)
+	EmitOutcomeEvents(ctx, out, capture)
 
 	valueAcc, signAcc, err := out.E2.Accuracy(capture.Truth.E2)
 	if err != nil {

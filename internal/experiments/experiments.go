@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -139,7 +140,7 @@ func (s *Session) RunTable1() (*Table1Result, error) {
 		}
 		score(out.E1, cap.Truth.E1)
 		score(out.E2, cap.Truth.E2)
-		core.EmitOutcomeEvents(out, cap)
+		core.EmitOutcomeEvents(context.Background(), out, cap)
 		res.LastOutcome = out
 		res.LastCapture = cap
 		obs.Log().Debug("attack encryption done",

@@ -1,9 +1,9 @@
 package jobs
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,51 +20,36 @@ func fastOptions() Options {
 	}
 }
 
-// startPool wires a queue and pool around the given runner and registers
-// cleanup.
-func startPool(t *testing.T, workers int, opts Options, runner Runner) (*Queue, *Pool) {
+// mustLease leases the next eligible job right now, failing the test when
+// none is eligible.
+func mustLease(t *testing.T, q *Queue, worker string) *LeasedJob {
 	t.Helper()
-	q := NewQueue(opts)
-	p := NewPool(q, workers, runner)
-	p.Start()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = p.Shutdown(ctx)
-	})
-	return q, p
-}
-
-// waitState polls until the job reaches the wanted state.
-func waitState(t *testing.T, q *Queue, id string, want State) Status {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st, ok := q.Get(id)
-		if !ok {
-			t.Fatalf("job %s disappeared", id)
-		}
-		if st.State == want {
-			return st
-		}
-		time.Sleep(2 * time.Millisecond)
+	lj, _, _, err := q.Lease(worker, time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st, _ := q.Get(id)
-	t.Fatalf("job %s stuck in %s (want %s): %+v", id, st.State, want, st)
-	return Status{}
+	if lj == nil {
+		t.Fatal("no job eligible for lease")
+	}
+	return lj
 }
 
 func TestJobSucceedsFirstAttempt(t *testing.T) {
-	q, _ := startPool(t, 1, fastOptions(), func(_ context.Context, j *Job) (any, error) {
-		return fmt.Sprintf("ok:%s", j.ID), nil
-	})
+	q := NewQueue(fastOptions())
 	st, err := q.Submit(Spec{Kind: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := waitState(t, q, st.ID, StateDone)
-	if done.Result != "ok:"+st.ID {
-		t.Fatalf("result = %v", done.Result)
+	lj := mustLease(t, q, "w1")
+	if lj.ID != st.ID {
+		t.Fatalf("leased %s, want %s", lj.ID, st.ID)
+	}
+	done, err := q.CompleteLease(lj.ID, "w1", lj.Token, "ok:"+lj.ID, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != StateDone || done.Result != "ok:"+st.ID {
+		t.Fatalf("completed = %+v", done)
 	}
 	if done.Attempts != 1 {
 		t.Fatalf("attempts = %d, want 1", done.Attempts)
@@ -74,172 +59,172 @@ func TestJobSucceedsFirstAttempt(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffOrdering drives a job that fails twice and succeeds on
-// the third attempt, checking the attempt count, the recorded timestamps of
-// each attempt, and that the inter-attempt gaps respect the jittered
-// exponential envelope (base·2^(k−1) scaled into [0.5, 1.5)).
+// TestRetryBackoffOrdering fails a job twice and completes it on the third
+// attempt: each failure requeues it behind a backoff gate inside the
+// jittered exponential envelope (base·2^(k−1) scaled into [0.5, 1.5)), the
+// gate holds until it opens, and the attempts count up.
 func TestRetryBackoffOrdering(t *testing.T) {
-	var mu sync.Mutex
-	var starts []time.Time
-	q, _ := startPool(t, 1, fastOptions(), func(_ context.Context, j *Job) (any, error) {
-		mu.Lock()
-		starts = append(starts, time.Now())
-		n := len(starts)
-		mu.Unlock()
-		if n < 3 {
-			return nil, fmt.Errorf("transient %d", n)
-		}
-		return "recovered", nil
-	})
+	opts := fastOptions()
+	q := NewQueue(opts)
 	st, err := q.Submit(Spec{Kind: "flaky"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := waitState(t, q, st.ID, StateDone)
-	if done.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", done.Attempts)
-	}
-	if done.Result != "recovered" {
-		t.Fatalf("result = %v", done.Result)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(starts) != 3 {
-		t.Fatalf("runner invoked %d times, want 3", len(starts))
-	}
-	opts := fastOptions()
 	for k := 1; k < 3; k++ {
-		gap := starts[k].Sub(starts[k-1])
+		lj := mustLease(t, q, "w1")
+		if lj.Attempts != k {
+			t.Fatalf("attempt %d leased as attempt %d", k, lj.Attempts)
+		}
+		failedAt := time.Now()
+		retry, err := q.CompleteLease(lj.ID, "w1", lj.Token, nil, fmt.Sprintf("transient %d", k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if retry.State != StateQueued || retry.NotBefore == nil || retry.Error != fmt.Sprintf("transient %d", k) {
+			t.Fatalf("after failure %d: %+v", k, retry)
+		}
 		envelope := opts.BackoffBase << (k - 1)
-		minGap := envelope / 2
-		if gap < minGap {
-			t.Errorf("attempt %d started %v after previous, below the %v backoff floor", k+1, gap, minGap)
+		gap := retry.NotBefore.Sub(failedAt)
+		if gap < envelope/2 || gap > 3*envelope/2+50*time.Millisecond {
+			t.Errorf("attempt %d backoff %v outside the [%v, %v) envelope", k+1, gap, envelope/2, 3*envelope/2)
 		}
-		// Generous ceiling: 1.5x envelope + scheduling slack.
-		if gap > 3*envelope/2+500*time.Millisecond {
-			t.Errorf("attempt %d started %v after previous, above the %v ceiling", k+1, gap, 3*envelope/2)
+		if gated, wait, _, _ := q.Lease("w1", time.Second); gated != nil || wait <= 0 {
+			t.Fatalf("backoff gate open early: lease %+v, wait %v", gated, wait)
 		}
+		time.Sleep(time.Until(*retry.NotBefore))
+	}
+	lj := mustLease(t, q, "w1")
+	done, err := q.CompleteLease(lj.ID, "w1", lj.Token, "recovered", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.ID != st.ID || done.State != StateDone || done.Attempts != 3 || done.Result != "recovered" {
+		t.Fatalf("final = %+v, want done on attempt 3", done)
 	}
 }
 
 func TestJobFailsAfterMaxAttempts(t *testing.T) {
-	var calls atomic.Int32
-	q, _ := startPool(t, 1, fastOptions(), func(_ context.Context, _ *Job) (any, error) {
-		calls.Add(1)
-		return nil, errors.New("permanent")
-	})
+	q := NewQueue(fastOptions())
 	st, err := q.Submit(Spec{Kind: "doomed"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := waitState(t, q, st.ID, StateFailed)
-	if failed.Attempts != 3 || failed.Error != "permanent" {
-		t.Fatalf("failed = %+v", failed)
+	var last Status
+	for k := 1; k <= 3; k++ {
+		lj := leaseNow(t, q, "w1", time.Second)
+		if last, err = q.CompleteLease(lj.ID, "w1", lj.Token, nil, "permanent"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("runner invoked %d times, want 3", got)
+	if last.ID != st.ID || last.State != StateFailed || last.Attempts != 3 || last.Error != "permanent" {
+		t.Fatalf("failed = %+v", last)
+	}
+	if lj, _, _, _ := q.Lease("w1", time.Second); lj != nil {
+		t.Fatalf("exhausted job leased again: %+v", lj)
 	}
 }
 
-// TestDeadlineExpiryWhileRunning sets a deadline shorter than the runner's
-// work; the attempt's context must be canceled and the job must fail
+// TestDeadlineExpiryWhileRunning: the lease hands the absolute deadline to
+// the worker, and an attempt that fails after it passed fails the job
 // terminally (no retry — the deadline covers all attempts).
 func TestDeadlineExpiryWhileRunning(t *testing.T) {
-	var sawCancel atomic.Bool
-	q, _ := startPool(t, 1, fastOptions(), func(ctx context.Context, _ *Job) (any, error) {
-		select {
-		case <-ctx.Done():
-			sawCancel.Store(true)
-			return nil, ctx.Err()
-		case <-time.After(10 * time.Second):
-			return "too late", nil
-		}
-	})
+	q := NewQueue(fastOptions())
 	st, err := q.Submit(Spec{Kind: "slow", Timeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := waitState(t, q, st.ID, StateFailed)
-	if !sawCancel.Load() {
-		t.Fatal("runner context was not canceled at the deadline")
+	lj := mustLease(t, q, "w1")
+	if st.Deadline == nil || !lj.Deadline.Equal(*st.Deadline) {
+		t.Fatalf("lease deadline %v, want the job's %v", lj.Deadline, st.Deadline)
+	}
+	time.Sleep(time.Until(lj.Deadline) + 5*time.Millisecond)
+	failed, err := q.CompleteLease(lj.ID, "w1", lj.Token, nil, "context deadline exceeded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed.State != StateFailed || !strings.HasPrefix(failed.Error, "deadline exceeded") {
+		t.Fatalf("job = %+v, want failed past its deadline", failed)
 	}
 	if failed.Attempts != 1 {
 		t.Fatalf("deadline-failed job retried: attempts = %d", failed.Attempts)
 	}
 }
 
-// TestDeadlineExpiryWhileQueued submits a short-deadline job behind a
-// long-running one on a single worker: it must fail without ever running.
+// TestDeadlineExpiryWhileQueued: a short-deadline job queued behind a
+// leased one fails without ever being leased.
 func TestDeadlineExpiryWhileQueued(t *testing.T) {
-	block := make(chan struct{})
-	var ran sync.Map
-	q, _ := startPool(t, 1, fastOptions(), func(ctx context.Context, j *Job) (any, error) {
-		ran.Store(j.ID, true)
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return "done", nil
-	})
-	first, err := q.Submit(Spec{Kind: "blocker"})
-	if err != nil {
+	q := NewQueue(fastOptions())
+	if _, err := q.Submit(Spec{Kind: "blocker"}); err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, q, first.ID, StateRunning)
+	first := mustLease(t, q, "w1")
 	second, err := q.Submit(Spec{Kind: "starved", Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := waitState(t, q, second.ID, StateFailed)
-	if failed.Attempts != 0 {
-		t.Fatalf("queued-expired job ran: attempts = %d", failed.Attempts)
+	time.Sleep(30 * time.Millisecond)
+	if lj, _, _, _ := q.Lease("w2", time.Second); lj != nil {
+		t.Fatalf("expired job leased: %+v", lj)
 	}
-	if _, ok := ran.Load(second.ID); ok {
-		t.Fatal("expired job reached the runner")
+	failed, _ := q.Get(second.ID)
+	if failed.State != StateFailed || failed.Attempts != 0 || failed.Error != "deadline exceeded while queued" {
+		t.Fatalf("queued-expired job = %+v", failed)
 	}
-	close(block)
-	waitState(t, q, first.ID, StateDone)
+	if done, err := q.CompleteLease(first.ID, "w1", first.Token, "done", ""); err != nil || done.State != StateDone {
+		t.Fatalf("blocker completion = %+v, %v", done, err)
+	}
 }
 
-// TestCancelRunning cancels a job mid-run: the runner's context fires and
-// the job fails as canceled without retrying.
+// TestCancelRunning cancels a leased job: it fails as canceled at once,
+// without retrying, and its lease is revoked — Revoked closes for an
+// in-process holder and the holder's late verdict is rejected.
 func TestCancelRunning(t *testing.T) {
-	started := make(chan struct{})
-	q, _ := startPool(t, 1, fastOptions(), func(ctx context.Context, _ *Job) (any, error) {
-		close(started)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	st, err := q.Submit(Spec{Kind: "victim"})
+	opts := fastOptions()
+	opts.TenantQuota = 1
+	q := NewQueue(opts)
+	st, err := q.Submit(Spec{Kind: "victim", Tenant: "acme"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	lj := mustLease(t, q, "w1")
 	if err := q.Cancel(st.ID); err != nil {
 		t.Fatal(err)
 	}
-	failed := waitState(t, q, st.ID, StateFailed)
-	if failed.Error != "canceled" {
-		t.Fatalf("error = %q, want canceled", failed.Error)
+	select {
+	case <-lj.Revoked:
+	default:
+		t.Fatal("cancel did not revoke the lease")
+	}
+	failed, _ := q.Get(st.ID)
+	if failed.State != StateFailed || failed.Error != "canceled" || failed.LeaseWorker != "" {
+		t.Fatalf("canceled job = %+v, want failed/canceled with no lease", failed)
 	}
 	if failed.Attempts != 1 {
 		t.Fatalf("canceled job retried: attempts = %d", failed.Attempts)
 	}
+	if q.Leased() != 0 {
+		t.Fatalf("leased = %d after cancel, want 0", q.Leased())
+	}
+	if queued, running := q.Depth(); queued != 0 || running != 0 {
+		t.Fatalf("depth after cancel = (%d, %d)", queued, running)
+	}
+	if _, err := q.CompleteLease(lj.ID, "w1", lj.Token, "late", ""); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("completion after cancel = %v, want ErrLeaseLost", err)
+	}
+	// The tenant's quota slot is free again.
+	if _, err := q.Submit(Spec{Kind: "next", Tenant: "acme"}); err != nil {
+		t.Fatalf("submit after cancel = %v", err)
+	}
 }
 
-// TestCancelQueued cancels a job before any worker claims it.
+// TestCancelQueued cancels a job before any worker leases it; canceling an
+// unknown job is an error and canceling a finished one a no-op.
 func TestCancelQueued(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	q, _ := startPool(t, 1, fastOptions(), func(ctx context.Context, _ *Job) (any, error) {
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return "done", nil
-	})
-	first, _ := q.Submit(Spec{Kind: "blocker"})
-	waitState(t, q, first.ID, StateRunning)
+	q := NewQueue(fastOptions())
+	if _, err := q.Submit(Spec{Kind: "blocker"}); err != nil {
+		t.Fatal(err)
+	}
+	first := mustLease(t, q, "w1")
 	second, err := q.Submit(Spec{Kind: "queued"})
 	if err != nil {
 		t.Fatal(err)
@@ -247,102 +232,55 @@ func TestCancelQueued(t *testing.T) {
 	if err := q.Cancel(second.ID); err != nil {
 		t.Fatal(err)
 	}
-	failed := waitState(t, q, second.ID, StateFailed)
-	if failed.Attempts != 0 || failed.Error != "canceled" {
+	failed, _ := q.Get(second.ID)
+	if failed.State != StateFailed || failed.Attempts != 0 || failed.Error != "canceled" {
 		t.Fatalf("canceled queued job = %+v", failed)
+	}
+	if lj, _, _, _ := q.Lease("w2", time.Second); lj != nil {
+		t.Fatalf("canceled job leased: %+v", lj)
+	}
+	if err := q.Cancel("job-999999"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("cancel of unknown job = %v, want ErrUnknownJob", err)
+	}
+	if _, err := q.CompleteLease(first.ID, "w1", first.Token, "done", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Cancel(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	if done, _ := q.Get(first.ID); done.State != StateDone {
+		t.Fatalf("cancel rewrote a finished job: %+v", done)
 	}
 }
 
-// TestGracefulDrain verifies Shutdown lets the running job finish and
-// rejects new submissions.
+// TestGracefulDrain is the queue side of a drain: StopAccepting rejects
+// new submissions while the held lease still renews and completes.
 func TestGracefulDrain(t *testing.T) {
-	release := make(chan struct{})
 	q := NewQueue(fastOptions())
-	p := NewPool(q, 1, func(ctx context.Context, _ *Job) (any, error) {
-		select {
-		case <-release:
-			return "drained", nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	})
-	p.Start()
 	st, err := q.Submit(Spec{Kind: "inflight"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, q, st.ID, StateRunning)
-
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		shutdownDone <- p.Shutdown(ctx)
-	}()
-	// Submissions must be rejected once draining.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, err := q.Submit(Spec{Kind: "late"}); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue kept accepting submissions during drain")
-		}
-		time.Sleep(time.Millisecond)
+	lj := mustLease(t, q, "w1")
+	q.StopAccepting()
+	if _, err := q.Submit(Spec{Kind: "late"}); err == nil {
+		t.Fatal("queue kept accepting submissions during drain")
 	}
-	close(release)
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("drain returned %v, want nil", err)
+	if _, err := q.RenewLease(lj.ID, "w1", lj.Token, time.Second); err != nil {
+		t.Fatalf("renewal during drain = %v", err)
 	}
-	done, _ := q.Get(st.ID)
-	if done.State != StateDone || done.Result != "drained" {
+	done, err := q.CompleteLease(lj.ID, "w1", lj.Token, "drained", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.ID != st.ID || done.State != StateDone || done.Result != "drained" {
 		t.Fatalf("in-flight job after drain = %+v", done)
 	}
 }
 
-// TestDrainTimeoutCancelsRunning verifies the hard stop: when the drain
-// context expires, running jobs are canceled and Shutdown returns an error.
-func TestDrainTimeoutCancelsRunning(t *testing.T) {
-	var sawCancel atomic.Bool
-	q := NewQueue(fastOptions())
-	p := NewPool(q, 1, func(ctx context.Context, _ *Job) (any, error) {
-		<-ctx.Done()
-		sawCancel.Store(true)
-		return nil, ctx.Err()
-	})
-	p.Start()
-	st, err := q.Submit(Spec{Kind: "stuck", MaxAttempts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, q, st.ID, StateRunning)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := p.Shutdown(ctx); err == nil {
-		t.Fatal("Shutdown returned nil despite a stuck job")
-	}
-	if !sawCancel.Load() {
-		t.Fatal("stuck job's context was not canceled on hard stop")
-	}
-	failed, _ := q.Get(st.ID)
-	if failed.State != StateFailed {
-		t.Fatalf("stuck job state = %s, want failed", failed.State)
-	}
-}
-
-// TestFIFOOrdering checks single-worker execution order matches submission
-// order.
+// TestFIFOOrdering checks jobs are leased in submission order.
 func TestFIFOOrdering(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	gate := make(chan struct{})
-	q, _ := startPool(t, 1, fastOptions(), func(_ context.Context, j *Job) (any, error) {
-		<-gate
-		mu.Lock()
-		order = append(order, j.ID)
-		mu.Unlock()
-		return nil, nil
-	})
+	q := NewQueue(fastOptions())
 	var ids []string
 	for i := 0; i < 5; i++ {
 		st, err := q.Submit(Spec{Kind: "seq"})
@@ -351,87 +289,84 @@ func TestFIFOOrdering(t *testing.T) {
 		}
 		ids = append(ids, st.ID)
 	}
-	close(gate)
-	for _, id := range ids {
-		waitState(t, q, id, StateDone)
-	}
-	mu.Lock()
-	defer mu.Unlock()
 	for i, id := range ids {
-		if order[i] != id {
-			t.Fatalf("execution order %v, want %v", order, ids)
+		if lj := mustLease(t, q, "w1"); lj.ID != id {
+			t.Fatalf("lease %d got %s, want %s (submission order %v)", i, lj.ID, id, ids)
 		}
 	}
 }
 
-// TestConcurrentWorkers runs many jobs across several workers under -race.
+// TestConcurrentWorkers runs many jobs through several concurrent lease
+// holders while submissions keep arriving (run under -race).
 func TestConcurrentWorkers(t *testing.T) {
-	var done atomic.Int32
-	q, _ := startPool(t, 4, fastOptions(), func(_ context.Context, _ *Job) (any, error) {
-		done.Add(1)
-		return nil, nil
-	})
+	q := NewQueue(fastOptions())
 	const n = 40
-	var ids []string
+	var done atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(worker string) {
+			defer wg.Done()
+			for done.Load() < n {
+				lj, _, wake, err := q.Lease(worker, time.Second)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if lj == nil {
+					select {
+					case <-wake:
+					case <-time.After(10 * time.Millisecond):
+					}
+					continue
+				}
+				if _, err := q.CompleteLease(lj.ID, worker, lj.Token, nil, ""); err != nil {
+					t.Error(err)
+					return
+				}
+				done.Add(1)
+			}
+		}(fmt.Sprintf("w%d", w))
+	}
 	for i := 0; i < n; i++ {
-		st, err := q.Submit(Spec{Kind: "many"})
-		if err != nil {
+		if _, err := q.Submit(Spec{Kind: "many"}); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, st.ID)
 	}
-	for _, id := range ids {
-		waitState(t, q, id, StateDone)
-	}
+	wg.Wait()
 	if got := done.Load(); got != n {
 		t.Fatalf("ran %d jobs, want %d", got, n)
 	}
-	queued, running := q.Depth()
-	if queued != 0 || running != 0 {
-		t.Fatalf("depth after completion = (%d, %d)", queued, running)
+	for _, st := range q.List() {
+		if st.State != StateDone || st.Attempts != 1 {
+			t.Fatalf("job after concurrent run = %+v", st)
+		}
+	}
+	if queued, running := q.Depth(); queued != 0 || running != 0 || q.Leased() != 0 {
+		t.Fatalf("depth after completion = (%d, %d), leased %d", queued, running, q.Leased())
 	}
 }
 
 // TestQueueCapacity checks the submission bound counts queued and running
-// jobs.
+// jobs and frees as jobs finish.
 func TestQueueCapacity(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
 	opts := fastOptions()
 	opts.Capacity = 2
-	q, _ := startPool(t, 1, opts, func(ctx context.Context, _ *Job) (any, error) {
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return nil, nil
-	})
-	first, _ := q.Submit(Spec{Kind: "a"})
-	waitState(t, q, first.ID, StateRunning)
+	q := NewQueue(opts)
+	if _, err := q.Submit(Spec{Kind: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	lj := mustLease(t, q, "w1")
 	if _, err := q.Submit(Spec{Kind: "b"}); err != nil {
 		t.Fatalf("second submit rejected: %v", err)
 	}
-	if _, err := q.Submit(Spec{Kind: "c"}); err == nil {
-		t.Fatal("third submit accepted beyond capacity")
+	if _, err := q.Submit(Spec{Kind: "c"}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third submit = %v, want ErrQueueFull", err)
 	}
-}
-
-// TestRunnerPanicIsAFailedAttempt ensures a panicking runner doesn't kill
-// the worker: the attempt is recorded as failed and retried.
-func TestRunnerPanicIsAFailedAttempt(t *testing.T) {
-	var calls atomic.Int32
-	q, _ := startPool(t, 1, fastOptions(), func(_ context.Context, _ *Job) (any, error) {
-		if calls.Add(1) == 1 {
-			panic("boom")
-		}
-		return "recovered", nil
-	})
-	st, err := q.Submit(Spec{Kind: "panicky"})
-	if err != nil {
+	if _, err := q.CompleteLease(lj.ID, "w1", lj.Token, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	done := waitState(t, q, st.ID, StateDone)
-	if done.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (panic then success)", done.Attempts)
+	if _, err := q.Submit(Spec{Kind: "c"}); err != nil {
+		t.Fatalf("submit after a job finished = %v", err)
 	}
 }

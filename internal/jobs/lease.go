@@ -15,9 +15,8 @@ import (
 const DefaultLeaseTTL = 15 * time.Second
 
 // LeasedJob is the coordinator→worker handoff for one leased job: enough
-// to execute the attempt remotely and to authenticate its renewals and
-// completion. The payload crosses the wire serialized; the worker decodes
-// it by Kind.
+// to execute the attempt and to authenticate its renewals and completion.
+// The payload crosses the wire serialized; the worker decodes it by Kind.
 type LeasedJob struct {
 	ID          string          `json:"id"`
 	Kind        string          `json:"kind"`
@@ -29,12 +28,18 @@ type LeasedJob struct {
 	Payload     json.RawMessage `json:"payload,omitempty"`
 	Deadline    time.Time       `json:"deadline"`
 	LeaseExpiry time.Time       `json:"lease_expiry"`
+	// Revoked is closed when the queue ends the lease: the job was
+	// canceled, the lease expired, or the attempt was completed. It does
+	// not cross the wire (nil on a lease decoded from HTTP); remote holders
+	// learn of a revocation from their next renewal instead.
+	Revoked <-chan struct{} `json:"-"`
 }
 
-// Lease hands the oldest eligible queued job to a fabric worker under a
-// TTL lease (ttl <= 0 uses DefaultLeaseTTL). Like claim, when no job is
-// eligible it returns the wait until the next backoff gate expires plus
-// the wake channel to select on, so the HTTP handler can long-poll.
+// Lease hands the oldest eligible queued job to a worker under a TTL
+// lease (ttl <= 0 uses DefaultLeaseTTL) and starts its next attempt. When
+// no job is eligible it returns the wait until the next backoff gate
+// expires (0 when nothing is pending at all) plus the wake channel to
+// select on, so callers can long-poll.
 func (q *Queue) Lease(worker string, ttl time.Duration) (lj *LeasedJob, wait time.Duration, wake <-chan struct{}, err error) {
 	if worker == "" {
 		return nil, 0, nil, fmt.Errorf("jobs: lease requires a worker id")
@@ -60,11 +65,22 @@ func (q *Queue) Lease(worker string, ttl time.Duration) (lj *LeasedJob, wait tim
 		}
 		j.payloadRaw = raw
 	}
-	q.startLocked(j, now)
+	j.State = StateRunning
+	j.Attempts++
+	j.StartedAt = now
+	if j.FirstClaimedAt.IsZero() {
+		j.FirstClaimedAt = now
+		q.metrics.queueWait.With(j.Kind).Observe(now.Sub(j.SubmittedAt).Seconds())
+	}
+	q.queued--
+	q.running++
+	ks := q.kindLocked(j.Kind)
+	ks.Queued--
+	ks.Running++
 	j.LeaseWorker = worker
 	j.LeaseExpiry = now.Add(ttl)
 	j.leaseToken = fmt.Sprintf("lease-%016x", q.jitter.Uint64())
-	q.leased++
+	j.revoked = make(chan struct{})
 	q.gauges()
 	q.journalLocked(wal.RecLease, j)
 	j.event(obs.EventJobLeased, worker)
@@ -81,6 +97,7 @@ func (q *Queue) Lease(worker string, ttl time.Duration) (lj *LeasedJob, wait tim
 		Payload:     j.payloadRaw,
 		Deadline:    j.Deadline,
 		LeaseExpiry: j.LeaseExpiry,
+		Revoked:     j.revoked,
 	}, 0, nil, nil
 }
 
@@ -98,8 +115,9 @@ func (q *Queue) leaseHolderLocked(id, worker, token string) (*Job, error) {
 }
 
 // RenewLease extends a held lease by ttl (<= 0 uses DefaultLeaseTTL) and
-// returns the new expiry. A canceled job renews with an error carrying the
-// cancellation so the worker aborts the attempt.
+// returns the new expiry. A lease the queue has revoked (the job was
+// canceled, or the lease expired) renews with ErrLeaseLost, so the worker
+// aborts the attempt.
 func (q *Queue) RenewLease(id, worker, token string, ttl time.Duration) (time.Time, error) {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
@@ -112,20 +130,17 @@ func (q *Queue) RenewLease(id, worker, token string, ttl time.Duration) (time.Ti
 	if err != nil {
 		return time.Time{}, err
 	}
-	if j.canceled {
-		return time.Time{}, fmt.Errorf("jobs: %w: %s was canceled", ErrLeaseLost, id)
-	}
 	j.LeaseExpiry = now.Add(ttl)
 	q.journalLocked(wal.RecLease, j)
 	return j.LeaseExpiry, nil
 }
 
 // CompleteLease records the outcome of a leased attempt: success (errMsg
-// empty), retryable failure, or terminal failure — the same semantics the
-// local pool's completion path applies. A completion whose lease was lost
-// (expired and requeued, or finished elsewhere) is rejected with
-// ErrLeaseLost, which makes duplicate completions idempotent: only the
-// current lease holder's verdict counts.
+// empty), retryable failure (back to queued with backoff), or terminal
+// failure (deadline passed or attempt budget spent). A completion whose
+// lease was lost (expired and requeued, canceled, or finished elsewhere)
+// is rejected with ErrLeaseLost, which makes duplicate completions
+// idempotent: only the current lease holder's verdict counts.
 func (q *Queue) CompleteLease(id, worker, token string, result any, errMsg string) (Status, error) {
 	now := time.Now()
 	q.mu.Lock()
@@ -140,14 +155,11 @@ func (q *Queue) CompleteLease(id, worker, token string, result any, errMsg strin
 	}
 	// The attempt is over either way: release the lease before routing the
 	// outcome so finalize/retry see an unleased running job.
-	q.leased--
-	j.LeaseWorker, j.leaseToken, j.LeaseExpiry = "", "", time.Time{}
+	q.releaseLeaseLocked(j)
 	switch {
 	case errMsg == "":
 		j.Result = result
 		q.finalizeLocked(j, StateDone, "")
-	case j.canceled:
-		q.finalizeLocked(j, StateFailed, "canceled")
 	case !j.Deadline.IsZero() && now.After(j.Deadline):
 		q.finalizeLocked(j, StateFailed, fmt.Sprintf("deadline exceeded: %s", errMsg))
 	case j.Attempts < j.MaxAttempts:
@@ -158,14 +170,21 @@ func (q *Queue) CompleteLease(id, worker, token string, result any, errMsg strin
 	return j.snapshot(), nil
 }
 
+// releaseLeaseLocked ends j's current lease: its token stops
+// authenticating and Revoked closes; q.mu must be held.
+func (q *Queue) releaseLeaseLocked(j *Job) {
+	j.LeaseWorker, j.leaseToken, j.LeaseExpiry = "", "", time.Time{}
+	close(j.revoked)
+	j.revoked = nil
+}
+
 // expireLeaseLocked reclaims a lease whose holder stopped heartbeating:
 // the job requeues with the usual retry backoff, or fails when its
 // deadline passed while leased (journaled as job_expired naming the dead
 // holder) or its attempt budget is spent; q.mu must be held.
 func (q *Queue) expireLeaseLocked(j *Job, now time.Time) {
 	holder := j.LeaseWorker
-	q.leased--
-	j.LeaseWorker, j.leaseToken, j.LeaseExpiry = "", "", time.Time{}
+	q.releaseLeaseLocked(j)
 	q.metrics.leaseExpired.Inc()
 	obs.Log().Warn("lease expired", "id", j.ID, "worker", holder,
 		"attempt", j.Attempts, "trace_id", j.TraceID)
@@ -173,9 +192,6 @@ func (q *Queue) expireLeaseLocked(j *Job, now time.Time) {
 	case !j.Deadline.IsZero() && now.After(j.Deadline):
 		j.event(obs.EventJobExpired, "deadline exceeded while leased by "+holder)
 		q.finalizeLocked(j, StateFailed, "deadline exceeded while leased by "+holder)
-	case j.canceled:
-		j.event(obs.EventLeaseExpired, holder)
-		q.finalizeLocked(j, StateFailed, "canceled")
 	case j.Attempts < j.MaxAttempts:
 		j.event(obs.EventLeaseExpired, holder)
 		q.retryLocked(j, now, "lease expired (worker "+holder+")")

@@ -159,8 +159,9 @@ func TestRenewLeaseExtendsAndRejectsStrangers(t *testing.T) {
 	}
 }
 
-// TestCanceledLeaseRenewalFails: cancellation of a leased job reaches the
-// worker through its next heartbeat.
+// TestCanceledLeaseRenewalFails: cancellation of a leased job reaches a
+// remote worker through its next heartbeat, and the aborted attempt's
+// report cannot overwrite the canceled verdict.
 func TestCanceledLeaseRenewalFails(t *testing.T) {
 	q := NewQueue(fastOptions())
 	st, err := q.Submit(Spec{Kind: "t"})
@@ -174,14 +175,11 @@ func TestCanceledLeaseRenewalFails(t *testing.T) {
 	if _, err := q.RenewLease(lj.ID, "w1", lj.Token, time.Second); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("renewal after cancel = %v, want ErrLeaseLost", err)
 	}
-	// The worker aborts the attempt; the failure finalizes as canceled
-	// instead of retrying.
-	got, err := q.CompleteLease(lj.ID, "w1", lj.Token, nil, "attempt aborted")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := q.CompleteLease(lj.ID, "w1", lj.Token, nil, "attempt aborted"); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("completion after cancel = %v, want ErrLeaseLost", err)
 	}
-	if got.State != StateFailed || got.Error != "canceled" {
-		t.Fatalf("canceled completion = %+v, want failed/canceled", got)
+	if got, _ := q.Get(st.ID); got.State != StateFailed || got.Error != "canceled" || got.Attempts != 1 {
+		t.Fatalf("canceled job = %+v, want failed/canceled after 1 attempt", got)
 	}
 }
 

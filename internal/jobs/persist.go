@@ -59,7 +59,7 @@ func (q *Queue) imageLocked(j *Job, full bool) wal.JobImage {
 // the previous process died mid-attempt or mid-lease — is re-enqueued for
 // another attempt (at-least-once execution). decode turns a journaled
 // payload back into the runner's in-memory form by kind; a payload that no
-// longer decodes fails its job rather than poisoning the pool. Call it
+// longer decodes fails its job rather than poisoning the workers. Call it
 // after NewQueue and before the first Submit or worker start.
 func (q *Queue) Restore(rep *wal.Replay, decode func(kind string, payload json.RawMessage) (any, error)) (requeued, terminal int) {
 	if rep == nil {

@@ -173,6 +173,35 @@ func TestCrashBetweenSnapshotAndTail(t *testing.T) {
 	}
 }
 
+// TestRestoreStartRecords: journals written while single-process daemons
+// ran a local pool mark each attempt with a start record instead of a
+// lease. They still restore: a job caught mid-attempt requeues with its
+// attempt counted.
+func TestRestoreStartRecords(t *testing.T) {
+	dir := t.TempDir()
+	opts := walOptions(t, dir)
+	q := NewQueue(opts)
+	st, err := q.Submit(Spec{Kind: "t", Payload: map[string]any{"v": float64(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := wal.Record{Type: wal.RecStart, Job: wal.JobImage{ID: st.ID, State: string(StateRunning), Attempts: 1}}
+	if _, err := opts.WAL.Append(start); err != nil {
+		t.Fatal(err)
+	}
+
+	q2, _, requeued, terminal := reopen(t, dir, decodePayload)
+	if requeued != 1 || terminal != 0 {
+		t.Fatalf("restore = %d requeued, %d terminal; want 1, 0", requeued, terminal)
+	}
+	if got, _ := q2.Get(st.ID); got.State != StateQueued || got.Attempts != 1 {
+		t.Fatalf("job after restore = %+v, want queued after 1 attempt", got)
+	}
+	if lj := leaseNow(t, q2, "w1", time.Minute); lj.ID != st.ID || lj.Attempts != 2 {
+		t.Fatalf("lease after restore = %+v, want attempt 2 of %s", lj, st.ID)
+	}
+}
+
 // TestRestoreFinalAttemptCrashLoopBound: a job that was running its last
 // attempt when the process died fails on restore instead of re-running —
 // otherwise a job that crashes the coordinator would retry forever, one
@@ -200,7 +229,7 @@ func TestRestoreFinalAttemptCrashLoopBound(t *testing.T) {
 
 // TestRestoreUndecodablePayloadFails: a payload that no longer decodes
 // (schema drift across a deploy) fails its job rather than poisoning the
-// worker pool with a nil payload.
+// workers with a nil payload.
 func TestRestoreUndecodablePayloadFails(t *testing.T) {
 	dir := t.TempDir()
 	q := NewQueue(walOptions(t, dir))

@@ -1,10 +1,15 @@
-// Package jobs implements the in-memory campaign job queue and the worker
-// pool that executes jobs for the reveald service: jobs move through the
-// states queued → running → done/failed, with per-job retry (exponential
-// backoff plus deterministic jitter), absolute deadlines, cancellation of
-// both queued and running jobs, and a graceful drain used on SIGTERM.
-// Queue depth and worker utilization are exported as gauges on the global
-// obs registry, so they appear on the existing /metrics endpoint.
+// Package jobs implements the campaign job queue of the reveald service
+// and the lease protocol its workers execute jobs through: jobs move
+// through the states queued → running → done/failed, and every attempt
+// runs under a TTL lease that its holder heartbeats (Lease, RenewLease,
+// CompleteLease). The queue provides per-job retry (exponential backoff
+// plus deterministic jitter), absolute deadlines, cancellation of queued
+// and leased jobs, requeueing of leases whose holder died, a drain mode
+// that stops submissions, and an optional write-ahead log that survives a
+// process crash. Queue depth and lease counts are exported as gauges on
+// the global obs registry, so they appear on the existing /metrics
+// endpoint. The executor that leases and runs jobs is
+// internal/service.FabricWorker.
 package jobs
 
 import (
@@ -48,9 +53,7 @@ var (
 const (
 	MetricQueueDepth      = "reveal_jobs_queue_depth"
 	MetricJobsRunning     = "reveal_jobs_running"
-	MetricJobsTotal       = "reveal_jobs_total" // labeled {state="submitted|done|failed|retried"}
-	MetricWorkersTotal    = "reveal_workers_total"
-	MetricWorkersBusy     = "reveal_workers_busy"
+	MetricJobsTotal       = "reveal_jobs_total"                    // labeled {state="submitted|done|failed|retried"}
 	MetricQueueWait       = "reveal_jobs_queue_wait_seconds"       // labeled {kind=...}
 	MetricAttemptDuration = "reveal_jobs_attempt_duration_seconds" // labeled {kind=...}
 	MetricTenantJobs      = "reveal_tenant_jobs_total"             // labeled {tenant=...}
@@ -89,8 +92,8 @@ type Spec struct {
 }
 
 // Job is one queued campaign. All fields are owned by the queue and must
-// only be read through Snapshot (or inside the runner, which receives the
-// job while it is exclusively running).
+// only be read through a Status snapshot; a worker executes an attempt
+// from the LeasedJob handed out with its lease.
 type Job struct {
 	ID          string
 	Kind        string
@@ -103,30 +106,30 @@ type Job struct {
 	SubmittedAt time.Time
 	StartedAt   time.Time
 	FinishedAt  time.Time
-	// FirstClaimedAt marks the first time a worker claimed the job; the gap
-	// from SubmittedAt is the queue wait, the gap to FinishedAt is the run
-	// time (retries and backoff included).
+	// FirstClaimedAt marks the job's first lease; the gap from SubmittedAt
+	// is the queue wait, the gap to FinishedAt is the run time (retries and
+	// backoff included).
 	FirstClaimedAt time.Time
 	// NotBefore gates retried jobs until their backoff expires.
 	NotBefore time.Time
 	// Deadline, when non-zero, fails the job once passed (queued or
-	// running; a running attempt is canceled through its context).
+	// running; the worker bounds a running attempt's context by it).
 	Deadline time.Time
 	Error    string
 	Result   any
-	// LeaseWorker and LeaseExpiry are set while a fabric worker holds the
-	// job's lease (a leased job is StateRunning); the reaper requeues the job
-	// once LeaseExpiry passes without a renewal.
+	// LeaseWorker and LeaseExpiry are set while a worker holds the job's
+	// lease (every running job is leased); the reaper requeues the job once
+	// LeaseExpiry passes without a renewal.
 	LeaseWorker string
 	LeaseExpiry time.Time
 
-	seq      uint64
-	canceled bool
-	cancel   func() // cancels the running attempt's context
+	seq uint64
 	// leaseToken authenticates renewals/completions for the current lease;
 	// it rotates on every grant, so a worker whose lease expired (and whose
 	// job was re-leased elsewhere) cannot complete the newer attempt.
 	leaseToken string
+	// revoked is closed when the current lease ends (LeasedJob.Revoked).
+	revoked chan struct{}
 	// payloadRaw is the serialized payload, populated at submit when a WAL
 	// journals the queue (and lazily at first lease otherwise).
 	payloadRaw json.RawMessage
@@ -146,10 +149,10 @@ type Status struct {
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 	NotBefore   *time.Time `json:"not_before,omitempty"`
 	Deadline    *time.Time `json:"deadline,omitempty"`
-	// QueueWaitSeconds is submission → first claim (absent while queued).
+	// QueueWaitSeconds is submission → first lease (absent while queued).
 	QueueWaitSeconds float64 `json:"queue_wait_seconds,omitempty"`
-	// RunSeconds is first claim → finish, covering every attempt and
-	// backoff pause; for a still-running job it is first claim → now.
+	// RunSeconds is first lease → finish, covering every attempt and
+	// backoff pause; for a still-running job it is first lease → now.
 	RunSeconds  float64    `json:"run_seconds,omitempty"`
 	Error       string     `json:"error,omitempty"`
 	Result      any        `json:"result,omitempty"`
@@ -282,8 +285,7 @@ type Queue struct {
 	wake    chan struct{}
 	jitter  sampler.PRNG
 	queued  int
-	running int
-	leased  int // subset of running held under fabric leases
+	running int // every running job is leased
 	// tenantActive counts queued+running jobs per tenant for TenantQuota.
 	tenantActive map[string]int
 	metrics      queueMetrics
@@ -313,7 +315,7 @@ func NewQueue(opts Options) *Queue {
 	}
 }
 
-// broadcast wakes every waiting worker; q.mu must be held.
+// broadcast wakes every waiting lease long-poll; q.mu must be held.
 func (q *Queue) broadcast() {
 	close(q.wake)
 	q.wake = make(chan struct{})
@@ -322,7 +324,7 @@ func (q *Queue) broadcast() {
 func (q *Queue) gauges() {
 	q.metrics.depth.Set(float64(q.queued))
 	q.metrics.running.Set(float64(q.running))
-	q.metrics.leased.Set(float64(q.leased))
+	q.metrics.leased.Set(float64(q.running))
 }
 
 // kindLocked returns the per-kind aggregate, creating it on first use;
@@ -438,9 +440,9 @@ func (q *Queue) Submit(spec Spec) (Status, error) {
 // reapLocked fails queued jobs whose deadline has passed and reclaims
 // expired leases (the holder stopped heartbeating: the job requeues with
 // the usual retry backoff, or fails when its deadline or attempt budget is
-// spent). It runs on every queue observation (and inside claim/Lease), so
-// expiry does not depend on an idle worker scanning the queue; q.mu must
-// be held.
+// spent). It runs on every queue observation (Lease included), so expiry
+// does not depend on an idle worker scanning the queue; q.mu must be
+// held.
 func (q *Queue) reapLocked(now time.Time) {
 	for _, j := range q.byAge {
 		switch {
@@ -475,12 +477,13 @@ func (q *Queue) Kind(id string) string {
 	return ""
 }
 
-// Leased returns how many jobs are currently held under fabric leases.
+// Leased returns how many jobs are currently held under leases: every
+// running job.
 func (q *Queue) Leased() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.reapLocked(time.Now())
-	return q.leased
+	return q.running
 }
 
 // List returns every job in submission order.
@@ -504,63 +507,31 @@ func (q *Queue) Depth() (queued, running int) {
 	return q.queued, q.running
 }
 
-// Cancel aborts a job: a queued job fails immediately, a running job has
-// its context canceled (the worker then marks it failed). Canceling a
+// Cancel aborts a job: a queued or running job fails at once as
+// "canceled". A running job's lease is revoked with it: an in-process
+// holder learns through LeasedJob.Revoked, a remote one at its next
+// renewal, and the holder's late completion is rejected. Canceling a
 // finished job is a no-op.
 func (q *Queue) Cancel(id string) error {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
 	if !ok {
-		q.mu.Unlock()
-		return fmt.Errorf("jobs: unknown job %s", id)
+		return fmt.Errorf("jobs: %w: %s", ErrUnknownJob, id)
 	}
-	var cancel func()
-	switch j.State {
-	case StateQueued:
-		j.canceled = true
+	if j.State == StateQueued || j.State == StateRunning {
 		q.finalizeLocked(j, StateFailed, "canceled")
-	case StateRunning:
-		j.canceled = true
-		cancel = j.cancel
-	}
-	q.mu.Unlock()
-	if cancel != nil {
-		cancel()
 	}
 	return nil
 }
 
-// StopAccepting rejects further submissions (drain mode) — the exported
-// form used by pool-less coordinators, which have no jobs.Pool to drain
-// through.
-func (q *Queue) StopAccepting() { q.stopAccepting() }
-
-// stopAccepting rejects further submissions (drain mode).
-func (q *Queue) stopAccepting() {
+// StopAccepting rejects further submissions (drain mode). Leases, renewals
+// and completions keep working, so held attempts can finish.
+func (q *Queue) StopAccepting() {
 	q.mu.Lock()
 	q.accept = false
 	q.broadcast()
 	q.mu.Unlock()
-}
-
-// claim hands the oldest eligible queued job to a worker. When no job is
-// eligible it returns the wait until the next backoff gate expires (0 when
-// nothing is pending at all) plus the wake channel to select on. Queued
-// jobs whose deadline has passed are failed during the scan.
-func (q *Queue) claim(now time.Time) (j *Job, wait time.Duration, wake <-chan struct{}) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.reapLocked(now)
-	best, wait := q.nextQueuedLocked(now)
-	if best == nil {
-		return nil, wait, q.wake
-	}
-	q.startLocked(best, now)
-	q.journalLocked(wal.RecStart, best)
-	best.event(obs.EventJobClaimed, "")
-	obs.Log().Debug("job claimed", "id", best.ID, "attempt", best.Attempts,
-		"trace_id", best.TraceID)
-	return best, 0, nil
 }
 
 // nextQueuedLocked scans for the oldest eligible queued job. When none is
@@ -596,25 +567,6 @@ func (q *Queue) nextQueuedLocked(now time.Time) (*Job, time.Duration) {
 	return nil, wait
 }
 
-// startLocked moves a queued job into StateRunning for its next attempt
-// (shared by the local pool's claim and the fabric Lease); q.mu must be
-// held.
-func (q *Queue) startLocked(j *Job, now time.Time) {
-	j.State = StateRunning
-	j.Attempts++
-	j.StartedAt = now
-	if j.FirstClaimedAt.IsZero() {
-		j.FirstClaimedAt = now
-		q.metrics.queueWait.With(j.Kind).Observe(now.Sub(j.SubmittedAt).Seconds())
-	}
-	q.queued--
-	q.running++
-	ks := q.kindLocked(j.Kind)
-	ks.Queued--
-	ks.Running++
-	q.gauges()
-}
-
 // finalizeLocked moves a job to a terminal state; q.mu must be held.
 func (q *Queue) finalizeLocked(j *Job, state State, errMsg string) {
 	ks := q.kindLocked(j.Kind)
@@ -632,13 +584,11 @@ func (q *Queue) finalizeLocked(j *Job, state State, errMsg string) {
 		}
 	}
 	if j.LeaseWorker != "" {
-		q.leased--
-		j.LeaseWorker, j.leaseToken, j.LeaseExpiry = "", "", time.Time{}
+		q.releaseLeaseLocked(j)
 	}
 	j.State = state
 	j.Error = errMsg
 	j.FinishedAt = time.Now()
-	j.cancel = nil
 	j.NotBefore = time.Time{}
 	if state == StateDone {
 		ks.Done++
@@ -673,31 +623,6 @@ func (q *Queue) backoffLocked(attempt int) time.Duration {
 	// Jitter in [0.5, 1.5): desynchronizes retry herds while keeping the
 	// exponential envelope.
 	return time.Duration(float64(d) * (0.5 + sampler.Float64(q.jitter)))
-}
-
-// complete records one finished attempt: success, retryable failure (back
-// to queued with backoff), or terminal failure (cancellation, deadline, or
-// attempt budget exhausted).
-func (q *Queue) complete(j *Job, result any, err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j.cancel = nil
-	if !j.StartedAt.IsZero() {
-		q.metrics.attemptDur.With(j.Kind).Observe(time.Since(j.StartedAt).Seconds())
-	}
-	switch {
-	case err == nil:
-		j.Result = result
-		q.finalizeLocked(j, StateDone, "")
-	case j.canceled:
-		q.finalizeLocked(j, StateFailed, "canceled")
-	case !j.Deadline.IsZero() && time.Now().After(j.Deadline):
-		q.finalizeLocked(j, StateFailed, fmt.Sprintf("deadline exceeded: %v", err))
-	case j.Attempts < j.MaxAttempts:
-		q.retryLocked(j, time.Now(), err.Error())
-	default:
-		q.finalizeLocked(j, StateFailed, err.Error())
-	}
 }
 
 // retryLocked requeues a running job for its next attempt with jittered

@@ -1,8 +1,6 @@
 package jobs
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -10,56 +8,26 @@ import (
 )
 
 // tracedFixture installs a recorder with tracing and a journal, builds a
-// queue+pool whose metrics bind to it, and restores the previous global
+// queue whose metrics bind to it, and restores the previous global
 // recorder on cleanup (the queue's metrics bind at NewQueue, mirroring the
 // daemon's install-recorder-first startup order).
-func tracedFixture(t *testing.T, runner Runner) (*obs.Recorder, *Queue, *Pool) {
+func tracedFixture(t *testing.T) (*obs.Recorder, *Queue) {
 	t.Helper()
 	rec := obs.New(obs.Options{TraceCapacity: 1024, TraceRing: true, EventCapacity: 64})
 	prev := obs.Global()
 	obs.SetGlobal(rec)
 	t.Cleanup(func() { obs.SetGlobal(prev) })
-	q := NewQueue(Options{MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond})
-	p := NewPool(q, 1, runner)
-	p.Start()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = p.Shutdown(ctx)
-	})
-	return rec, q, p
-}
-
-func waitTerminal(t *testing.T, q *Queue, id string) Status {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, ok := q.Get(id)
-		if !ok {
-			t.Fatalf("job %s vanished", id)
-		}
-		if st.State == StateDone || st.State == StateFailed {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", id, st.State)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	return rec, NewQueue(Options{MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond})
 }
 
 // TestTraceAndTenantPropagation submits a traced, tenant-tagged job and
-// follows the identity across the queue: the worker's context, the status
-// snapshot (with queue-wait/run durations), the per-kind and per-tenant
-// metrics, the service journal, and the flow events must all carry it.
+// follows the identity across the queue: the lease handed to the worker,
+// the status snapshot (with queue-wait/run durations), the per-kind and
+// per-tenant metrics, the service journal, and the flow terminator must
+// all carry it.
 func TestTraceAndTenantPropagation(t *testing.T) {
 	const traceID = "jobs-trace-0001"
-	seenTrace := make(chan string, 1)
-	rec, q, _ := tracedFixture(t, func(ctx context.Context, job *Job) (any, error) {
-		seenTrace <- obs.TraceIDFrom(ctx)
-		time.Sleep(5 * time.Millisecond)
-		return "ok", nil
-	})
+	rec, q := tracedFixture(t)
 
 	st, err := q.Submit(Spec{Kind: "sleep", TraceID: traceID, Tenant: "acme"})
 	if err != nil {
@@ -68,18 +36,21 @@ func TestTraceAndTenantPropagation(t *testing.T) {
 	if st.TraceID != traceID || st.Tenant != "acme" {
 		t.Fatalf("submitted snapshot lost identity: %+v", st)
 	}
-	done := waitTerminal(t, q, st.ID)
-	if done.State != StateDone {
-		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	time.Sleep(time.Millisecond)
+	lj := mustLease(t, q, "w1")
+	if lj.TraceID != traceID || lj.Tenant != "acme" || lj.Kind != "sleep" {
+		t.Fatalf("lease lost identity: %+v", lj)
 	}
-	if done.TraceID != traceID || done.Tenant != "acme" {
-		t.Fatalf("terminal snapshot lost identity: %+v", done)
+	time.Sleep(time.Millisecond)
+	done, err := q.CompleteLease(lj.ID, "w1", lj.Token, "ok", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != StateDone || done.TraceID != traceID || done.Tenant != "acme" {
+		t.Fatalf("terminal snapshot = %+v", done)
 	}
 	if done.QueueWaitSeconds <= 0 || done.RunSeconds <= 0 {
 		t.Fatalf("durations not populated: wait=%g run=%g", done.QueueWaitSeconds, done.RunSeconds)
-	}
-	if got := <-seenTrace; got != traceID {
-		t.Fatalf("worker context carried trace %q, want %q", got, traceID)
 	}
 
 	// Per-kind aggregates and histograms.
@@ -98,9 +69,9 @@ func TestTraceAndTenantPropagation(t *testing.T) {
 		t.Errorf("tenant counter = %d, want 1", got)
 	}
 
-	// Journal: the submitted→claimed→finished lifecycle, all stamped.
+	// Journal: the submitted→leased→finished lifecycle, all stamped.
 	events, _ := rec.Events().Since(0, 100)
-	want := map[string]bool{obs.EventJobSubmitted: false, obs.EventJobClaimed: false, obs.EventJobFinished: false}
+	want := map[string]bool{obs.EventJobSubmitted: false, obs.EventJobLeased: false, obs.EventJobFinished: false}
 	for _, ev := range events {
 		if ev.JobID != st.ID {
 			continue
@@ -118,44 +89,44 @@ func TestTraceAndTenantPropagation(t *testing.T) {
 		}
 	}
 
-	// Flow events: the attempt step and the finish terminator bound to the ID.
+	// Flow events: the queue binds the finish terminator to the ID (the
+	// worker emits the attempt step).
 	phases := map[string]bool{}
 	for _, ev := range rec.TraceEventsFor(traceID) {
 		phases[ev.Phase] = true
 	}
-	if !phases[obs.FlowStep] || !phases[obs.FlowEnd] {
-		t.Fatalf("flow events incomplete for %s: phases %v", traceID, phases)
+	if !phases[obs.FlowEnd] {
+		t.Fatalf("flow terminator missing for %s: phases %v", traceID, phases)
 	}
 }
 
 // TestRetryKeepsTraceAndCounts fails the first attempt: the retry must be
-// journaled and counted per kind, the second attempt must still see the
+// journaled and counted per kind, the second lease must still carry the
 // trace, and both attempts must land in the duration histogram.
 func TestRetryKeepsTraceAndCounts(t *testing.T) {
 	const traceID = "jobs-trace-retry"
-	var calls int
-	traces := make(chan string, 2)
-	rec, q, _ := tracedFixture(t, func(ctx context.Context, job *Job) (any, error) {
-		traces <- obs.TraceIDFrom(ctx)
-		calls++
-		if calls == 1 {
-			return nil, errors.New("induced")
-		}
-		return "ok", nil
-	})
+	rec, q := tracedFixture(t)
 
 	st, err := q.Submit(Spec{Kind: "flaky", TraceID: traceID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := waitTerminal(t, q, st.ID)
+	first := mustLease(t, q, "w1")
+	if _, err := q.CompleteLease(first.ID, "w1", first.Token, nil, "induced"); err != nil {
+		t.Fatal(err)
+	}
+	second := leaseNow(t, q, "w1", time.Second)
+	for i, lj := range []*LeasedJob{first, second} {
+		if lj.TraceID != traceID {
+			t.Fatalf("attempt %d leased with trace %q", i+1, lj.TraceID)
+		}
+	}
+	done, err := q.CompleteLease(second.ID, "w1", second.Token, "ok", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if done.State != StateDone || done.Attempts != 2 {
 		t.Fatalf("job = %s after %d attempts (%s), want done after 2", done.State, done.Attempts, done.Error)
-	}
-	for i := 0; i < 2; i++ {
-		if got := <-traces; got != traceID {
-			t.Fatalf("attempt %d saw trace %q", i+1, got)
-		}
 	}
 	kinds := q.StatsByKind()
 	if len(kinds) != 1 || kinds[0].Retried != 1 || kinds[0].Done != 1 {

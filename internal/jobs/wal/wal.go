@@ -37,7 +37,7 @@ type RecordType string
 // the image by ID during replay.
 const (
 	RecSubmit RecordType = "submit"
-	RecStart  RecordType = "start" // claimed by the local pool
+	RecStart  RecordType = "start" // no longer written; replayed from older journals
 	RecLease  RecordType = "lease" // leased to a fabric worker (grant or renewal)
 	RecRetry  RecordType = "retry" // failed attempt, requeued with backoff
 	RecFinish RecordType = "finish"

@@ -20,11 +20,10 @@ const (
 // types without touching this file — but the core job lifecycle uses these.
 const (
 	EventJobSubmitted = "job_submitted"
-	EventJobClaimed   = "job_claimed"
 	EventJobRetried   = "job_retried"
 	EventJobFinished  = "job_finished"
-	// EventJobLeased marks a worker taking a lease on a job through the
-	// fabric lease API (the distributed analogue of job_claimed).
+	// EventJobLeased marks a worker taking a lease on a job: the start of
+	// every attempt, in process or over the fabric API.
 	EventJobLeased = "job_leased"
 	// EventLeaseExpired marks a lease whose holder stopped heartbeating; the
 	// job is requeued (or failed when out of attempts).

@@ -94,10 +94,10 @@ func TestEventLogWaitSince(t *testing.T) {
 		got <- batch{events, next}
 	}()
 	time.Sleep(20 * time.Millisecond) // let the waiter park
-	l.Append(ServiceEvent{Type: EventJobClaimed, JobID: "job-1"})
+	l.Append(ServiceEvent{Type: EventJobLeased, JobID: "job-1"})
 	select {
 	case b := <-got:
-		if len(b.events) != 1 || b.events[0].Type != EventJobClaimed || b.next != 2 {
+		if len(b.events) != 1 || b.events[0].Type != EventJobLeased || b.next != 2 {
 			t.Fatalf("woken waiter got %+v next %d", b.events, b.next)
 		}
 	case <-time.After(2 * time.Second):

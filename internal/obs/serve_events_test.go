@@ -232,7 +232,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 				vec.With(label).Inc()
 				hist.With(label).Observe(float64(i%10) / 10)
 				reg.Gauge("reveal_chaos_depth").Set(float64(i))
-				rec.Emit(ServiceEvent{Type: EventJobClaimed, JobID: fmt.Sprintf("g%d-%d", g, i)})
+				rec.Emit(ServiceEvent{Type: EventJobLeased, JobID: fmt.Sprintf("g%d-%d", g, i)})
 			}
 		}(g)
 	}

@@ -50,7 +50,8 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // APIError is a non-2xx daemon response. Callers branch on Status (e.g.
-// 409 = lease lost, 429 = backpressure) via errors.As or StatusCode.
+// 429 = backpressure) via errors.As or StatusCode; on the fabric job
+// routes it also unwraps to the queue's lease errors.
 type APIError struct {
 	Method  string
 	Path    string
@@ -63,6 +64,22 @@ func (e *APIError) Error() string {
 		return fmt.Sprintf("service: %s %s: %s (HTTP %d)", e.Method, e.Path, e.Message, e.Status)
 	}
 	return fmt.Sprintf("service: %s %s: HTTP %d", e.Method, e.Path, e.Status)
+}
+
+// Unwrap maps the fabric job routes' 409 and 404 back onto
+// jobs.ErrLeaseLost and jobs.ErrUnknownJob, so a lease holder tests one
+// error vocabulary whether its coordinator is remote or in process.
+func (e *APIError) Unwrap() error {
+	if !strings.HasPrefix(e.Path, "/api/v1/fabric/jobs/") {
+		return nil
+	}
+	switch e.Status {
+	case http.StatusConflict:
+		return jobs.ErrLeaseLost
+	case http.StatusNotFound:
+		return jobs.ErrUnknownJob
+	}
+	return nil
 }
 
 // StatusCode extracts the HTTP status from an APIError chain (0 when err

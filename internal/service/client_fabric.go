@@ -30,9 +30,10 @@ func (c *Client) LeaseJob(ctx context.Context, worker string, ttl, wait time.Dur
 	return resp.Job, nil
 }
 
-// RenewJobLease heartbeats a held lease and returns the new expiry. A 409
-// (ErrLeaseLost server-side: the lease expired and the job was requeued,
-// finished, or canceled) tells the worker to abandon the attempt.
+// RenewJobLease heartbeats a held lease and returns the new expiry. An
+// error matching jobs.ErrLeaseLost (HTTP 409: the lease expired and the
+// job was requeued, finished, or canceled) tells the worker to abandon the
+// attempt.
 func (c *Client) RenewJobLease(ctx context.Context, id, worker, token string, ttl time.Duration) (time.Time, error) {
 	var resp renewResponse
 	err := c.do(ctx, http.MethodPost, "/api/v1/fabric/jobs/"+url.PathEscape(id)+"/renew",

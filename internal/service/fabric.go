@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,6 +59,67 @@ type claimResponse struct {
 // maxLeaseWait bounds one long-poll request; workers re-issue.
 const maxLeaseWait = 30 * time.Second
 
+// LeaseJob implements Coordinator in process, and serves the lease
+// long-poll behind POST /api/v1/fabric/lease: it leases the oldest
+// eligible job under ttl (<= 0 uses the server's lease TTL), waiting up to
+// wait (capped at maxLeaseWait) for one to become eligible. A nil job
+// means none did before the wait or ctx ended.
+func (s *Server) LeaseJob(ctx context.Context, worker string, ttl, wait time.Duration) (*jobs.LeasedJob, error) {
+	if ttl <= 0 {
+		ttl = s.leaseTTL
+	}
+	deadline := time.Now().Add(min(wait, maxLeaseWait))
+	for {
+		lj, backoff, wake, err := s.queue.Lease(worker, ttl)
+		if lj != nil || err != nil {
+			return lj, err
+		}
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			return nil, nil
+		}
+		// Sleep until a submission wakes the queue, the next backoff gate
+		// opens, or the long-poll budget runs out.
+		if backoff > 0 && backoff < remaining {
+			remaining = backoff
+		}
+		timer := time.NewTimer(remaining)
+		select {
+		case <-wake:
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return nil, nil
+		}
+		timer.Stop()
+	}
+}
+
+// RenewJobLease implements Coordinator in process, and serves the lease
+// heartbeat behind POST /api/v1/fabric/jobs/{id}/renew (ttl <= 0 uses the
+// server's lease TTL).
+func (s *Server) RenewJobLease(_ context.Context, id, worker, token string, ttl time.Duration) (time.Time, error) {
+	if ttl <= 0 {
+		ttl = s.leaseTTL
+	}
+	return s.queue.RenewLease(id, worker, token, ttl)
+}
+
+// CompleteJob implements Coordinator in process, and serves POST
+// /api/v1/fabric/jobs/{id}/complete: it records a leased attempt's outcome
+// and, when the job is done, its quality-history record. This is the only
+// place history is written, whichever worker ran the job.
+func (s *Server) CompleteJob(_ context.Context, id, worker, token string, result any, errMsg string) (jobs.Status, error) {
+	st, err := s.queue.CompleteLease(id, worker, token, result, errMsg)
+	if err == nil && st.State == jobs.StateDone {
+		s.recordResult(st, result)
+	}
+	return st, err
+}
+
+// seconds converts a wire duration in seconds.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+
 // handleLease serves POST /api/v1/fabric/lease.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
@@ -65,50 +127,14 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing lease request: %v", err)
 		return
 	}
-	if req.Worker == "" {
-		writeError(w, http.StatusBadRequest, "lease request needs a worker id")
-		return
-	}
-	ttl := time.Duration(req.TTLSeconds * float64(time.Second))
-	if ttl <= 0 {
-		ttl = s.leaseTTL
-	}
-	wait := time.Duration(req.WaitSeconds * float64(time.Second))
-	if wait > maxLeaseWait {
-		wait = maxLeaseWait
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		lj, backoff, wake, err := s.queue.Lease(req.Worker, ttl)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if lj != nil {
-			writeJSON(w, http.StatusOK, leaseResponse{Job: lj})
-			return
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		// Sleep until a submission wakes the queue, the next backoff gate
-		// opens, or the long-poll budget runs out.
-		pause := remaining
-		if backoff > 0 && backoff < pause {
-			pause = backoff
-		}
-		timer := time.NewTimer(pause)
-		select {
-		case <-wake:
-		case <-timer.C:
-		case <-r.Context().Done():
-			timer.Stop()
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		timer.Stop()
+	lj, err := s.LeaseJob(r.Context(), req.Worker, seconds(req.TTLSeconds), seconds(req.WaitSeconds))
+	switch {
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "%v", err)
+	case lj == nil:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		writeJSON(w, http.StatusOK, leaseResponse{Job: lj})
 	}
 }
 
@@ -120,8 +146,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing renew request: %v", err)
 		return
 	}
-	expiry, err := s.queue.RenewLease(r.PathValue("id"), req.Worker, req.Token,
-		time.Duration(req.TTLSeconds*float64(time.Second)))
+	expiry, err := s.RenewJobLease(r.Context(), r.PathValue("id"), req.Worker, req.Token, seconds(req.TTLSeconds))
 	if err != nil {
 		writeError(w, leaseErrCode(err), "%v", err)
 		return
@@ -141,19 +166,17 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if req.Error == "" {
 		result = decodeResultByKind(s.queue.Kind(id), req.Result)
 	}
-	st, err := s.queue.CompleteLease(id, req.Worker, req.Token, result, req.Error)
+	st, err := s.CompleteJob(r.Context(), id, req.Worker, req.Token, result, req.Error)
 	if err != nil {
 		writeError(w, leaseErrCode(err), "%v", err)
 		return
-	}
-	if st.State == jobs.StateDone {
-		s.recordFabricResult(st, result)
 	}
 	writeJSON(w, http.StatusOK, st)
 }
 
 // leaseErrCode maps queue lease errors onto HTTP statuses: a lost lease is
-// a conflict (the caller's attempt is void), an unknown job 404.
+// a conflict (the caller's attempt is void), an unknown job 404. The
+// client maps them back (APIError.Unwrap).
 func leaseErrCode(err error) int {
 	switch {
 	case errors.Is(err, jobs.ErrUnknownJob):
@@ -165,10 +188,10 @@ func leaseErrCode(err error) int {
 	}
 }
 
-// recordFabricResult appends the quality-history record for a job that
-// completed on a remote worker — the worker has no history store, so the
-// coordinator records from the returned result instead of the runner.
-func (s *Server) recordFabricResult(st jobs.Status, result any) {
+// recordResult persists the quality-history record of a finished job and
+// feeds the drift watchdog. Recording is best-effort: a full disk must not
+// fail a job whose scientific result is already in hand.
+func (s *Server) recordResult(st jobs.Status, result any) {
 	if s.history == nil && s.watchdog == nil {
 		return
 	}
@@ -183,7 +206,20 @@ func (s *Server) recordFabricResult(st jobs.Status, result any) {
 	}
 	rec := qualityRunRecord(st.ID, st.TraceID, st.Kind, st.Tenant, seed,
 		st.RunSeconds, st.QueueWaitSeconds, result)
-	appendRunRecord(s.history, s.watchdog, obs.Log().With("job_id", st.ID), rec)
+	lg := obs.Log().With("job_id", st.ID)
+	if s.history != nil {
+		stamped, err := s.history.Append(rec)
+		if err != nil {
+			lg.Warn("history record not persisted", "error", err)
+		} else {
+			rec = stamped
+		}
+	}
+	for _, a := range s.watchdog.Observe(rec) {
+		lg.Warn("quality drift detected", "kind", a.Kind, "metric", a.Metric,
+			"baseline", a.Baseline, "current", a.Current,
+			"rel_delta", a.RelDelta, "tolerance", a.Tolerance)
+	}
 }
 
 // handleTemplateGet serves GET /api/v1/fabric/templates/{key}: the raw
@@ -245,8 +281,8 @@ func DecodeCampaignPayload(kind string, raw json.RawMessage) (any, error) {
 
 // decodeResultByKind decodes a serialized campaign result into its typed
 // form so the /result endpoint and the history recorder see the same
-// shapes as local execution; unknown kinds (or mismatched payloads) fall
-// back to the generic JSON form.
+// shapes as in-process execution; unknown kinds (or mismatched payloads)
+// fall back to the generic JSON form.
 func decodeResultByKind(kind string, raw json.RawMessage) any {
 	if len(raw) == 0 {
 		return nil
@@ -273,9 +309,7 @@ func decodeResultByKind(kind string, raw json.RawMessage) any {
 }
 
 // qualityRunRecord builds the compact quality summary of one finished
-// campaign for the history store — shared by the local runner and the
-// fabric completion path (which reconstructs it from the worker's
-// serialized result).
+// campaign for the history store from its status and typed result.
 func qualityRunRecord(jobID, traceID, kind, tenant string, seed uint64,
 	elapsedSeconds, queueWaitSeconds float64, result any) history.RunRecord {
 	rec := history.RunRecord{

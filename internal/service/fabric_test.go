@@ -20,15 +20,25 @@ import (
 // client, with latencies tuned for tests, and runs it until test cleanup.
 func newFabricWorker(t *testing.T, id string, client *Client, slots int) *FabricWorker {
 	t.Helper()
-	w := &FabricWorker{
+	return runFabricWorker(t, &FabricWorker{
 		ID:     id,
 		Client: client,
 		Runner: &Runner{Cache: core.NewTemplateCache(2), Workers: 1},
 		Slots:  slots,
-		// A short TTL keeps heartbeats exercised (renew interval floors at
-		// 100 ms); a short poll keeps idle slots responsive to cancel.
-		LeaseTTL: 400 * time.Millisecond,
-		PollWait: 200 * time.Millisecond,
+	})
+}
+
+// runFabricWorker tunes w's latencies for tests (unless set) and runs it
+// until test cleanup.
+func runFabricWorker(t *testing.T, w *FabricWorker) *FabricWorker {
+	t.Helper()
+	// A short TTL keeps heartbeats exercised (renew interval floors at
+	// 100 ms); a short poll keeps idle slots responsive to cancel.
+	if w.LeaseTTL == 0 {
+		w.LeaseTTL = 400 * time.Millisecond
+	}
+	if w.PollWait == 0 {
+		w.PollWait = 200 * time.Millisecond
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -48,7 +58,7 @@ func sleepSpec(ms, failAttempts int) *CampaignSpec {
 }
 
 // TestFabricEndToEnd drives the distributed path: a pure coordinator (no
-// in-process pool) with a fabric worker leasing over HTTP. Every submitted
+// in-process worker) with a fabric worker leasing over HTTP. Every submitted
 // job — including one that fails its first attempt and retries — must
 // complete, with queue-wait/attempt accounting intact.
 func TestFabricEndToEnd(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"reveal/internal/core"
 	"reveal/internal/jobs"
 	"reveal/internal/obs"
-	"reveal/internal/obs/history"
 	"reveal/internal/sampler"
 	"reveal/internal/sca"
 )
@@ -40,13 +39,6 @@ type Runner struct {
 	// DataDir, when non-empty, receives one run directory per job
 	// (<DataDir>/<jobID>/manifest.json) with the campaign manifest.
 	DataDir string
-	// History, when non-nil, receives one compact RunRecord per completed
-	// job — the persistent quality trajectory behind /api/v1/history.
-	History *history.Store
-	// Watchdog, when non-nil, observes every appended record and raises
-	// quality_drift events when rolling aggregates fall past the pinned
-	// baselines.
-	Watchdog *history.Watchdog
 }
 
 // RunSummary is the outcome of one attacked encryption.
@@ -104,7 +96,9 @@ type SleepCampaignResult struct {
 	Attempts int    `json:"attempts"`
 }
 
-// Run is the jobs.Runner entry point.
+// Run executes one attempt of a leased job (the FabricWorker entry point).
+// ctx is canceled when the lease is lost, the job is canceled, its deadline
+// passes, or the worker stops hard; the core stage boundaries honor it.
 func (r *Runner) Run(ctx context.Context, job *jobs.Job) (any, error) {
 	spec, ok := job.Payload.(*CampaignSpec)
 	if !ok {
@@ -140,44 +134,7 @@ func (r *Runner) Run(ctx context.Context, job *jobs.Job) (any, error) {
 	if werr := r.writeJobArtifacts(job, spec, result, start); werr != nil {
 		lg.Warn("job artifacts not fully written", "error", werr)
 	}
-	r.record(lg, job, spec, result, start)
 	return result, nil
-}
-
-// record appends the job's compact quality summary to the history store
-// and feeds the drift watchdog. Recording is best-effort: a full disk must
-// not fail a job whose scientific result is already in hand.
-func (r *Runner) record(lg *slog.Logger, job *jobs.Job, spec *CampaignSpec, result any, start time.Time) {
-	if r.History == nil && r.Watchdog == nil {
-		return
-	}
-	var queueWait float64
-	if !job.FirstClaimedAt.IsZero() && job.FirstClaimedAt.After(job.SubmittedAt) {
-		queueWait = job.FirstClaimedAt.Sub(job.SubmittedAt).Seconds()
-	}
-	rec := qualityRunRecord(job.ID, job.TraceID, spec.Kind, job.Tenant, spec.Seed,
-		time.Since(start).Seconds(), queueWait, result)
-	appendRunRecord(r.History, r.Watchdog, lg, rec)
-}
-
-// appendRunRecord persists one quality record and feeds the drift
-// watchdog; shared by the local runner and the fabric completion handler.
-func appendRunRecord(store *history.Store, wd *history.Watchdog, lg *slog.Logger, rec history.RunRecord) {
-	if store != nil {
-		stamped, err := store.Append(rec)
-		if err != nil {
-			lg.Warn("history record not persisted", "error", err)
-		} else {
-			rec = stamped
-		}
-	}
-	if alerts := wd.Observe(rec); len(alerts) > 0 {
-		for _, a := range alerts {
-			lg.Warn("quality drift detected", "kind", a.Kind, "metric", a.Metric,
-				"baseline", a.Baseline, "current", a.Current,
-				"rel_delta", a.RelDelta, "tolerance", a.Tolerance)
-		}
-	}
 }
 
 // sumTopMargins accumulates the top1−top2 posterior margin over every
@@ -338,7 +295,7 @@ func (r *Runner) runAttack(ctx context.Context, spec *CampaignSpec) (*AttackCamp
 			marginSum += s
 			marginN += n
 		}
-		core.EmitOutcomeEventsCtx(ctx, out, cap)
+		core.EmitOutcomeEvents(ctx, out, cap)
 		lastOutcome = out
 		if spec.KeepProbs && run == spec.Encryptions-1 {
 			res.LastProbs = out.E2.Probs
@@ -377,7 +334,7 @@ func (r *Runner) runAttack(ctx context.Context, spec *CampaignSpec) (*AttackCamp
 func (r *Runner) runDiagnose(ctx context.Context, spec *CampaignSpec) (*DiagnoseCampaignResult, error) {
 	start := time.Now()
 	dev, popts := spec.deviceAndOptions()
-	report, err := core.DiagnoseCtx(ctx, dev, core.DiagnosticsOptions{Profile: popts})
+	report, err := core.Diagnose(ctx, dev, core.DiagnosticsOptions{Profile: popts})
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,9 @@ import (
 type Config struct {
 	// QueueOptions configures the job queue (zero value → DefaultOptions).
 	QueueOptions jobs.Options
-	// PoolWorkers is how many jobs run concurrently (minimum 1).
+	// PoolWorkers is how many jobs the in-process worker runs concurrently
+	// (0 → 1). A negative value builds a pure coordinator: no in-process
+	// worker, every job executes on fabric workers leasing over HTTP.
 	PoolWorkers int
 	// ClassifyWorkers is the default per-job classification parallelism
 	// (0 → GOMAXPROCS at run time).
@@ -40,15 +42,16 @@ type Config struct {
 	LeaseTTL time.Duration
 }
 
-// Server is the campaign service: the queue, the worker pool (absent on a
-// pure coordinator), the template cache and registry, the quality-history
-// store, and the HTTP API over them.
+// Server is the campaign service: the queue and its lease protocol, the
+// in-process worker (absent on a pure coordinator), the template cache and
+// registry, the quality-history store, and the HTTP API over them. It
+// implements Coordinator, so the in-process worker leases through the same
+// code as remote workers, minus the HTTP round trip.
 type Server struct {
 	queue    *jobs.Queue
-	pool     *jobs.Pool
+	worker   *FabricWorker
 	cache    *core.TemplateCache
 	registry *TemplateRegistry
-	runner   *Runner
 	history  *history.Store
 	watchdog *history.Watchdog
 	leaseTTL time.Duration
@@ -56,9 +59,7 @@ type Server struct {
 	started  time.Time
 }
 
-// New assembles a Server. Call Start to launch the workers. PoolWorkers
-// < 0 builds a pure coordinator: no in-process pool, every job executes on
-// fabric workers leasing over HTTP.
+// New assembles a Server. Call Start to launch the in-process worker.
 func New(cfg Config) *Server {
 	if cfg.QueueOptions == (jobs.Options{}) {
 		cfg.QueueOptions = jobs.DefaultOptions()
@@ -81,10 +82,13 @@ func New(cfg Config) *Server {
 	if s.leaseTTL <= 0 {
 		s.leaseTTL = jobs.DefaultLeaseTTL
 	}
-	s.runner = &Runner{Cache: s.cache, Workers: cfg.ClassifyWorkers, DataDir: cfg.DataDir,
-		History: cfg.History, Watchdog: cfg.Watchdog}
 	if cfg.PoolWorkers > 0 {
-		s.pool = jobs.NewPool(s.queue, cfg.PoolWorkers, s.runner.Run)
+		s.worker = &FabricWorker{
+			ID:     "local",
+			Client: s,
+			Runner: &Runner{Cache: s.cache, Workers: cfg.ClassifyWorkers, DataDir: cfg.DataDir},
+			Slots:  cfg.PoolWorkers,
+		}
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /api/v1/campaigns", s.handleSubmit)
@@ -105,21 +109,25 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Start launches the worker pool (no-op on a pure coordinator).
+// Start launches the in-process worker (no-op on a pure coordinator).
+// Call it once.
 func (s *Server) Start() {
-	if s.pool != nil {
-		s.pool.Start()
+	if s.worker != nil {
+		go s.worker.Run(context.Background())
 	}
 }
 
-// Shutdown drains the service: no new submissions, running jobs finish
-// until ctx expires, then they are canceled. On a pure coordinator it
-// waits for leased jobs to finish or expire instead.
+// Shutdown drains the service: submissions stop, the in-process worker
+// stops leasing and its running jobs finish until ctx expires (then they
+// are canceled), and finally it waits for jobs leased by remote workers to
+// finish or expire.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if s.pool != nil {
-		return s.pool.Shutdown(ctx)
-	}
 	s.queue.StopAccepting()
+	if s.worker != nil {
+		if err := s.worker.Shutdown(ctx); err != nil {
+			return err
+		}
+	}
 	for {
 		_, running := s.queue.Depth()
 		if running == 0 {
@@ -294,17 +302,18 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 type StatsResponse struct {
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
-	// Leased is how many of the running jobs are held by fabric workers
-	// under a lease (0 in single-process deployments).
+	// Leased is how many jobs are held by workers under a lease.
 	Leased          int `json:"leased,omitempty"`
 	CachedTemplates int `json:"cached_templates"`
 	// RegistryTemplates counts the serialized classifiers in the fabric
 	// template registry.
-	RegistryTemplates int              `json:"registry_templates,omitempty"`
-	Workers           int              `json:"workers"`
-	WorkersBusy       int              `json:"workers_busy"`
-	UptimeSeconds     float64          `json:"uptime_seconds"`
-	Kinds             []jobs.KindStats `json:"kinds,omitempty"`
+	RegistryTemplates int `json:"registry_templates,omitempty"`
+	// Workers and WorkersBusy describe the in-process worker's slots (0 on
+	// a pure coordinator).
+	Workers       int              `json:"workers"`
+	WorkersBusy   int              `json:"workers_busy"`
+	UptimeSeconds float64          `json:"uptime_seconds"`
+	Kinds         []jobs.KindStats `json:"kinds,omitempty"`
 	// QueueWait and AttemptLatency summarize the per-kind histograms
 	// (reveal_jobs_queue_wait_seconds / reveal_jobs_attempt_duration_seconds)
 	// keyed by job kind.
@@ -420,8 +429,8 @@ func parseInt64Param(r *http.Request, name string) (int64, error) {
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	queued, running := s.queue.Depth()
 	var workers, busy int
-	if s.pool != nil {
-		workers, busy = s.pool.Stats()
+	if s.worker != nil {
+		workers, busy = s.worker.Stats()
 	}
 	resp := StatsResponse{
 		Queued:            queued,

@@ -248,7 +248,9 @@ func TestRetryOverHTTP(t *testing.T) {
 	}
 }
 
-// TestCancelOverHTTP cancels a running sleep campaign via DELETE.
+// TestCancelOverHTTP cancels a running sleep campaign via DELETE: the
+// response is already final, and the in-process worker drops the attempt
+// at once, so its only slot is free for the next job.
 func TestCancelOverHTTP(t *testing.T) {
 	_, client := newTestService(t, Config{PoolWorkers: 1})
 	ctx := context.Background()
@@ -256,32 +258,19 @@ func TestCancelOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cur, err := client.Campaign(ctx, st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == jobs.StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never ran: %s", cur.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if _, err := client.Cancel(ctx, st.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	done, err := client.WaitDone(waitCtx, st.ID, 10*time.Millisecond)
+	waitRunning(t, client, st.ID)
+	done, err := client.Cancel(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done.State != jobs.StateFailed || done.Error != "canceled" {
 		t.Fatalf("canceled job = %s (%q)", done.State, done.Error)
 	}
+	next, err := client.Submit(ctx, sleepSpec(10, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, client, next.ID, 2*time.Second)
 }
 
 // TestShutdownDrainsRunningJob verifies SIGTERM semantics at the service

@@ -119,8 +119,12 @@ func (s *CampaignSpec) Normalize() error {
 	if len(s.Tenant) > 64 {
 		return fmt.Errorf("service: tenant %q exceeds 64 characters", s.Tenant)
 	}
-	if _, err := bfv.ResolveParamSet(s.ParamSet); err != nil {
-		return fmt.Errorf("service: %w", err)
+	// A named set is validated by building it. The default set always
+	// resolves; skipping it keeps the per-attempt payload decode cheap.
+	if s.ParamSet != "" {
+		if _, err := bfv.ResolveParamSet(s.ParamSet); err != nil {
+			return fmt.Errorf("service: %w", err)
+		}
 	}
 	return nil
 }

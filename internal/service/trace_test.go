@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"reveal/internal/core"
 	"reveal/internal/jobs"
 	"reveal/internal/obs"
 )
@@ -19,8 +20,10 @@ import (
 // newTracedService assembles the full daemon shape in-process: a recorder
 // with tracing + journal installed globally (restored on cleanup), a
 // service with a data directory, and the instrumented handler that mints
-// and propagates trace identities — the same stack reveald wires up.
-func newTracedService(t *testing.T) (*obs.Recorder, string, *httptest.Server) {
+// and propagates trace identities — the same stack reveald wires up. A
+// negative poolWorkers builds a pure coordinator with one fabric worker
+// leasing over HTTP and archiving into the same data directory.
+func newTracedService(t *testing.T, poolWorkers int) (*obs.Recorder, string, *httptest.Server) {
 	t.Helper()
 	rec := obs.New(obs.Options{TraceCapacity: 4096, TraceRing: true, EventCapacity: 256})
 	prev := obs.Global()
@@ -28,7 +31,7 @@ func newTracedService(t *testing.T) (*obs.Recorder, string, *httptest.Server) {
 	t.Cleanup(func() { obs.SetGlobal(prev) })
 
 	dataDir := t.TempDir()
-	svc := New(Config{PoolWorkers: 1, QueueOptions: fastQueue(), CacheCapacity: 1, DataDir: dataDir})
+	svc := New(Config{PoolWorkers: poolWorkers, QueueOptions: fastQueue(), CacheCapacity: 1, DataDir: dataDir})
 	svc.Start()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -37,6 +40,13 @@ func newTracedService(t *testing.T) (*obs.Recorder, string, *httptest.Server) {
 	})
 	ts := httptest.NewServer(obs.InstrumentHandler(rec, RouteLabel, svc.Handler()))
 	t.Cleanup(ts.Close)
+	if poolWorkers < 0 {
+		runFabricWorker(t, &FabricWorker{
+			ID:     "remote",
+			Client: NewClient(ts.URL),
+			Runner: &Runner{Cache: core.NewTemplateCache(1), Workers: 1, DataDir: dataDir},
+		})
+	}
 	return rec, dataDir, ts
 }
 
@@ -72,15 +82,24 @@ func submitTraced(t *testing.T, ts *httptest.Server, spec *CampaignSpec, traceID
 	return resp.Header.Get(obs.TraceHeader), sub.Job
 }
 
-// TestTraceIDEndToEnd is the acceptance test for the tracing tentpole: one
+// TestTraceIDEndToEnd is the acceptance test for trace propagation: one
 // client-supplied trace ID must surface, verbatim, in the HTTP response
 // header, the job status, the service journal, the per-job manifest.json,
-// run.log, and the trace.json flow events.
+// run.log, and the trace.json flow events and stage spans — whether the
+// in-process worker or a worker leasing over HTTP runs the job.
 func TestTraceIDEndToEnd(t *testing.T) {
-	rec, dataDir, ts := newTracedService(t)
+	t.Run("in-process", func(t *testing.T) { testTraceIDEndToEnd(t, 1) })
+	t.Run("http-worker", func(t *testing.T) { testTraceIDEndToEnd(t, -1) })
+}
+
+func testTraceIDEndToEnd(t *testing.T, poolWorkers int) {
+	rec, dataDir, ts := newTracedService(t, poolWorkers)
 	const traceID = "e2e-trace-0001"
 
-	echoed, st := submitTraced(t, ts, &CampaignSpec{Kind: KindSleep, SleepMS: 20, Tenant: "acme"}, traceID)
+	// An attack campaign, so the attempt runs traced pipeline stages.
+	spec := &CampaignSpec{Kind: KindAttack, Seed: 11, ProfileTracesPerValue: 4,
+		Encryptions: 1, Workers: 1, Tenant: "acme"}
+	echoed, st := submitTraced(t, ts, spec, traceID)
 	// 1. HTTP response header.
 	if echoed != traceID {
 		t.Fatalf("response header echoed %q, want %q", echoed, traceID)
@@ -117,7 +136,7 @@ func TestTraceIDEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	for _, typ := range []string{obs.EventJobSubmitted, obs.EventJobClaimed, obs.EventJobFinished} {
+	for _, typ := range []string{obs.EventJobSubmitted, obs.EventJobLeased, obs.EventJobFinished} {
 		if !lifecycle[typ] {
 			t.Errorf("journal missing %s for trace %s (saw %v)", typ, traceID, lifecycle)
 		}
@@ -142,11 +161,11 @@ func TestTraceIDEndToEnd(t *testing.T) {
 		t.Fatalf("run.log does not mention the trace ID:\n%s", logData)
 	}
 
-	// 6. trace.json: a standalone Chrome trace with the flow events for this
-	// request. The artifact is exported by the runner before the queue
-	// finalizes the job, so it carries the submit (s) and attempt (t) nodes;
-	// the finish terminator (f) is emitted at finalization and lives in the
-	// daemon-wide trace ring.
+	// 6. trace.json: a standalone Chrome trace with the flow events and the
+	// stage spans of this request. The artifact is exported by the runner
+	// before the queue finalizes the job, so it carries the submit (s) and
+	// attempt (t) nodes; the finish terminator (f) is emitted at
+	// finalization and lives in the daemon-wide trace ring.
 	traceData, err := os.ReadFile(filepath.Join(dir, "trace.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -162,15 +181,22 @@ func TestTraceIDEndToEnd(t *testing.T) {
 		t.Fatalf("trace.json metadata = %v", doc.Metadata)
 	}
 	phases := map[string]bool{}
+	spans := 0
 	for _, ev := range doc.TraceEvents {
 		if ev.ID == traceID {
 			phases[ev.Phase] = true
+		}
+		if ev.Phase == "X" && ev.Args["trace_id"] == traceID {
+			spans++
 		}
 	}
 	for _, ph := range []string{obs.FlowStart, obs.FlowStep} {
 		if !phases[ph] {
 			t.Errorf("trace.json missing flow phase %q (saw %v)", ph, phases)
 		}
+	}
+	if spans == 0 {
+		t.Error("trace.json holds no stage span stamped with the trace ID")
 	}
 	ringPhases := map[string]bool{}
 	for _, ev := range rec.TraceEventsFor(traceID) {
@@ -185,7 +211,7 @@ func TestTraceIDEndToEnd(t *testing.T) {
 // paths: the middleware mints a valid ID when none is supplied and refuses
 // to echo a malformed one into logs and journals.
 func TestTraceIDMintedAndSanitized(t *testing.T) {
-	_, _, ts := newTracedService(t)
+	_, _, ts := newTracedService(t, 1)
 
 	echoed, st := submitTraced(t, ts, &CampaignSpec{Kind: KindSleep, SleepMS: 1}, "")
 	if !obs.ValidTraceID(echoed) {
@@ -210,7 +236,7 @@ func TestTraceIDMintedAndSanitized(t *testing.T) {
 // dashboard payload: worker utilization, per-kind throughput, and the
 // queue-wait / attempt-latency distributions for active kinds.
 func TestStatsExposesKindsAndLatency(t *testing.T) {
-	_, _, ts := newTracedService(t)
+	_, _, ts := newTracedService(t, 1)
 	client := NewClient(ts.URL)
 	ctx := context.Background()
 

@@ -2,8 +2,8 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,19 +12,46 @@ import (
 	"reveal/internal/obs"
 )
 
-// FabricWorker is the worker side of the campaign fabric: it leases jobs
-// from a coordinator over HTTP, executes them through the shared Runner,
-// heartbeats the lease while running, and reports the outcome back. A
-// worker that dies mid-job simply stops heartbeating — the coordinator's
-// reaper expires the lease and requeues the job elsewhere.
+// Coordinator is the lease protocol a FabricWorker executes jobs through.
+// *Client speaks it over HTTP to a remote coordinator; *Server implements
+// it in process with the code behind its fabric endpoints. On both
+// transports a lost lease matches jobs.ErrLeaseLost or jobs.ErrUnknownJob
+// with errors.Is.
+type Coordinator interface {
+	// LeaseJob leases one job, long-polling up to wait; a nil job means
+	// none became eligible in time.
+	LeaseJob(ctx context.Context, worker string, ttl, wait time.Duration) (*jobs.LeasedJob, error)
+	// RenewJobLease heartbeats a held lease and returns its new expiry.
+	RenewJobLease(ctx context.Context, id, worker, token string, ttl time.Duration) (time.Time, error)
+	// CompleteJob reports a leased attempt's outcome (errMsg empty =
+	// success) and returns the job's resulting status.
+	CompleteJob(ctx context.Context, id, worker, token string, result any, errMsg string) (jobs.Status, error)
+}
+
+// Worker metric names (global obs registry), exported by every process
+// that executes jobs.
+const (
+	MetricWorkersTotal = "reveal_workers_total" // execution slots
+	MetricWorkersBusy  = "reveal_workers_busy"  // slots running an attempt
+)
+
+// FabricWorker is the service's job executor: it leases jobs from a
+// Coordinator, executes them through the shared Runner, heartbeats the
+// lease while running, and reports the outcome back. A worker node drives
+// a remote coordinator over HTTP; a coordinator with in-process slots
+// (reveald -role all) drives its own Server directly. A worker that dies
+// mid-job simply stops heartbeating — the coordinator's reaper expires the
+// lease and requeues the job elsewhere.
 type FabricWorker struct {
 	// ID names this worker in leases and events (required, unique per node).
 	ID string
-	// Client talks to the coordinator (required; give it RetryAttempts so a
-	// coordinator restart is ridden out instead of killing the loop).
-	Client *Client
-	// Runner executes the leased campaigns (required). Its Cache is
-	// typically a RemoteTemplateCache so templates are shared fleet-wide.
+	// Client is the coordinator (required). A *Client should have
+	// RetryAttempts set so a coordinator restart is ridden out instead of
+	// killing the loop.
+	Client Coordinator
+	// Runner executes the leased campaigns (required). On a worker node its
+	// Cache is typically a RemoteTemplateCache so templates are shared
+	// fleet-wide.
 	Runner *Runner
 	// Slots is how many jobs run concurrently (minimum 1).
 	Slots int
@@ -34,24 +61,50 @@ type FabricWorker struct {
 	// PollWait is the server-side long-poll duration per idle lease request
 	// (default 10 s).
 	PollWait time.Duration
+
+	mu   sync.Mutex
+	busy int
+	// The Run/Shutdown handshake: Shutdown sets stopped and drives the
+	// running Run through stop (end leasing), kill (cancel attempts) and
+	// done (closed once Run has returned).
+	stopped bool
+	stop    context.CancelFunc
+	kill    context.CancelFunc
+	done    chan struct{}
 }
 
-// Run leases and executes jobs until ctx is canceled. It returns ctx.Err()
-// on a clean stop; in-flight jobs are completed (or abandoned to lease
-// expiry when the coordinator is gone).
+func (w *FabricWorker) slots() int {
+	return max(w.Slots, 1)
+}
+
+// Run leases and executes jobs until Shutdown drains the worker (it then
+// returns nil) or ctx is canceled — a hard stop that also cancels the
+// running attempts, whose failures are still reported (it then returns
+// ctx.Err()). Call it once.
 func (w *FabricWorker) Run(ctx context.Context) error {
-	slots := w.Slots
-	if slots < 1 {
-		slots = 1
+	attemptCtx, kill := context.WithCancel(ctx)
+	defer kill()
+	leaseCtx, stop := context.WithCancel(attemptCtx)
+	defer stop()
+	done := make(chan struct{})
+	defer close(done)
+	w.mu.Lock()
+	if w.stopped {
+		w.mu.Unlock()
+		return ctx.Err()
 	}
-	obs.Log().Info("fabric worker starting", "id", w.ID,
-		"coordinator", w.Client.BaseURL, "slots", slots)
+	w.stop, w.kill, w.done = stop, kill, done
+	w.mu.Unlock()
+
+	slots := w.slots()
+	obs.Global().Registry().Gauge(MetricWorkersTotal).Set(float64(slots))
+	obs.Log().Info("fabric worker starting", "id", w.ID, "slots", slots)
 	var wg sync.WaitGroup
 	for i := 0; i < slots; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.slotLoop(ctx)
+			w.slotLoop(leaseCtx, attemptCtx)
 		}()
 	}
 	wg.Wait()
@@ -59,23 +112,68 @@ func (w *FabricWorker) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (w *FabricWorker) slotLoop(ctx context.Context) {
+// Shutdown drains the worker: it stops leasing, lets the running attempts
+// finish until ctx expires, then cancels them and waits for Run to return.
+// It returns nil on a clean drain and the ctx error when the hard stop was
+// needed. A Run that has not started yet returns at once. Stopping aborts
+// a lease request in flight; a lease the coordinator granted to it is
+// requeued when it expires, as for a worker that died.
+func (w *FabricWorker) Shutdown(ctx context.Context) error {
+	w.mu.Lock()
+	w.stopped = true
+	stop, kill, done := w.stop, w.kill, w.done
+	w.mu.Unlock()
+	if done == nil {
+		return nil
+	}
+	stop()
+	select {
+	case <-done:
+		obs.Log().Info("fabric worker drained", "id", w.ID)
+		return nil
+	case <-ctx.Done():
+	}
+	obs.Log().Warn("fabric worker drain timed out, canceling running attempts", "id", w.ID)
+	kill()
+	<-done
+	return fmt.Errorf("service: worker %s drain timed out: %w", w.ID, ctx.Err())
+}
+
+// Stats returns the slot count and how many slots are running an attempt
+// (for /api/v1/stats and the top dashboard).
+func (w *FabricWorker) Stats() (workers, busy int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.slots(), w.busy
+}
+
+func (w *FabricWorker) setBusy(delta int) {
+	w.mu.Lock()
+	w.busy += delta
+	busy := w.busy
+	w.mu.Unlock()
+	obs.Global().Registry().Gauge(MetricWorkersBusy).Set(float64(busy))
+}
+
+// slotLoop leases under leaseCtx and runs each attempt under attemptCtx,
+// so a drain stops the leasing without touching the running attempt.
+func (w *FabricWorker) slotLoop(leaseCtx, attemptCtx context.Context) {
 	wait := w.PollWait
 	if wait <= 0 {
 		wait = 10 * time.Second
 	}
 	idleBackoff := time.Second
-	for ctx.Err() == nil {
-		lj, err := w.Client.LeaseJob(ctx, w.ID, w.LeaseTTL, wait)
+	for leaseCtx.Err() == nil {
+		lj, err := w.Client.LeaseJob(leaseCtx, w.ID, w.LeaseTTL, wait)
 		if err != nil {
-			if ctx.Err() != nil {
+			if leaseCtx.Err() != nil {
 				return
 			}
 			// Coordinator down or restarting: back off and keep trying; the
 			// client's own retry already absorbed short blips.
 			obs.Log().Warn("lease request failed", "worker", w.ID, "error", err)
 			select {
-			case <-ctx.Done():
+			case <-leaseCtx.Done():
 				return
 			case <-time.After(idleBackoff):
 			}
@@ -88,30 +186,37 @@ func (w *FabricWorker) slotLoop(ctx context.Context) {
 		if lj == nil {
 			continue // long-poll expired with nothing eligible
 		}
-		w.execute(ctx, lj)
+		w.execute(attemptCtx, lj)
 	}
 }
 
 // execute runs one leased job attempt end to end.
 func (w *FabricWorker) execute(ctx context.Context, lj *jobs.LeasedJob) {
+	w.setBusy(1)
+	defer w.setBusy(-1)
 	payload, err := DecodeCampaignPayload(lj.Kind, lj.Payload)
 	if err != nil {
 		w.complete(lj, nil, fmt.Sprintf("worker %s: %v", w.ID, err))
 		return
 	}
-	// Rebuild the runner's view of the job from the lease. FirstClaimedAt
-	// is unknown here; the coordinator owns queue-wait accounting.
+	// The runner's view of the job, rebuilt from the lease.
 	job := &jobs.Job{
-		ID:          lj.ID,
-		Kind:        lj.Kind,
-		TraceID:     lj.TraceID,
-		Tenant:      lj.Tenant,
-		Payload:     payload,
-		State:       jobs.StateRunning,
-		Attempts:    lj.Attempts,
-		MaxAttempts: lj.MaxAttempts,
-		StartedAt:   time.Now(),
-		Deadline:    lj.Deadline,
+		ID:       lj.ID,
+		Kind:     lj.Kind,
+		TraceID:  lj.TraceID,
+		Tenant:   lj.Tenant,
+		Payload:  payload,
+		Attempts: lj.Attempts,
+	}
+	if lj.TraceID != "" {
+		// The lease carries the request's trace identity across the queue
+		// boundary: every span, log line, and coefficient event the attempt
+		// produces is stamped with the trace ID the HTTP client saw in its
+		// response header.
+		ctx = obs.WithTraceContext(ctx, obs.TraceContext{TraceID: lj.TraceID})
+		obs.FlowEvent(lj.TraceID, obs.FlowStep, "attempt", map[string]any{
+			"job_id": lj.ID, "attempt": lj.Attempts, "worker": w.ID,
+		})
 	}
 	actx, cancel := context.WithCancel(ctx)
 	if !lj.Deadline.IsZero() {
@@ -121,9 +226,12 @@ func (w *FabricWorker) execute(ctx context.Context, lj *jobs.LeasedJob) {
 	}
 	defer cancel()
 	lost := w.heartbeat(actx, cancel, lj)
-	result, runErr := w.Runner.Run(actx, job)
+	sp := obs.StartSpanCtx(actx, "job")
+	sp.AddItems(1)
+	result, runErr := w.run(actx, job)
+	sp.End()
 	if lost.Load() {
-		// The lease expired (or the job was canceled) while we ran: the
+		// The lease expired or the job was canceled while we ran: the
 		// coordinator already requeued or finalized it, and a completion
 		// with a stale token would be rejected anyway. Drop the result —
 		// duplicate-completion idempotence is the coordinator's contract.
@@ -138,8 +246,21 @@ func (w *FabricWorker) execute(ctx context.Context, lj *jobs.LeasedJob) {
 	w.complete(lj, result, errMsg)
 }
 
-// heartbeat renews the lease at a third of its TTL until the attempt ends;
-// on a lost lease it cancels the attempt context and flags *lost.
+// run executes one attempt; a runner panic becomes a failed attempt
+// instead of taking the worker's process down.
+func (w *FabricWorker) run(ctx context.Context, job *jobs.Job) (result any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("service: runner panicked: %v", r)
+		}
+	}()
+	return w.Runner.Run(ctx, job)
+}
+
+// heartbeat renews the lease at a third of its TTL until the attempt ends.
+// When the lease is lost — the queue revoked it in process, or a renewal
+// answers jobs.ErrLeaseLost or jobs.ErrUnknownJob — it cancels the attempt
+// and flags *lost.
 func (w *FabricWorker) heartbeat(actx context.Context, cancel context.CancelFunc, lj *jobs.LeasedJob) *atomic.Bool {
 	lost := new(atomic.Bool)
 	ttl := w.LeaseTTL
@@ -160,6 +281,10 @@ func (w *FabricWorker) heartbeat(actx context.Context, cancel context.CancelFunc
 			select {
 			case <-actx.Done():
 				return
+			case <-lj.Revoked: // nil over HTTP: never ready
+				lost.Store(true)
+				cancel()
+				return
 			case <-ticker.C:
 			}
 			_, err := w.Client.RenewJobLease(actx, lj.ID, w.ID, lj.Token, ttl)
@@ -169,7 +294,7 @@ func (w *FabricWorker) heartbeat(actx context.Context, cancel context.CancelFunc
 			if actx.Err() != nil {
 				return
 			}
-			if StatusCode(err) == http.StatusConflict || StatusCode(err) == http.StatusNotFound {
+			if errors.Is(err, jobs.ErrLeaseLost) || errors.Is(err, jobs.ErrUnknownJob) {
 				// Lease lost for real: stop burning CPU on a void attempt.
 				lost.Store(true)
 				cancel()
