@@ -106,7 +106,7 @@ func BenchmarkTable2HintProbabilities(b *testing.B) {
 	// Mean posterior on the truth across the five rows.
 	sum := 0.0
 	for _, r := range rows {
-		sum += r.Probs[r.Secret]
+		sum += r.Probs.At(r.Secret)
 	}
 	b.ReportMetric(sum/float64(len(rows)), "mean-truth-posterior")
 }

@@ -29,6 +29,28 @@ type CoefficientClassifier struct {
 	// scorers plus alignment and posterior scratch), so repeated attacks
 	// over the same classifier reuse their buffers.
 	scorers sync.Pool
+	// labelSet is the label set of every Posterior, built once by labels.
+	labelsOnce sync.Once
+	labelSet   []int
+}
+
+// labels returns the ascending label set of the combined posterior: the
+// negative value labels, 0, then the positive value labels (the label
+// ranges Profile trains and ReadClassifier checks). It is built once and
+// shared, read-only, by every Posterior the classifier produces.
+func (c *CoefficientClassifier) labels() []int {
+	c.labelsOnce.Do(func() {
+		var labels []int
+		if c.Neg != nil {
+			labels = append(labels, c.Neg.Labels()...)
+		}
+		labels = append(labels, 0)
+		if c.Pos != nil {
+			labels = append(labels, c.Pos.Labels()...)
+		}
+		c.labelSet = labels
+	})
+	return c.labelSet
 }
 
 // scorer takes a reusable classification context from the pool (building
@@ -49,9 +71,9 @@ type Classification struct {
 	Value int
 	// Sign is the recovered branch (−1, 0, +1).
 	Sign int
-	// Probs is the posterior over coefficient values (Table II's rows):
-	// P(v) = P(sign)·P(v | sign).
-	Probs map[int]float64
+	// Probs is the posterior over coefficient values (a row of Table II):
+	// P(v) = P(sign)·P(v | sign), over the classifier's label set.
+	Probs Posterior
 }
 
 // tailAlign aligns a sub-trace by its end: the sampler-port read at the
@@ -73,15 +95,22 @@ func tailAlign(seg trace.Trace, length int) trace.Trace {
 func (c *CoefficientClassifier) ClassifySegment(seg trace.Trace) (*Classification, error) {
 	ss := c.scorer()
 	defer c.release(ss)
-	return ss.classify(seg)
+	labels := c.labels()
+	row := make([]float64, len(labels))
+	value, sign, err := ss.classify(seg, row)
+	if err != nil {
+		return nil, err
+	}
+	return &Classification{Value: value, Sign: sign, Probs: Posterior{Labels: labels, P: row}}, nil
 }
 
 // AttackResult aggregates the single-trace attack over one error
-// polynomial.
+// polynomial. The Probs rows of one attack share its label set and one
+// arena.
 type AttackResult struct {
 	Values []int
 	Signs  []int
-	Probs  []map[int]float64
+	Probs  []Posterior
 }
 
 // AttackTrace segments a full sampling trace into n coefficients and

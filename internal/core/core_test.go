@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -311,17 +312,17 @@ func TestRepairAndRecoverPlantedErrors(t *testing.T) {
 	res := &AttackResult{
 		Values: make([]int, params.N),
 		Signs:  make([]int, params.N),
-		Probs:  make([]map[int]float64, params.N),
+		Probs:  make([]Posterior, params.N),
 	}
 	for i, v := range tr.E2 {
 		res.Values[i] = int(v)
 		res.Signs[i] = sca.SignOf(int(v))
-		res.Probs[i] = map[int]float64{int(v): 0.9, int(v) + 1: 0.1}
+		res.Probs[i] = posteriorOf(map[int]float64{int(v): 0.9, int(v) + 1: 0.1})
 	}
 	for _, idx := range []int{5, 40} {
 		truth := res.Values[idx]
 		res.Values[idx] = truth - 1 // wrong ML guess
-		res.Probs[idx] = map[int]float64{truth - 1: 0.5, truth: 0.45, truth + 2: 0.05}
+		res.Probs[idx] = posteriorOf(map[int]float64{truth - 1: 0.5, truth: 0.45, truth + 2: 0.05})
 	}
 	got, repairedE2, trials, err := RepairAndRecover(params, pk, ct, res, 16, 20000)
 	if err != nil {
@@ -339,6 +340,64 @@ func TestRepairAndRecoverPlantedErrors(t *testing.T) {
 	}
 	if trials < 2 {
 		t.Error("repair should have needed more than one trial")
+	}
+}
+
+// TestRepairAndRecoverDeterministic: which alternatives the residual search
+// tries must not follow map iteration order. The one wrong coefficient's
+// true value ties at probability 0 with five other labels, and only four
+// alternatives are tried per coordinate; twenty runs must agree on the
+// error, the trial count and the recovered e2.
+func TestRepairAndRecoverDeterministic(t *testing.T) {
+	params := smallParams(t)
+	prng := sampler.NewXoshiro256(211)
+	kg := bfv.NewKeyGenerator(params, prng)
+	pk := kg.GenPublicKey(kg.GenSecretKey())
+	enc := bfv.NewEncryptor(params, pk, prng)
+	ct, tr, err := enc.EncryptWithTranscript(params.NewPlaintext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const planted = 9
+	type outcome struct {
+		err    string
+		trials int
+		e2     []int64
+	}
+	var first outcome
+	for run := 0; run < 20; run++ {
+		res := &AttackResult{Values: make([]int, params.N), Signs: make([]int, params.N)}
+		for i, v := range tr.E2 {
+			res.Values[i] = int(v)
+			res.Signs[i] = sca.SignOf(int(v))
+			res.Probs = append(res.Probs, posteriorOf(map[int]float64{int(v): 1}))
+		}
+		truth := int(tr.E2[planted])
+		res.Values[planted] = truth - 1
+		table := map[int]float64{}
+		for v := truth - 3; v <= truth+3; v++ {
+			table[v] = 0
+		}
+		table[truth-1] = 1
+		res.Probs[planted] = posteriorOf(table)
+		_, e2, trials, err := RepairAndRecover(params, pk, ct, res, 4, 100)
+		got := outcome{trials: trials, e2: e2}
+		if err != nil {
+			got.err = err.Error()
+		}
+		if run == 0 {
+			first = got
+			continue
+		}
+		if got.err != first.err || got.trials != first.trials || !slices.Equal(got.e2, first.e2) {
+			t.Fatalf("run %d: (%q, %d trials, e2 %v) differs from run 0 (%q, %d trials, e2 %v)",
+				run, got.err, got.trials, got.e2, first.err, first.trials, first.e2)
+		}
+	}
+	// Ties go in ascending label order: truth−3, truth−2, then the truth.
+	if first.err != "" || first.trials != 4 || first.e2[planted] != int64(tr.E2[planted]) {
+		t.Fatalf("repair gave (%q, %d trials), want the truth on the third alternative (4 trials)",
+			first.err, first.trials)
 	}
 }
 
@@ -407,13 +466,13 @@ func TestEstimatesFromAttack(t *testing.T) {
 	res := &AttackResult{
 		Values: make([]int, params.N),
 		Signs:  make([]int, params.N),
-		Probs:  make([]map[int]float64, params.N),
+		Probs:  make([]Posterior, params.N),
 	}
 	for i := range res.Probs {
 		v := (i % 7) - 3
 		res.Values[i] = v
 		res.Signs[i] = sca.SignOf(v)
-		res.Probs[i] = map[int]float64{v: 1}
+		res.Probs[i] = posteriorOf(map[int]float64{v: 1})
 	}
 	loss, err := EstimateFullHints(params, res)
 	if err != nil {
@@ -443,7 +502,7 @@ func TestEstimatesFromAttack(t *testing.T) {
 		t.Error("a guess must not increase hardness")
 	}
 	// Wrong-length results must be rejected.
-	short := &AttackResult{Values: []int{1}, Signs: []int{1}, Probs: []map[int]float64{{1: 1}}}
+	short := &AttackResult{Values: []int{1}, Signs: []int{1}, Probs: []Posterior{posteriorOf(map[int]float64{1: 1})}}
 	if _, err := EstimateFullHints(params, short); err == nil {
 		t.Error("short result should fail")
 	}
@@ -466,9 +525,9 @@ func TestSummarizeHints(t *testing.T) {
 	res := &AttackResult{
 		Values: []int{1, -2},
 		Signs:  []int{1, -1},
-		Probs: []map[int]float64{
-			{1: 0.9, 2: 0.1},
-			{-2: 1.0},
+		Probs: []Posterior{
+			posteriorOf(map[int]float64{1: 0.9, 2: 0.1}),
+			posteriorOf(map[int]float64{-2: 1.0}),
 		},
 	}
 	rows, err := SummarizeHints(res, []int64{1, -2}, []int{0, 1})
@@ -670,6 +729,20 @@ func TestClassifierSerializationRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadClassifier(strings.NewReader("BAD!")); err == nil {
 		t.Error("bad magic should fail")
+	}
+	// Value templates on the wrong side of 0 would break the ascending
+	// label order of posterior rows.
+	for _, swapped := range []*CoefficientClassifier{
+		{Length: cls.Length, MaxAbsValue: cls.MaxAbsValue, Sign: cls.Sign, Pos: cls.Neg, Neg: cls.Neg},
+		{Length: cls.Length, MaxAbsValue: cls.MaxAbsValue, Sign: cls.Sign, Pos: cls.Pos, Neg: cls.Sign},
+	} {
+		buf.Reset()
+		if err := WriteClassifier(&buf, swapped); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadClassifier(&buf); err == nil {
+			t.Errorf("value templates labelled %v / %v should fail", swapped.Pos.Labels(), swapped.Neg.Labels())
+		}
 	}
 }
 

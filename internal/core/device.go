@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"reveal/internal/obs"
 	"reveal/internal/power"
@@ -122,22 +123,15 @@ func (d *Device) captureWithSetup(firmware []byte, values []int64, metas []sampl
 			return nil, err
 		}
 	}
-	d.runCounter++
-	syn, err := power.NewSynthesizer(d.Model, sampler.NewXoshiro256(d.NoiseSeed^(d.runCounter*0x9e3779b97f4a7c15)))
+	// Budget: each coefficient costs ~10 instructions; 64 is generous slack.
+	samples, err := d.render(cpu, 64*(len(values)+4))
 	if err != nil {
 		return nil, err
-	}
-	cpu.OnEvent = syn.HandleEvent
-	// Budget: each coefficient costs ~10 instructions; 64 is generous slack.
-	budget := 64 * (len(values) + 4)
-	if _, err := cpu.Run(budget); err != nil {
-		return nil, fmt.Errorf("core: firmware run: %w", err)
 	}
 	if port.reads != len(port.values) {
 		return nil, fmt.Errorf("core: firmware performed %d port reads for %d queued samples",
 			port.reads, len(port.values))
 	}
-	samples := trace.Trace(syn.Samples())
 	if d.TriggerJitter > 0 {
 		jitterPRNG := sampler.NewXoshiro256(d.NoiseSeed ^ d.runCounter ^ 0x5151)
 		shift := int(sampler.Uint64Below(jitterPRNG, uint64(d.TriggerJitter+1)))
@@ -151,6 +145,35 @@ func (d *Device) captureWithSetup(firmware []byte, values []int64, metas []sampl
 			samples = append(pre, samples...)
 		}
 	}
+	return samples, nil
+}
+
+// renderBufs recycles render buffers across captures, devices and
+// goroutines: a capture renders into a pooled buffer and copies out one
+// exact-size trace, so a buffer grows once per pool entry rather than once
+// per capture.
+var renderBufs = sync.Pool{New: func() any { return new([]float64) }}
+
+// render runs the loaded firmware on cpu for at most budget instructions
+// under this run's measurement noise and returns its power trace, copied
+// out of a pooled render buffer into an exact-size trace.
+func (d *Device) render(cpu *rv32.CPU, budget int) (trace.Trace, error) {
+	d.runCounter++
+	syn, err := power.NewSynthesizer(d.Model, sampler.NewXoshiro256(d.NoiseSeed^(d.runCounter*0x9e3779b97f4a7c15)))
+	if err != nil {
+		return nil, err
+	}
+	buf := renderBufs.Get().(*[]float64)
+	defer renderBufs.Put(buf)
+	syn.RenderInto(*buf)
+	cpu.OnEvent = syn.HandleEvent
+	_, err = cpu.Run(budget)
+	*buf = syn.Samples()
+	if err != nil {
+		return nil, fmt.Errorf("core: firmware run: %w", err)
+	}
+	samples := make(trace.Trace, len(*buf))
+	copy(samples, *buf)
 	return samples, nil
 }
 
@@ -209,16 +232,7 @@ func (d *Device) captureRegions(firmware []byte, regions []mmioRegionSpec, coeff
 	if err := cpu.Load(firmware, 0); err != nil {
 		return nil, err
 	}
-	d.runCounter++
-	syn, err := power.NewSynthesizer(d.Model, sampler.NewXoshiro256(d.NoiseSeed^(d.runCounter*0x9e3779b97f4a7c15)))
-	if err != nil {
-		return nil, err
-	}
-	cpu.OnEvent = syn.HandleEvent
-	if _, err := cpu.Run(96 * (coeffs + 4)); err != nil {
-		return nil, fmt.Errorf("core: firmware run: %w", err)
-	}
-	return trace.Trace(syn.Samples()), nil
+	return d.render(cpu, 96*(coeffs+4))
 }
 
 // SyntheticMetas draws realistic rejection-count metadata (the timing side

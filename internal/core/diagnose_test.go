@@ -120,9 +120,9 @@ func TestEmitCoeffEvents(t *testing.T) {
 	res := &AttackResult{
 		Values: []int{1, -2},
 		Signs:  []int{1, -1},
-		Probs: []map[int]float64{
-			{1: 0.8, 0: 0.2},
-			{-2: 0.6, -1: 0.4},
+		Probs: []Posterior{
+			posteriorOf(map[int]float64{1: 0.8, 0: 0.2}),
+			posteriorOf(map[int]float64{-2: 0.6, -1: 0.4}),
 		},
 	}
 	EmitCoeffEvents(context.Background(), "e1", res, []int64{1, -1})

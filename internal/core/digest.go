@@ -10,16 +10,17 @@ import (
 )
 
 // Digest returns the canonical SHA-256 fingerprint of the result: values,
-// signs, and the full posterior tables, marshaled as canonical JSON (map
-// keys sorted, floats in shortest round-trip form, so two results digest
-// equal iff every float is bit-identical up to the -0/0 distinction JSON
-// preserves). The streaming and batch attack paths are held to digest
-// equality by the determinism contract and the CI stream-smoke job.
+// signs, and the full posterior tables, marshaled as canonical JSON (each
+// table in its map form, keys sorted; floats in shortest round-trip form,
+// so two results digest equal iff every float is bit-identical up to the
+// -0/0 distinction JSON preserves). The streaming and batch attack paths
+// are held to digest equality by the determinism contract and the CI
+// stream-smoke job.
 func (r *AttackResult) Digest() (string, error) {
 	data, err := json.Marshal(struct {
-		Values []int             `json:"values"`
-		Signs  []int             `json:"signs"`
-		Probs  []map[int]float64 `json:"probs"`
+		Values []int       `json:"values"`
+		Signs  []int       `json:"signs"`
+		Probs  []Posterior `json:"probs"`
 	}{r.Values, r.Signs, r.Probs})
 	if err != nil {
 		return "", err

@@ -39,8 +39,8 @@ func EstimateFullHints(params *bfv.Parameters, res *AttackResult) (*dbdd.Securit
 		sp := obs.StartSpan("hints")
 		sp.AddItems(len(res.Probs))
 		defer sp.End()
-		for i, probs := range res.Probs {
-			h := dbdd.HintFromProbabilities(probs)
+		for i, post := range res.Probs {
+			h := dbdd.HintFromProbabilities(post.Labels, post.P)
 			if err := in.IntegrateCoefficientHint(errorCoord(params, i), h); err != nil {
 				return err
 			}
@@ -101,7 +101,7 @@ func SignOnlyWithGuess(params *bfv.Parameters, res *AttackResult) (bikz float64,
 // measurement with its centered mean and variance.
 type HintSummary struct {
 	TrueValue int
-	Probs     map[int]float64
+	Probs     Posterior
 	Centered  float64
 	Variance  float64
 }
@@ -113,7 +113,7 @@ func SummarizeHints(res *AttackResult, truth []int64, indices []int) ([]HintSumm
 		if i < 0 || i >= len(res.Probs) {
 			return nil, fmt.Errorf("core: index %d out of range", i)
 		}
-		h := dbdd.HintFromProbabilities(res.Probs[i])
+		h := dbdd.HintFromProbabilities(res.Probs[i].Labels, res.Probs[i].P)
 		s := HintSummary{Probs: res.Probs[i], Centered: h.Mean, Variance: h.Variance}
 		if truth != nil && i < len(truth) {
 			s.TrueValue = int(truth[i])

@@ -28,7 +28,7 @@ func EmitCoeffEvents(ctx context.Context, poly string, res *AttackResult, truth 
 	}
 	for i := 0; i < n; i++ {
 		tv := int(truth[i])
-		margin, entropy, rank := obs.PosteriorStats(res.Probs[i], tv)
+		margin, entropy, rank := obs.PosteriorStats(res.Probs[i].Labels, res.Probs[i].P, tv)
 		rec.RecordCoeff(obs.CoeffEvent{
 			TraceID:     traceID,
 			Poly:        poly,

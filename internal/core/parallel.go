@@ -29,16 +29,20 @@ func (c *CoefficientClassifier) AttackSegmentsCtx(ctx context.Context, segs []tr
 // counter, check ctx once per claim, and write each result by index.
 // Because every coefficient's classification is an independent pure
 // function of its segment, the output is byte-identical for every worker
-// count. The first error wins; it also exhausts the counter, so the other
-// workers stop at their next claim.
+// count. Posteriors are written in place into one n×labels arena, each
+// worker into the disjoint rows of its claims. The first error wins; it
+// also exhausts the counter, so the other workers stop at their next claim.
 func (c *CoefficientClassifier) AttackSegmentsParallel(ctx context.Context, segs []trace.Segment, workers int) (*AttackResult, error) {
 	sp := obs.StartSpanCtx(ctx, "classify")
 	sp.AddItems(len(segs))
 	defer sp.End()
+	labels := c.labels()
+	width := len(labels)
+	arena := make([]float64, len(segs)*width)
 	res := &AttackResult{
 		Values: make([]int, len(segs)),
 		Signs:  make([]int, len(segs)),
-		Probs:  make([]map[int]float64, len(segs)),
+		Probs:  make([]Posterior, len(segs)),
 	}
 	var (
 		next     atomic.Int64
@@ -67,14 +71,15 @@ func (c *CoefficientClassifier) AttackSegmentsParallel(ctx context.Context, segs
 				return
 			}
 			for i := lo; i < min(lo+classifyClaim, len(segs)); i++ {
-				cl, err := ss.classify(segs[i].Samples)
+				row := arena[i*width : (i+1)*width : (i+1)*width]
+				value, sign, err := ss.classify(segs[i].Samples, row)
 				if err != nil {
 					fail(fmt.Errorf("core: coefficient %d: %w", i, err))
 					return
 				}
-				res.Values[i] = cl.Value
-				res.Signs[i] = cl.Sign
-				res.Probs[i] = cl.Probs
+				res.Values[i] = value
+				res.Signs[i] = sign
+				res.Probs[i] = Posterior{Labels: labels, P: row}
 			}
 		}
 	}

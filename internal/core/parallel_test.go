@@ -46,7 +46,7 @@ func legacyAttack(t *testing.T, cls *CoefficientClassifier, segs []trace.Segment
 		}
 		res.Values = append(res.Values, cl.Value)
 		res.Signs = append(res.Signs, cl.Sign)
-		res.Probs = append(res.Probs, cl.Probs)
+		res.Probs = append(res.Probs, posteriorOf(cl.Probs))
 	}
 	return res
 }

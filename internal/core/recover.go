@@ -162,31 +162,27 @@ func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphert
 	}
 	doubts := make([]doubt, len(attack.Values))
 	for i := range attack.Values {
-		doubts[i] = doubt{idx: i, conf: attack.Probs[i][attack.Values[i]]}
+		doubts[i] = doubt{idx: i, conf: attack.Probs[i].At(attack.Values[i])}
 	}
 	sort.Slice(doubts, func(a, b int) bool { return doubts[a].conf < doubts[b].conf })
 
-	// Alternative candidates per coordinate, by posterior mass.
+	// Up to four alternative candidates per coordinate, by posterior mass,
+	// equal masses in ascending label order; computed once per coordinate.
+	alts := make([][]int, len(attack.Values))
 	altsFor := func(i int) []int {
-		type cand struct {
-			v int
-			p float64
+		if alts[i] != nil {
+			return alts[i]
 		}
-		var cs []cand
-		for v, p := range attack.Probs[i] {
+		post := attack.Probs[i]
+		cands := make([]int, 0, len(post.Labels))
+		for _, v := range post.Labels {
 			if v != attack.Values[i] {
-				cs = append(cs, cand{v, p})
+				cands = append(cands, v)
 			}
 		}
-		sort.Slice(cs, func(a, b int) bool { return cs[a].p > cs[b].p })
-		if len(cs) > 4 {
-			cs = cs[:4]
-		}
-		out := make([]int, len(cs))
-		for k, c := range cs {
-			out[k] = c.v
-		}
-		return out
+		sort.SliceStable(cands, func(a, b int) bool { return post.At(cands[a]) > post.At(cands[b]) })
+		alts[i] = cands[:min(len(cands), 4)]
+		return alts[i]
 	}
 
 	// Stage 1: single substitutions over every coordinate, least confident

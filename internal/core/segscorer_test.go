@@ -9,10 +9,16 @@ import (
 	"reveal/internal/trace"
 )
 
+// legacyClassification is a Classification with its posterior in map form.
+type legacyClassification struct {
+	Value, Sign int
+	Probs       map[int]float64
+}
+
 // legacyClassifySegment replicates the pre-scorer classification pipeline —
 // map-based posteriors, duplicate template evaluations and all — as the
 // bitwise ground truth for the pooled segScorer path.
-func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*Classification, error) {
+func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*legacyClassification, error) {
 	aligned := tailAlign(seg, c.Length)
 	signProbs, err := c.Sign.Probabilities(aligned)
 	if err != nil {
@@ -71,7 +77,28 @@ func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*Classifi
 	if err != nil {
 		return nil, err
 	}
-	return &Classification{Value: value, Sign: sign, Probs: probs}, nil
+	return &legacyClassification{Value: value, Sign: sign, Probs: probs}, nil
+}
+
+// assertPosteriorBits fails unless the dense posterior of coefficient i
+// holds exactly the labels of the map form, ascending, with
+// Float64bits-equal probabilities.
+func assertPosteriorBits(t *testing.T, i int, want map[int]float64, got Posterior) {
+	t.Helper()
+	if len(got.Labels) != len(want) || len(got.P) != len(want) {
+		t.Fatalf("coefficient %d: %d labels and %d probabilities, want %d entries",
+			i, len(got.Labels), len(got.P), len(want))
+	}
+	for k, v := range got.Labels {
+		p, ok := want[v]
+		if !ok || (k > 0 && v <= got.Labels[k-1]) {
+			t.Fatalf("coefficient %d: labels %v, want the ascending keys of %v", i, got.Labels, want)
+		}
+		if math.Float64bits(p) != math.Float64bits(got.P[k]) {
+			t.Fatalf("coefficient %d: P(%d) = %x, want %x (Float64bits)",
+				i, v, math.Float64bits(got.P[k]), math.Float64bits(p))
+		}
+	}
 }
 
 // TestClassifySegmentBitwiseMatchesLegacy: the scorer-based classification
@@ -97,19 +124,7 @@ func TestClassifySegmentBitwiseMatchesLegacy(t *testing.T) {
 			t.Fatalf("coefficient %d: value/sign (%d,%d), want (%d,%d)",
 				i, got.Value, got.Sign, want.Value, want.Sign)
 		}
-		if len(got.Probs) != len(want.Probs) {
-			t.Fatalf("coefficient %d: %d posterior entries, want %d", i, len(got.Probs), len(want.Probs))
-		}
-		for v, p := range want.Probs {
-			gp, ok := got.Probs[v]
-			if !ok {
-				t.Fatalf("coefficient %d: posterior missing value %d", i, v)
-			}
-			if math.Float64bits(p) != math.Float64bits(gp) {
-				t.Fatalf("coefficient %d: posterior[%d] = %x, want %x",
-					i, v, math.Float64bits(gp), math.Float64bits(p))
-			}
-		}
+		assertPosteriorBits(t, i, want.Probs, got.Probs)
 	}
 }
 
@@ -128,7 +143,7 @@ func TestSegScorerMissingSide(t *testing.T) {
 		Sign: cls.Sign, Pos: cls.Pos,
 	}
 	sawErr, sawOK := false, false
-	for _, s := range segs {
+	for i, s := range segs {
 		want, legacyErr := legacyClassifySegment(onlyPos, s.Samples)
 		got, gotErr := onlyPos.ClassifySegment(s.Samples)
 		if (legacyErr == nil) != (gotErr == nil) {
@@ -142,11 +157,7 @@ func TestSegScorerMissingSide(t *testing.T) {
 		if got.Value != want.Value || got.Sign != want.Sign {
 			t.Fatalf("value/sign (%d,%d), want (%d,%d)", got.Value, got.Sign, want.Value, want.Sign)
 		}
-		for v, p := range want.Probs {
-			if math.Float64bits(p) != math.Float64bits(got.Probs[v]) {
-				t.Fatalf("posterior[%d] drifted", v)
-			}
-		}
+		assertPosteriorBits(t, i, want.Probs, got.Probs)
 	}
 	if !sawOK {
 		t.Error("expected at least one classifiable segment without negative templates")

@@ -49,12 +49,12 @@ func (r *SelftestReport) Digest() string {
 // selftestSummary is the canonical JSON payload a pipeline run is digested
 // over. Only deterministic fields appear — no timings, no throughput.
 type selftestSummary struct {
-	ValuesE1 []int             `json:"values_e1"`
-	SignsE1  []int             `json:"signs_e1"`
-	ProbsE1  []map[int]float64 `json:"probs_e1"`
-	ValuesE2 []int             `json:"values_e2"`
-	SignsE2  []int             `json:"signs_e2"`
-	ProbsE2  []map[int]float64 `json:"probs_e2"`
+	ValuesE1 []int       `json:"values_e1"`
+	SignsE1  []int       `json:"signs_e1"`
+	ProbsE1  []Posterior `json:"probs_e1"`
+	ValuesE2 []int       `json:"values_e2"`
+	SignsE2  []int       `json:"signs_e2"`
+	ProbsE2  []Posterior `json:"probs_e2"`
 
 	ValueAccuracy float64 `json:"value_accuracy_e2"`
 	SignAccuracy  float64 `json:"sign_accuracy_e2"`

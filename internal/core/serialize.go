@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"reveal/internal/sca"
 )
@@ -73,5 +74,23 @@ func ReadClassifier(r io.Reader) (*CoefficientClassifier, error) {
 	if c.Neg, err = sca.ReadTemplates(br); err != nil {
 		return nil, fmt.Errorf("core: negative templates: %w", err)
 	}
+	// Posterior rows hold the negative labels, 0, then the positive ones,
+	// ascending (see CoefficientClassifier.labels).
+	if !ascendingWithin(c.Pos.Labels(), 1, math.MaxInt) {
+		return nil, fmt.Errorf("core: positive templates carry labels %v", c.Pos.Labels())
+	}
+	if !ascendingWithin(c.Neg.Labels(), math.MinInt, -1) {
+		return nil, fmt.Errorf("core: negative templates carry labels %v", c.Neg.Labels())
+	}
 	return c, nil
+}
+
+// ascendingWithin reports whether labels ascend strictly within [lo, hi].
+func ascendingWithin(labels []int, lo, hi int) bool {
+	for i, l := range labels {
+		if l < lo || l > hi || i > 0 && l <= labels[i-1] {
+			return false
+		}
+	}
+	return true
 }

@@ -30,6 +30,12 @@ const (
 	MetricStreamEarlyExit = "reveal_stream_early_exit_total"
 )
 
+// streamArenaRows is how many posterior rows a streaming attack allocates
+// at once: its arena grows in blocks as coefficients arrive, so the first
+// hint never waits on an n-row allocation and an early exit never pays for
+// rows it did not reach.
+const streamArenaRows = 64
+
 // DefaultStreamCheckEvery is how many classified coefficients pass between
 // bikz re-estimates when a target bikz is set. The stride is counted in
 // coefficients — never wall clock or chunk sizes — so the early-exit point
@@ -106,6 +112,8 @@ type StreamAttack struct {
 	seg  *trace.StreamSegmenter
 	ss   *segScorer
 	res  *AttackResult
+	// arena is the unused tail of the current block of posterior rows.
+	arena []float64
 
 	inst         *dbdd.Instance
 	baselineBikz float64
@@ -176,10 +184,12 @@ func NewStreamAttackCtx(ctx context.Context, cls *CoefficientClassifier, opts St
 	}
 	sa.seg = seg
 	sa.ss = cls.scorer()
+	// Probs grows by append: an n-entry slice up front would be the one
+	// large allocation ahead of the first hint.
 	sa.res = &AttackResult{
 		Values: make([]int, 0, opts.Coefficients),
 		Signs:  make([]int, 0, opts.Coefficients),
-		Probs:  make([]map[int]float64, 0, opts.Coefficients),
+		Probs:  []Posterior{},
 	}
 	sa.sp = obs.StartSpanCtx(ctx, "stream_attack")
 	return sa, nil
@@ -230,18 +240,24 @@ func (sa *StreamAttack) onSegments(segs []trace.Segment) error {
 			return nil // the sentinel segment is discarded unclassified
 		}
 		i := len(sa.res.Values)
-		cl, err := sa.ss.classify(s.Samples)
+		labels := sa.cls.labels()
+		if len(sa.arena) == 0 {
+			sa.arena = make([]float64, streamArenaRows*len(labels))
+		}
+		row := sa.arena[:len(labels):len(labels)]
+		sa.arena = sa.arena[len(labels):]
+		value, sign, err := sa.ss.classify(s.Samples, row)
 		if err != nil {
 			return fmt.Errorf("core: coefficient %d: %w", i, err)
 		}
-		sa.res.Values = append(sa.res.Values, cl.Value)
-		sa.res.Signs = append(sa.res.Signs, cl.Sign)
-		sa.res.Probs = append(sa.res.Probs, cl.Probs)
+		sa.res.Values = append(sa.res.Values, value)
+		sa.res.Signs = append(sa.res.Signs, sign)
+		sa.res.Probs = append(sa.res.Probs, Posterior{Labels: labels, P: row})
 		if sa.firstHint == 0 {
 			sa.firstHint = time.Since(sa.started)
 		}
 		if sa.inst != nil {
-			h := dbdd.HintFromProbabilities(cl.Probs)
+			h := dbdd.HintFromProbabilities(labels, row)
 			if err := sa.inst.IntegrateCoefficientHint(errorCoord(sa.opts.Params, i), h); err != nil {
 				return fmt.Errorf("core: integrating hint %d: %w", i, err)
 			}
@@ -298,8 +314,8 @@ func (sa *StreamAttack) Finish() (*AttackResult, *StreamVerdict, error) {
 		TimeToVerdict:   sa.verdictAt,
 		SamplesIngested: sa.samples,
 	}
-	for _, probs := range sa.res.Probs {
-		if m, ok := sca.TopMargin(probs); ok {
+	for _, post := range sa.res.Probs {
+		if m, ok := sca.TopMargin(post.P); ok {
 			sa.verdict.MarginSum += m
 			sa.verdict.MarginCount++
 		}

@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 
@@ -122,17 +121,7 @@ func assertResultsBitIdentical(t *testing.T, want, got *AttackResult) {
 			t.Fatalf("coefficient %d: value/sign %d/%d, want %d/%d",
 				i, got.Values[i], got.Signs[i], want.Values[i], want.Signs[i])
 		}
-		if len(got.Probs[i]) != len(want.Probs[i]) {
-			t.Fatalf("coefficient %d: %d posterior entries, want %d",
-				i, len(got.Probs[i]), len(want.Probs[i]))
-		}
-		for v, p := range want.Probs[i] {
-			q, ok := got.Probs[i][v]
-			if !ok || math.Float64bits(p) != math.Float64bits(q) {
-				t.Fatalf("coefficient %d: P(%d) = %x, want %x (Float64bits)",
-					i, v, math.Float64bits(q), math.Float64bits(p))
-			}
-		}
+		assertPosteriorBits(t, i, posteriorMap(want.Probs[i]), got.Probs[i])
 	}
 	wd, err := want.Digest()
 	if err != nil {

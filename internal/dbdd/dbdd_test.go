@@ -222,28 +222,29 @@ func TestModularHint(t *testing.T) {
 
 func TestHintFromProbabilities(t *testing.T) {
 	// Certain value: variance 0.
-	h := HintFromProbabilities(map[int]float64{3: 1})
+	h := HintFromProbabilities([]int{3}, []float64{1})
 	if h.Mean != 3 || h.Variance != 0 {
 		t.Errorf("certain hint: %+v", h)
 	}
 	// 50/50 between 1 and 3: mean 2, variance 1.
-	h = HintFromProbabilities(map[int]float64{1: 0.5, 3: 0.5})
+	h = HintFromProbabilities([]int{1, 3}, []float64{0.5, 0.5})
 	if math.Abs(h.Mean-2) > 1e-12 || math.Abs(h.Variance-1) > 1e-12 {
 		t.Errorf("mixed hint: %+v", h)
 	}
 	// Unnormalized tables are renormalized.
-	h = HintFromProbabilities(map[int]float64{1: 2, 3: 2})
+	h = HintFromProbabilities([]int{1, 3}, []float64{2, 2})
 	if math.Abs(h.Mean-2) > 1e-12 {
 		t.Errorf("unnormalized hint: %+v", h)
 	}
 	// Empty: zeroes.
-	h = HintFromProbabilities(nil)
+	h = HintFromProbabilities(nil, nil)
 	if h.Mean != 0 || h.Variance != 0 {
 		t.Errorf("empty hint: %+v", h)
 	}
 }
 
-// sortedHint is the ascending-label reference for HintFromProbabilities.
+// sortedHint is the ascending-label reference for HintFromProbabilities,
+// over a table in map form.
 func sortedHint(probs map[int]float64) CoefficientHint {
 	labels := make([]int, 0, len(probs))
 	for v := range probs {
@@ -269,10 +270,9 @@ func sortedHint(probs map[int]float64) CoefficientHint {
 }
 
 // TestHintFromProbabilitiesDeterministic: the hint feeds every streamed
-// DBDD estimate, so its sums must not follow map iteration order. Repeated
-// calls on one table must agree with the ascending-order accumulation to
-// the bit, for a dense 29-label posterior like the attack's and for sparse
-// tables up to the extremes of int.
+// DBDD estimate, so it must equal the ascending-label accumulation over
+// the table's map form to the bit, for a dense 29-label posterior like
+// the attack's and for sparse tables up to the extremes of int.
 func TestHintFromProbabilitiesDeterministic(t *testing.T) {
 	dense := map[int]float64{}
 	for v := -14; v <= 14; v++ {
@@ -281,13 +281,20 @@ func TestHintFromProbabilitiesDeterministic(t *testing.T) {
 	sparse := map[int]float64{-1 << 40: 0.1, -3: 0.2, 0: 0.3, 5: 0.15, 1 << 40: 0.25}
 	extreme := map[int]float64{math.MinInt: 0.5, 0: 0.25, math.MaxInt: 0.25}
 	for name, probs := range map[string]map[int]float64{"dense": dense, "sparse": sparse, "extreme": extreme} {
+		labels := make([]int, 0, len(probs))
+		for v := range probs {
+			labels = append(labels, v)
+		}
+		sort.Ints(labels)
+		p := make([]float64, len(labels))
+		for k, v := range labels {
+			p[k] = probs[v]
+		}
 		want := sortedHint(probs)
-		for i := 0; i < 1000; i++ {
-			got := HintFromProbabilities(probs)
-			if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
-				math.Float64bits(got.Variance) != math.Float64bits(want.Variance) {
-				t.Fatalf("%s call %d: %+v, want %+v (ascending-label sums)", name, i, got, want)
-			}
+		got := HintFromProbabilities(labels, p)
+		if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
+			math.Float64bits(got.Variance) != math.Float64bits(want.Variance) {
+			t.Fatalf("%s: %+v, want %+v (ascending-label sums)", name, got, want)
 		}
 	}
 }

@@ -14,84 +14,27 @@ type CoefficientHint struct {
 }
 
 // HintFromProbabilities condenses a probability table over coefficient
-// values into a CoefficientHint, exactly as [31] consumes the attack's
-// per-measurement score tables. Both sums run in ascending label order, so
-// the result does not depend on map iteration order.
-func HintFromProbabilities(probs map[int]float64) CoefficientHint {
-	var w labelWindow
-	w.fill(probs)
+// values — p[k] is the probability of labels[k], labels ascending — into a
+// CoefficientHint, exactly as [31] consumes the attack's per-measurement
+// score tables. Both sums run in ascending label order.
+func HintFromProbabilities(labels []int, p []float64) CoefficientHint {
 	var mean, total float64
-	w.ascending(probs, func(v int, p float64) {
-		mean += float64(v) * p
-		total += p
-	})
+	for k, v := range labels {
+		mean += float64(v) * p[k]
+		total += p[k]
+	}
 	if total > 0 {
 		mean /= total
 	}
 	var variance float64
-	w.ascending(probs, func(v int, p float64) {
+	for k, v := range labels {
 		d := float64(v) - mean
-		variance += p * d * d
-	})
+		variance += p[k] * d * d
+	}
 	if total > 0 {
 		variance /= total
 	}
 	return CoefficientHint{Mean: mean, Variance: variance}
-}
-
-// window is the label span a labelWindow files directly (a power of two).
-// Attack tables span 29 values.
-const window = 128
-
-// labelWindow lets a probability table be walked in ascending label order
-// without sorting or allocating. One pass over the map files each entry
-// under its label modulo window; when all labels lie within window
-// consecutive values those slots are distinct, and walking from the lowest
-// label to the highest visits them in order.
-type labelWindow struct {
-	lo, hi int
-	p      [window]float64
-	has    [window]bool
-}
-
-func (w *labelWindow) fill(probs map[int]float64) {
-	w.lo, w.hi = math.MaxInt, math.MinInt
-	for v, p := range probs {
-		w.p[v&(window-1)], w.has[v&(window-1)] = p, true
-		w.lo, w.hi = min(w.lo, v), max(w.hi, v)
-	}
-}
-
-// ascending calls fn on every entry of probs — the table passed to fill —
-// in ascending label order. A table wider than the window falls back to
-// scanning the map for each successor.
-func (w *labelWindow) ascending(probs map[int]float64, fn func(v int, p float64)) {
-	if len(probs) == 0 {
-		return
-	}
-	if uint64(w.hi)-uint64(w.lo) < window {
-		for v := w.lo; ; v++ {
-			if i := v & (window - 1); w.has[i] {
-				fn(v, w.p[i])
-			}
-			if v == w.hi {
-				return
-			}
-		}
-	}
-	for v := w.lo; ; {
-		fn(v, probs[v])
-		if v == w.hi {
-			return
-		}
-		next := w.hi
-		for l := range probs {
-			if l > v && l < next {
-				next = l
-			}
-		}
-		v = next
-	}
 }
 
 // PerfectThreshold is the variance below which a hint is treated as

@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -161,7 +160,7 @@ func (s *Session) RunTable1() (*Table1Result, error) {
 // the centered mean and variance columns.
 type Table2Row struct {
 	Secret   int
-	Probs    map[int]float64
+	Probs    core.Posterior
 	Centered float64
 	Variance float64
 }
@@ -179,7 +178,7 @@ func RunTable2(out *core.AttackResult, truth []int64) ([]Table2Row, error) {
 			if int(tv) != w {
 				continue
 			}
-			h := dbdd.HintFromProbabilities(out.Probs[i])
+			h := dbdd.HintFromProbabilities(out.Probs[i].Labels, out.Probs[i].P)
 			rows = append(rows, Table2Row{
 				Secret: w, Probs: out.Probs[i], Centered: h.Mean, Variance: h.Variance,
 			})
@@ -308,7 +307,7 @@ func FormatTable2(rows []Table2Row) string {
 	for _, row := range rows {
 		fmt.Fprintf(&b, "%7d", row.Secret)
 		for v := -2; v <= 2; v++ {
-			fmt.Fprintf(&b, "%12.3g", row.Probs[v])
+			fmt.Fprintf(&b, "%12.3g", row.Probs.At(v))
 		}
 		fmt.Fprintf(&b, "%12.4g%12.4g\n", row.Centered, row.Variance)
 	}
@@ -338,17 +337,6 @@ func FormatTable4(r *Table4Result) string {
 	fmt.Fprintf(&b, "%-36s %10d %14s\n", "number of guesses", r.NumberOfGuesses, "1")
 	fmt.Fprintf(&b, "%-36s %9.0f%% %14s\n", "success probability", 100*r.SuccessProbability, "20%")
 	return b.String()
-}
-
-// SortedLabels lists the labels of a probability map in ascending order
-// (rendering helper).
-func SortedLabels(p map[int]float64) []int {
-	out := make([]int, 0, len(p))
-	for v := range p {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // CrossDeviceResult quantifies template portability: profile on device A,

@@ -78,8 +78,8 @@ func TestTables1Through4(t *testing.T) {
 	for _, r := range rows {
 		// The true value should carry (most of) the probability mass, as
 		// in the paper's Table II where posteriors round to ≈1.
-		if r.Probs[r.Secret] < 0.5 {
-			t.Errorf("secret %d has posterior %.3f on the truth", r.Secret, r.Probs[r.Secret])
+		if r.Probs.At(r.Secret) < 0.5 {
+			t.Errorf("secret %d has posterior %.3f on the truth", r.Secret, r.Probs.At(r.Secret))
 		}
 		if r.Variance < 0 {
 			t.Errorf("negative variance for secret %d", r.Secret)
@@ -155,13 +155,6 @@ func TestFig3(t *testing.T) {
 	// zero (shortest body): negative must be the longest fixed tail.
 	if len(r.Negative) <= len(r.Zero)-12 {
 		t.Error("negative branch sub-trace suspiciously short")
-	}
-}
-
-func TestSortedLabels(t *testing.T) {
-	got := SortedLabels(map[int]float64{3: 1, -1: 1, 0: 1})
-	if len(got) != 3 || got[0] != -1 || got[2] != 3 {
-		t.Errorf("labels=%v", got)
 	}
 }
 

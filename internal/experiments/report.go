@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 
+	"reveal/internal/core"
 	"reveal/internal/sca"
 )
 
@@ -38,10 +39,10 @@ type Table2Report struct {
 
 // Table2ReportRow is one measurement's probability table.
 type Table2ReportRow struct {
-	Secret   int             `json:"secret"`
-	Probs    map[int]float64 `json:"probs"`
-	Centered float64         `json:"centered"`
-	Variance float64         `json:"variance"`
+	Secret   int            `json:"secret"`
+	Probs    core.Posterior `json:"probs"`
+	Centered float64        `json:"centered"`
+	Variance float64        `json:"variance"`
 }
 
 // ReportTable2 converts Table II rows to the machine-readable form.

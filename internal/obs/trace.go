@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -278,38 +279,30 @@ func (r *Recorder) RecordCoeff(ev CoeffEvent) {
 func RecordCoeff(ev CoeffEvent) { Global().RecordCoeff(ev) }
 
 // PosteriorStats derives the CoeffEvent quality fields from a posterior
-// over candidate values: the top-two margin, the Shannon entropy in bits,
-// and the 1-based rank of trueValue (len(posterior)+1 when the true value
-// is not a candidate).
-func PosteriorStats(probs map[int]float64, trueValue int) (margin, entropyBits float64, rank int) {
-	// Iterate candidates in sorted-key order, not map order: the entropy
-	// accumulation is a float sum, and summation order must not depend on
-	// Go's randomized map iteration or the journal loses bitwise replay
-	// determinism.
-	keys := make([]int, 0, len(probs))
-	for k := range probs {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+// over candidate values — p[k] is the probability of labels[k], labels
+// ascending: the top-two margin, the Shannon entropy in bits, and the
+// 1-based rank of trueValue (len(labels)+1 when the true value is not a
+// candidate). The entropy is a float sum over candidates in ascending
+// label order, so the journal keeps bitwise replay determinism.
+func PosteriorStats(labels []int, p []float64, trueValue int) (margin, entropyBits float64, rank int) {
 	top1, top2 := math.Inf(-1), math.Inf(-1)
-	pTrue, hasTrue := probs[trueValue]
+	k, hasTrue := slices.BinarySearch(labels, trueValue)
 	rank = 1
-	for _, k := range keys {
-		p := probs[k]
-		if p > top1 {
-			top1, top2 = p, top1
-		} else if p > top2 {
-			top2 = p
+	for _, q := range p {
+		if q > top1 {
+			top1, top2 = q, top1
+		} else if q > top2 {
+			top2 = q
 		}
-		if p > 0 {
-			entropyBits -= p * math.Log2(p)
+		if q > 0 {
+			entropyBits -= q * math.Log2(q)
 		}
-		if hasTrue && p > pTrue {
+		if hasTrue && q > p[k] {
 			rank++
 		}
 	}
 	if !hasTrue {
-		rank = len(probs) + 1
+		rank = len(labels) + 1
 	}
 	switch {
 	case math.IsInf(top1, -1):

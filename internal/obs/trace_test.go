@@ -153,25 +153,25 @@ func TestRecordCoeffJournalAndMetrics(t *testing.T) {
 }
 
 func TestPosteriorStats(t *testing.T) {
-	probs := map[int]float64{0: 0.7, 1: 0.2, -1: 0.1}
-	margin, entropy, rank := PosteriorStats(probs, 0)
+	labels, probs := []int{-1, 0, 1}, []float64{0.1, 0.7, 0.2}
+	margin, entropy, rank := PosteriorStats(labels, probs, 0)
 	if math.Abs(margin-0.5) > 1e-12 {
 		t.Fatalf("margin = %v, want 0.5", margin)
 	}
-	want := -(0.7*math.Log2(0.7) + 0.2*math.Log2(0.2) + 0.1*math.Log2(0.1))
+	want := -(0.1*math.Log2(0.1) + 0.7*math.Log2(0.7) + 0.2*math.Log2(0.2))
 	if math.Abs(entropy-want) > 1e-12 {
 		t.Fatalf("entropy = %v, want %v", entropy, want)
 	}
 	if rank != 1 {
 		t.Fatalf("rank = %d, want 1", rank)
 	}
-	if _, _, rank = PosteriorStats(probs, 1); rank != 2 {
+	if _, _, rank = PosteriorStats(labels, probs, 1); rank != 2 {
 		t.Fatalf("rank of runner-up = %d, want 2", rank)
 	}
-	if _, _, rank = PosteriorStats(probs, 9); rank != 4 {
+	if _, _, rank = PosteriorStats(labels, probs, 9); rank != 4 {
 		t.Fatalf("rank of non-candidate = %d, want len+1 = 4", rank)
 	}
-	if m, e, r := PosteriorStats(nil, 0); m != 0 || e != 0 || r != 1 {
+	if m, e, r := PosteriorStats(nil, nil, 0); m != 0 || e != 0 || r != 1 {
 		t.Fatalf("empty posterior stats = %v %v %v", m, e, r)
 	}
 }

@@ -84,28 +84,6 @@ func DefaultModel() *Model {
 	return m
 }
 
-// weightedHW returns the bit-weighted Hamming weight of v.
-func (m *Model) weightedHW(v uint32) float64 {
-	uniform := true
-	for _, w := range m.BitWeights {
-		if w != 0 {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		return float64(bits.OnesCount32(v))
-	}
-	sum := 0.0
-	for b := 0; v != 0; b++ {
-		if v&1 == 1 {
-			sum += m.BitWeights[b]
-		}
-		v >>= 1
-	}
-	return sum
-}
-
 // Validate reports configuration errors.
 func (m *Model) Validate() error {
 	if m.NoiseSigma < 0 {
@@ -117,16 +95,18 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// Synthesizer accumulates events from a CPU run and renders the trace.
+// Synthesizer renders the events of a CPU run into a power trace, one
+// sample per cycle.
 type Synthesizer struct {
 	model *Model
 	prng  sampler.PRNG
+	// base is Model.Base resolved per instruction class and uniform records
+	// an all-zero Model.BitWeights, both read once by NewSynthesizer: the
+	// model must not change while a synthesizer renders from it.
+	base    [rv32.ClassSystem + 1]float64
+	uniform bool
 
 	samples []float64
-	// starts[i] is the sample index at which event i began (cycle-aligned,
-	// one sample per cycle).
-	starts []int
-	events []rv32.Event
 }
 
 // NewSynthesizer creates a trace synthesizer with the given noise PRNG.
@@ -134,18 +114,35 @@ func NewSynthesizer(model *Model, prng sampler.PRNG) (*Synthesizer, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	return &Synthesizer{model: model, prng: prng}, nil
+	s := &Synthesizer{model: model, prng: prng, uniform: model.BitWeights == [32]float64{}}
+	for c := range s.base {
+		s.base[c] = model.Base[rv32.Class(c)]
+	}
+	return s, nil
+}
+
+// weightedHW returns the bit-weighted Hamming weight of v (the plain
+// Hamming weight under uniform weights).
+func (s *Synthesizer) weightedHW(v uint32) float64 {
+	if s.uniform {
+		return float64(bits.OnesCount32(v))
+	}
+	sum := 0.0
+	for b := 0; v != 0; b++ {
+		if v&1 == 1 {
+			sum += s.model.BitWeights[b]
+		}
+		v >>= 1
+	}
+	return sum
 }
 
 // HandleEvent renders one event into power samples; wire it to
 // rv32.CPU.OnEvent.
 func (s *Synthesizer) HandleEvent(e rv32.Event) {
 	m := s.model
-	base := m.Base[e.Instr.Op.Class()]
+	base := s.base[e.Instr.Op.Class()]
 	instrHW := float64(bits.OnesCount32(e.Instr.Raw)) * m.GammaHWInstr
-
-	s.starts = append(s.starts, len(s.samples))
-	s.events = append(s.events, e)
 
 	isPort := e.MemAccess && e.MemAddr >= m.PortBase && e.MemAddr < m.PortBase+m.PortSize
 
@@ -155,12 +152,12 @@ func (s *Synthesizer) HandleEvent(e rv32.Event) {
 		case c == e.Cycles-1:
 			// Write-back cycle: data-dependent terms.
 			if e.RegWrite {
-				p += m.weightedHW(e.RegNew) * m.AlphaHWData
+				p += s.weightedHW(e.RegNew) * m.AlphaHWData
 				p += float64(bits.OnesCount32(e.RegOld^e.RegNew)) * m.BetaHDReg
 			}
 			if e.MemWrite {
-				p += m.weightedHW(e.MemValue) * m.AlphaHWData
-				p += m.weightedHW(e.MemOld^e.MemValue) * m.DeltaHDBus
+				p += s.weightedHW(e.MemValue) * m.AlphaHWData
+				p += s.weightedHW(e.MemOld^e.MemValue) * m.DeltaHDBus
 			}
 		case c == 0 && isPort:
 			p += m.PortSpike
@@ -175,25 +172,17 @@ func (s *Synthesizer) HandleEvent(e rv32.Event) {
 	}
 }
 
-// Samples returns the rendered power trace (one sample per cycle).
-func (s *Synthesizer) Samples() []float64 {
-	out := make([]float64, len(s.samples))
-	copy(out, s.samples)
-	return out
-}
+// RenderInto makes the synthesizer render into buf's backing array,
+// starting from buf[:0] and growing it as needed, so a caller can recycle
+// one buffer across runs. Samples rendered before the call are dropped.
+func (s *Synthesizer) RenderInto(buf []float64) { s.samples = buf[:0] }
 
-// Events returns the recorded event list (aligned with Starts).
-func (s *Synthesizer) Events() []rv32.Event { return s.events }
+// Samples returns the rendered power trace (one sample per cycle). The
+// slice aliases the render buffer: copy it before the buffer is reused.
+func (s *Synthesizer) Samples() []float64 { return s.samples }
 
-// Starts returns the sample index at which each event began.
-func (s *Synthesizer) Starts() []int { return s.starts }
-
-// Reset clears accumulated samples and events for reuse.
-func (s *Synthesizer) Reset() {
-	s.samples = s.samples[:0]
-	s.starts = s.starts[:0]
-	s.events = s.events[:0]
-}
+// Reset drops the rendered samples, keeping the buffer for reuse.
+func (s *Synthesizer) Reset() { s.samples = s.samples[:0] }
 
 // HWByte returns the Hamming weight of the low byte of v; exposed for
 // leakage-model analysis in tests and ablations.

@@ -8,7 +8,15 @@ import (
 	"reveal/internal/sampler"
 )
 
-func runProgram(t *testing.T, src string, model *Model, seed uint64) *Synthesizer {
+// recording is one synthesized program run together with its events and
+// the sample index each event began at, recorded by wrapping HandleEvent.
+type recording struct {
+	*Synthesizer
+	events []rv32.Event
+	starts []int
+}
+
+func runProgram(t *testing.T, src string, model *Model, seed uint64) *recording {
 	t.Helper()
 	img, _, err := rv32.Assemble(src, 0)
 	if err != nil {
@@ -22,11 +30,16 @@ func runProgram(t *testing.T, src string, model *Model, seed uint64) *Synthesize
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.OnEvent = syn.HandleEvent
+	r := &recording{Synthesizer: syn}
+	cpu.OnEvent = func(e rv32.Event) {
+		r.starts = append(r.starts, len(syn.Samples()))
+		r.events = append(r.events, e)
+		syn.HandleEvent(e)
+	}
 	if _, err := cpu.Run(10000); err != nil {
 		t.Fatal(err)
 	}
-	return syn
+	return r
 }
 
 func TestValidate(t *testing.T) {
@@ -53,19 +66,14 @@ func TestTraceLengthMatchesCycles(t *testing.T) {
 		ebreak
 	`, DefaultModel(), 1)
 	total := 0
-	for _, e := range syn.Events() {
+	for i, e := range syn.events {
+		if syn.starts[i] != total {
+			t.Errorf("event %d starts at sample %d, after %d cycles", i, syn.starts[i], total)
+		}
 		total += e.Cycles
 	}
 	if len(syn.Samples()) != total {
 		t.Errorf("trace has %d samples, events total %d cycles", len(syn.Samples()), total)
-	}
-	if len(syn.Starts()) != len(syn.Events()) {
-		t.Error("starts and events misaligned")
-	}
-	for i := 1; i < len(syn.Starts()); i++ {
-		if syn.Starts()[i] <= syn.Starts()[i-1] {
-			t.Error("starts must be strictly increasing")
-		}
 	}
 }
 
@@ -87,10 +95,10 @@ func TestHammingWeightLeakage(t *testing.T) {
 		ebreak
 	`, m, 2)
 	// Find the store event in each run and compare its last sample.
-	lastSampleOfStore := func(s *Synthesizer) float64 {
-		for i, e := range s.Events() {
+	lastSampleOfStore := func(s *recording) float64 {
+		for i, e := range s.events {
 			if e.MemWrite {
-				return s.Samples()[s.Starts()[i]+e.Cycles-1]
+				return s.Samples()[s.starts[i]+e.Cycles-1]
 			}
 		}
 		t.Fatal("no store event")
@@ -196,8 +204,56 @@ func TestReset(t *testing.T) {
 		t.Fatal("expected samples")
 	}
 	syn.Reset()
-	if len(syn.Samples()) != 0 || len(syn.Events()) != 0 || len(syn.Starts()) != 0 {
+	if len(syn.Samples()) != 0 {
 		t.Error("reset did not clear state")
+	}
+}
+
+// RenderInto renders into the caller's buffer, growing it when it is too
+// short, and the samples equal those of a synthesizer rendering alone.
+func TestRenderInto(t *testing.T) {
+	const src = `
+		li   t0, 6
+	loop:
+		addi t0, t0, -1
+		bnez t0, loop
+		ebreak
+	`
+	want := runProgram(t, src, DefaultModel(), 7).Samples()
+	for _, size := range []int{0, 8, 4 * len(want)} {
+		img, _, err := rv32.Assemble(src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu := rv32.NewCPU(1 << 16)
+		if err := cpu.Load(img, 0); err != nil {
+			t.Fatal(err)
+		}
+		syn, err := NewSynthesizer(DefaultModel(), sampler.NewXoshiro256(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, size)
+		for i := range buf {
+			buf[i] = -1
+		}
+		syn.RenderInto(buf)
+		cpu.OnEvent = syn.HandleEvent
+		if _, err := cpu.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		got := syn.Samples()
+		if len(got) != len(want) {
+			t.Fatalf("buffer of %d: %d samples, want %d", size, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("buffer of %d: sample %d = %v, want %v", size, i, got[i], want[i])
+			}
+		}
+		if reused := size >= len(want) && &got[0] == &buf[0]; reused != (size >= len(want)) {
+			t.Errorf("buffer of %d: a large enough buffer must be rendered into in place", size)
+		}
 	}
 }
 
@@ -258,9 +314,9 @@ func TestBitWeightedLeakageSeparatesEqualHW(t *testing.T) {
 		sw t1, 0(t0)
 		ebreak
 	`, m, 20)
-		for i, e := range syn.Events() {
+		for i, e := range syn.events {
 			if e.MemWrite {
-				return syn.Samples()[syn.Starts()[i]+e.Cycles-1]
+				return syn.Samples()[syn.starts[i]+e.Cycles-1]
 			}
 		}
 		t.Fatal("no store")

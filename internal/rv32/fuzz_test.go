@@ -75,6 +75,28 @@ func TestDecodeSeedCorpusProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeEveryFunctField sweeps every funct3 and the funct7 values
+// Decode distinguishes over every opcode it knows, so each of its branches
+// runs on every test run rather than only when the random smoke below
+// happens to draw it.
+func TestDecodeEveryFunctField(t *testing.T) {
+	for _, opcode := range []uint32{0x37, 0x17, 0x6f, 0x67, 0x63, 0x03, 0x23, 0x13, 0x33, 0x73} {
+		for funct3 := uint32(0); funct3 < 8; funct3++ {
+			for _, funct7 := range []uint32{0x00, 0x01, 0x20, 0x7f} {
+				word := funct7<<25 | 3<<20 | 2<<15 | funct3<<12 | 1<<7 | opcode
+				if err := decodeProperty(word); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	for _, word := range []uint32{0x00000073, 0x00100073} { // ecall, ebreak
+		if _, err := Decode(word); err != nil {
+			t.Errorf("Decode(%#08x): %v", word, err)
+		}
+	}
+}
+
 // quickDecodeSmoke runs the shared property through testing/quick; kept so
 // plain `go test` still exercises 5000 random words without -fuzz.
 func quickDecodeSmoke(maxCount int) error {

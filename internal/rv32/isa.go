@@ -154,6 +154,15 @@ type Instr struct {
 	Raw uint32
 }
 
+// Operations by funct3 for the opcodes whose funct3 alone selects the
+// operation; OpInvalid marks an encoding Decode rejects.
+var (
+	branchOps = [8]Op{OpBEQ, OpBNE, OpInvalid, OpInvalid, OpBLT, OpBGE, OpBLTU, OpBGEU}
+	loadOps   = [8]Op{OpLB, OpLH, OpLW, OpInvalid, OpLBU, OpLHU, OpInvalid, OpInvalid}
+	storeOps  = [8]Op{OpSB, OpSH, OpSW, OpInvalid, OpInvalid, OpInvalid, OpInvalid, OpInvalid}
+	mulDivOps = [8]Op{OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU}
+)
+
 // Decode decodes a 32-bit instruction word.
 func Decode(word uint32) (Instr, error) {
 	opcode := word & 0x7f
@@ -181,28 +190,22 @@ func Decode(word uint32) (Instr, error) {
 		in.Op = OpJALR
 		in.Imm = immI(word)
 	case 0x63:
-		ops := map[uint32]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
-		op, ok := ops[funct3]
-		if !ok {
+		if branchOps[funct3] == OpInvalid {
 			return in, fmt.Errorf("rv32: bad branch funct3 %d", funct3)
 		}
-		in.Op = op
+		in.Op = branchOps[funct3]
 		in.Imm = immB(word)
 	case 0x03:
-		ops := map[uint32]Op{0: OpLB, 1: OpLH, 2: OpLW, 4: OpLBU, 5: OpLHU}
-		op, ok := ops[funct3]
-		if !ok {
+		if loadOps[funct3] == OpInvalid {
 			return in, fmt.Errorf("rv32: bad load funct3 %d", funct3)
 		}
-		in.Op = op
+		in.Op = loadOps[funct3]
 		in.Imm = immI(word)
 	case 0x23:
-		ops := map[uint32]Op{0: OpSB, 1: OpSH, 2: OpSW}
-		op, ok := ops[funct3]
-		if !ok {
+		if storeOps[funct3] == OpInvalid {
 			return in, fmt.Errorf("rv32: bad store funct3 %d", funct3)
 		}
-		in.Op = op
+		in.Op = storeOps[funct3]
 		in.Imm = immS(word)
 	case 0x13:
 		switch funct3 {
@@ -240,9 +243,7 @@ func Decode(word uint32) (Instr, error) {
 		in.Imm = immI(word)
 	case 0x33:
 		if funct7 == 1 {
-			ops := map[uint32]Op{0: OpMUL, 1: OpMULH, 2: OpMULHSU, 3: OpMULHU,
-				4: OpDIV, 5: OpDIVU, 6: OpREM, 7: OpREMU}
-			in.Op = ops[funct3]
+			in.Op = mulDivOps[funct3]
 			return in, nil
 		}
 		switch funct3 {

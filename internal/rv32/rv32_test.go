@@ -1,6 +1,7 @@
 package rv32
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -335,6 +336,84 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := Decode(w); err == nil {
 			t.Errorf("Decode(%#x) should fail", w)
 		}
+	}
+}
+
+// TestDecodeFunct3Tables walks every funct3 of the table-decoded opcodes
+// (branches, loads, stores, and the M extension under OP with funct7 = 1)
+// over words with every other field populated. Each must decode to the
+// listed Op, with the immediate of its format, or be rejected with the
+// listed error and an OpInvalid instruction — the behaviour recorded
+// before the tables replaced per-call map literals.
+func TestDecodeFunct3Tables(t *testing.T) {
+	const none = OpInvalid
+	cases := []struct {
+		name           string
+		opcode, funct7 uint32
+		ops            [8]Op
+		imm            func(uint32) int32
+		rejected       string
+	}{
+		{"branch", 0x63, 0x5a, [8]Op{OpBEQ, OpBNE, none, none, OpBLT, OpBGE, OpBLTU, OpBGEU}, immB, "rv32: bad branch funct3 %d"},
+		{"load", 0x03, 0x5a, [8]Op{OpLB, OpLH, OpLW, none, OpLBU, OpLHU, none, none}, immI, "rv32: bad load funct3 %d"},
+		{"store", 0x23, 0x5a, [8]Op{OpSB, OpSH, OpSW, none, none, none, none, none}, immS, "rv32: bad store funct3 %d"},
+		{"muldiv", 0x33, 0x01, [8]Op{OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU},
+			func(uint32) int32 { return 0 }, ""},
+	}
+	for _, c := range cases {
+		for f3 := uint32(0); f3 < 8; f3++ {
+			word := c.funct7<<25 | 21<<20 | 13<<15 | f3<<12 | 9<<7 | c.opcode
+			in, err := Decode(word)
+			want := Instr{Op: c.ops[f3], Rd: 9, Rs1: 13, Rs2: 21, Raw: word}
+			if c.ops[f3] == none {
+				if err == nil || err.Error() != fmt.Sprintf(c.rejected, f3) {
+					t.Errorf("%s funct3 %d: error %v, want %q", c.name, f3, err, fmt.Sprintf(c.rejected, f3))
+				}
+			} else {
+				want.Imm = c.imm(word)
+				if err != nil {
+					t.Errorf("%s funct3 %d: %v", c.name, f3, err)
+				}
+			}
+			if in != want {
+				t.Errorf("%s funct3 %d: decoded %+v, want %+v", c.name, f3, in, want)
+			}
+		}
+	}
+}
+
+// TestReadWriteWord: the direct RAM accessors the capture harness plants
+// state and reads results through are little-endian, visible to the
+// program's own loads, and bounds-checked.
+func TestReadWriteWord(t *testing.T) {
+	cpu := NewCPU(1 << 12)
+	if err := cpu.WriteWord(0x100, 0xdeadbeef); err != nil {
+		t.Fatal(err)
+	}
+	if cpu.Mem[0x100] != 0xef || cpu.Mem[0x103] != 0xde {
+		t.Errorf("WriteWord is not little-endian: % x", cpu.Mem[0x100:0x104])
+	}
+	img, _, err := Assemble("li t0, 0x100\nlw a0, 0(t0)\naddi a0, a0, 1\nsw a0, 4(t0)\nebreak", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cpu.Load(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cpu.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cpu.ReadWord(0x104); err != nil || got != 0xdeadbef0 {
+		t.Errorf("ReadWord = %#x, %v; want 0xdeadbef0", got, err)
+	}
+	if _, err := cpu.ReadWord(1<<12 - 2); err == nil {
+		t.Error("ReadWord past the end of RAM should fail")
+	}
+	if err := cpu.WriteWord(1<<12-2, 0); err == nil {
+		t.Error("WriteWord past the end of RAM should fail")
+	}
+	if got := Op(999).String(); got != "op(999)" {
+		t.Errorf("unknown op prints %q", got)
 	}
 }
 

@@ -8,15 +8,16 @@ import (
 func TestTopMargin(t *testing.T) {
 	cases := []struct {
 		name   string
-		probs  map[int]float64
+		probs  []float64
 		margin float64
 		ok     bool
 	}{
 		{"empty", nil, 0, false},
-		{"single", map[int]float64{3: 0.9}, 0.9, true},
-		{"two", map[int]float64{-1: 0.7, 2: 0.2}, 0.5, true},
-		{"many", map[int]float64{0: 0.5, 1: 0.3, 2: 0.15, 3: 0.05}, 0.2, true},
-		{"tied", map[int]float64{0: 0.4, 1: 0.4, 2: 0.2}, 0, true},
+		{"single", []float64{0.9}, 0.9, true},
+		{"two", []float64{0.7, 0.2}, 0.5, true},
+		{"many", []float64{0.5, 0.3, 0.15, 0.05}, 0.2, true},
+		{"ascending", []float64{0.05, 0.15, 0.3, 0.5}, 0.2, true},
+		{"tied", []float64{0.4, 0.4, 0.2}, 0, true},
 	}
 	for _, tc := range cases {
 		m, ok := TopMargin(tc.probs)

@@ -76,9 +76,10 @@ type AttackCampaignResult struct {
 	BaselineBikz float64 `json:"bikz_baseline,omitempty"`
 	HintedBikz   float64 `json:"bikz_with_hints,omitempty"`
 	// LastProbs holds the per-coefficient posterior of the last
-	// encryption's e2 polynomial when the spec asked for it.
-	LastProbs []map[int]float64 `json:"last_probs,omitempty"`
-	ElapsedMS int64             `json:"elapsed_ms"`
+	// encryption's e2 polynomial when the spec asked for it (each table on
+	// the wire as a value → probability object).
+	LastProbs []core.Posterior `json:"last_probs,omitempty"`
+	ElapsedMS int64            `json:"elapsed_ms"`
 }
 
 // DiagnoseCampaignResult is the result payload of a "diagnose" campaign.
@@ -139,9 +140,9 @@ func (r *Runner) Run(ctx context.Context, job *jobs.Job) (any, error) {
 
 // sumTopMargins accumulates the top1−top2 posterior margin over every
 // coefficient's probability table.
-func sumTopMargins(probs []map[int]float64) (sum float64, n int) {
+func sumTopMargins(probs []core.Posterior) (sum float64, n int) {
 	for _, table := range probs {
-		if m, ok := sca.TopMargin(table); ok {
+		if m, ok := sca.TopMargin(table.P); ok {
 			sum += m
 			n++
 		}
@@ -290,7 +291,7 @@ func (r *Runner) runAttack(ctx context.Context, spec *CampaignSpec) (*AttackCamp
 		}
 		score(out.E1, cap.Truth.E1)
 		score(out.E2, cap.Truth.E2)
-		for _, probs := range [][]map[int]float64{out.E1.Probs, out.E2.Probs} {
+		for _, probs := range [][]core.Posterior{out.E1.Probs, out.E2.Probs} {
 			s, n := sumTopMargins(probs)
 			marginSum += s
 			marginN += n

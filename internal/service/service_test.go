@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -63,6 +66,7 @@ func TestEndToEndAttackCampaign(t *testing.T) {
 	_, client := newTestService(t, Config{PoolWorkers: 1, CacheCapacity: 2})
 	ctx := context.Background()
 	spec := testAttackSpec()
+	spec.KeepProbs = true
 
 	st, err := client.Submit(ctx, spec)
 	if err != nil {
@@ -135,6 +139,36 @@ func TestEndToEndAttackCampaign(t *testing.T) {
 	if r.ValueAccE1 != wantV1 || r.SignAccE1 != wantS1 || r.ValueAccE2 != wantV2 || r.SignAccE2 != wantS2 {
 		t.Errorf("service result (%.4f/%.4f, %.4f/%.4f) != direct core result (%.4f/%.4f, %.4f/%.4f)",
 			r.ValueAccE1, r.SignAccE1, r.ValueAccE2, r.SignAccE2, wantV1, wantS1, wantV2, wantS2)
+	}
+	// last_probs: on the wire, one value → probability object per
+	// coefficient, byte-identical to the map form; through the client, the
+	// direct attack's dense posteriors.
+	if !reflect.DeepEqual(got.LastProbs, out.E2.Probs) {
+		t.Error("decoded last_probs differ from the direct attack's e2 posteriors")
+	}
+	var raw struct {
+		LastProbs json.RawMessage `json:"last_probs"`
+	}
+	if err := client.Result(ctx, st.ID, &raw); err != nil {
+		t.Fatal(err)
+	}
+	maps := make([]map[int]float64, len(out.E2.Probs))
+	for i, post := range out.E2.Probs {
+		maps[i] = map[int]float64{}
+		for k, v := range post.Labels {
+			maps[i][v] = post.P[k]
+		}
+	}
+	wantJSON, err := json.Marshal(maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotJSON bytes.Buffer
+	if err := json.Compact(&gotJSON, raw.LastProbs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
+		t.Error("last_probs bytes differ from the map-form JSON of the posteriors")
 	}
 
 	// Same spec again: cache hit, identical numbers.

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Coverage floor gate for the arithmetic core, the attack path (linear
-# algebra, template scoring, DBDD, segmentation and classification) and
-# the campaign service (job queue and lease protocol, WAL, executor): each
+# Coverage floor gate for the arithmetic core, the capture path (RV32
+# simulator and power model), the attack path (linear algebra, template
+# scoring, DBDD, segmentation and classification) and the campaign
+# service (job queue and lease protocol, WAL, executor): each
 # package listed in scripts/coverage_floor.txt must keep its statement
 # coverage at or above the committed floor. Raise a floor when coverage
 # improves; lowering one is a reviewed decision, not a silent CI edit.
