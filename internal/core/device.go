@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"reveal/internal/obs"
@@ -265,8 +266,15 @@ func (d *Device) Perturb(seed uint64, spread float64) *Device {
 	jitter := func() float64 {
 		return 1 + spread*(2*sampler.Float64(prng)-1)
 	}
-	for c, base := range d.Model.Base {
-		out.Model.Base[c] = base * jitter()
+	// Draw in ascending class order: ranging over the map would hand each
+	// class whichever draw map iteration order gave it.
+	classes := make([]rv32.Class, 0, len(d.Model.Base))
+	for c := range d.Model.Base {
+		classes = append(classes, c)
+	}
+	slices.Sort(classes)
+	for _, c := range classes {
+		out.Model.Base[c] = d.Model.Base[c] * jitter()
 	}
 	for b := range out.Model.BitWeights {
 		out.Model.BitWeights[b] = d.Model.BitWeights[b] * jitter()

@@ -27,10 +27,12 @@ const BitsPerBikz = 382.25 / 128.0
 type Instance struct {
 	// Var and Mu are the per-coordinate posterior variance and mean of the
 	// unknown vector. Eliminated coordinates have Var = 0 and are excluded
-	// from the dimension.
+	// from the dimension. Only the constructor and the hint methods write
+	// them: the estimate reads ½·ln Var from a cache those writes keep.
 	Var []float64
 	Mu  []float64
 
+	halfLogVar []float64 // ½·ln Var[i], the term coordinate i takes off the normalized log-volume
 	eliminated []bool
 	dim        int     // remaining lattice dimension (incl. homogenization)
 	logVol     float64 // natural log of the lattice volume
@@ -54,17 +56,25 @@ func NewLWEInstance(n, m int, q float64, sigmaS2, sigmaE2 float64) (*Instance, e
 	inst := &Instance{
 		Var:        make([]float64, n+m),
 		Mu:         make([]float64, n+m),
+		halfLogVar: make([]float64, n+m),
 		eliminated: make([]bool, n+m),
 		dim:        n + m + 1,
 		logVol:     float64(m) * math.Log(q),
 	}
+	halfLogS2, halfLogE2 := 0.5*math.Log(sigmaS2), 0.5*math.Log(sigmaE2)
 	for i := 0; i < n; i++ {
-		inst.Var[i] = sigmaS2
+		inst.Var[i], inst.halfLogVar[i] = sigmaS2, halfLogS2
 	}
 	for i := n; i < n+m; i++ {
-		inst.Var[i] = sigmaE2
+		inst.Var[i], inst.halfLogVar[i] = sigmaE2, halfLogE2
 	}
 	return inst, nil
+}
+
+// setVar sets a coordinate's variance and its cached ½·ln term.
+func (in *Instance) setVar(coord int, v float64) {
+	in.Var[coord] = v
+	in.halfLogVar[coord] = 0.5 * math.Log(v)
 }
 
 // Dim returns the current lattice dimension (with homogenization).
@@ -85,7 +95,7 @@ func (in *Instance) PerfectHint(coord int, value float64) error {
 		return err
 	}
 	in.eliminated[coord] = true
-	in.Var[coord] = 0
+	in.setVar(coord, 0)
 	in.Mu[coord] = value
 	in.dim--
 	in.nHints++
@@ -110,7 +120,7 @@ func (in *Instance) ApproximateHint(coord int, value, epsVar float64) error {
 	}
 	s2 := in.Var[coord]
 	in.Mu[coord] = (in.Mu[coord]*epsVar + value*s2) / (s2 + epsVar)
-	in.Var[coord] = s2 * epsVar / (s2 + epsVar)
+	in.setVar(coord, s2*epsVar/(s2+epsVar))
 	in.nHints++
 	return nil
 }
@@ -134,7 +144,7 @@ func (in *Instance) ModularHint(coord int, value float64, k int) error {
 	}
 	residVar := float64(k) * float64(k) / 12
 	if residVar < in.Var[coord] {
-		in.Var[coord] = residVar
+		in.setVar(coord, residVar)
 	}
 	in.Mu[coord] = value
 	in.nHints++
@@ -154,14 +164,16 @@ func (in *Instance) checkCoord(coord int) error {
 // normalizedLogVol returns ln of the volume of the lattice after the
 // isotropic normalization that turns the posterior ellipsoid into a unit
 // ball: each remaining coordinate is scaled by 1/σ_i, multiplying the
-// volume by Π 1/σ_i.
+// volume by Π 1/σ_i. The cached ½·ln σ_i² terms are subtracted in
+// ascending coordinate order, so the sum is bitwise what taking each log
+// here would give.
 func (in *Instance) normalizedLogVol() float64 {
 	lv := in.logVol
-	for i, v := range in.Var {
+	for i, h := range in.halfLogVar {
 		if in.eliminated[i] {
 			continue
 		}
-		lv -= 0.5 * math.Log(v)
+		lv -= h
 	}
 	return lv
 }
@@ -269,6 +281,7 @@ func (in *Instance) Clone() *Instance {
 	out := &Instance{
 		Var:        append([]float64(nil), in.Var...),
 		Mu:         append([]float64(nil), in.Mu...),
+		halfLogVar: append([]float64(nil), in.halfLogVar...),
 		eliminated: append([]bool(nil), in.eliminated...),
 		dim:        in.dim,
 		logVol:     in.logVol,

@@ -510,3 +510,71 @@ func TestShortVectorHint(t *testing.T) {
 		t.Error("dimension floor should be enforced")
 	}
 }
+
+// uncachedNormalizedLogVol is the estimate's log-volume sum taking each
+// coordinate's log afresh: the oracle for the cached ½·ln σ² terms.
+func uncachedNormalizedLogVol(in *Instance) float64 {
+	lv := in.logVol
+	for i, v := range in.Var {
+		if in.eliminated[i] {
+			continue
+		}
+		lv -= 0.5 * math.Log(v)
+	}
+	return lv
+}
+
+// applyRandomHints integrates steps seeded random hints of all four kinds
+// (perfect, approximate, modular, sign), skipping the errors that a
+// coordinate already eliminated returns.
+func applyRandomHints(in *Instance, seed uint64, steps int) {
+	s := seed
+	next := func(n int) int {
+		s = s*6364136223846793005 + 1442695040888963407
+		return int((s >> 33) % uint64(n))
+	}
+	for range steps {
+		coord := next(len(in.Var))
+		switch next(4) {
+		case 0:
+			_ = in.PerfectHint(coord, float64(next(7)-3))
+		case 1:
+			_ = in.ApproximateHint(coord, float64(next(7)-3), float64(1+next(100))/37)
+		case 2:
+			_ = in.ModularHint(coord, float64(next(5)), 2+next(40))
+		case 3:
+			_ = in.SignHint(coord, next(3)-1)
+		}
+	}
+}
+
+// TestNormalizedLogVolCacheBitwise: after seeded sequences of every hint
+// kind and a Clone, the cached log-volume must equal the uncached sum to
+// the bit, and hints on the clone must leave the original untouched.
+func TestNormalizedLogVolCacheBitwise(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		in, err := NewLWEInstance(48, 64, 132120577, 2.0/3.0, 3.2*3.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, in *Instance) float64 {
+			t.Helper()
+			got, want := in.normalizedLogVol(), uncachedNormalizedLogVol(in)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d %s: cached log-volume %v (%#x), uncached %v (%#x)",
+					seed, what, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			return got
+		}
+		check("fresh", in)
+		applyRandomHints(in, seed, 80)
+		before := check("hinted", in)
+		c := in.Clone()
+		check("clone", c)
+		applyRandomHints(c, seed+100, 80)
+		check("hinted clone", c)
+		if after := check("original after clone hints", in); math.Float64bits(after) != math.Float64bits(before) {
+			t.Fatalf("seed %d: hints on the clone moved the original's log-volume %v → %v", seed, before, after)
+		}
+	}
+}

@@ -71,7 +71,7 @@ func (in *Instance) SignHint(coord int, sign int) error {
 		}
 		sigma := math.Sqrt(in.Var[coord])
 		in.Mu[coord] = float64(sign) * sigma * math.Sqrt(2/math.Pi)
-		in.Var[coord] = in.Var[coord] * (1 - 2/math.Pi)
+		in.setVar(coord, in.Var[coord]*(1-2/math.Pi))
 		in.nHints++
 		return nil
 	default:

@@ -1,6 +1,9 @@
 package linalg
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Layer benchmarks for the dense kernels on the template-attack hot path:
 // matrix product (LDA, covariance work), matrix-vector product (DBDD
@@ -73,9 +76,9 @@ func BenchmarkSolveCached(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveClassByClass and BenchmarkSolveManyInterleaved solve the
-// sixteen residuals of a pooled 28-POI template against one factor: one
-// SolveInto per class, against one interleaved call.
+// BenchmarkSolveClassByClass solves the sixteen residuals of a pooled
+// 28-POI template against one factor with one SolveInto per class;
+// BenchmarkSolveManyInterleaved/poi=28/cols=16 solves them in one call.
 func BenchmarkSolveClassByClass(b *testing.B) {
 	const n, k = 28, 16
 	f, err := NewCholFactor(seededSPD(n, 5))
@@ -95,19 +98,38 @@ func BenchmarkSolveClassByClass(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveManyInterleaved solves interleaved right-hand sides at the
+// shapes of the default (12 POIs) and high-accuracy (28 POIs) templates:
+// four columns for the sign template's three classes, sixteen for the
+// value templates. Each shape runs every kernel set the CPU has, called
+// directly, and QuadFormsInto as scoring calls it (whichever set it
+// dispatches to, plus the column sums).
 func BenchmarkSolveManyInterleaved(b *testing.B) {
-	const n, k = 28, 16
-	f, err := NewCholFactor(seededSPD(n, 5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := seededVec(n*k, 6)
-	x := make([]float64, n*k)
-	y := make([]float64, n*k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.SolveManyInto(x, y, rhs, k); err != nil {
+	for _, n := range []int{12, 28} {
+		f, err := NewCholFactor(seededSPD(n, 5))
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, k := range []int{4, 16} {
+			rhs := seededVec(n*k, 6)
+			x := make([]float64, n*k)
+			y := make([]float64, n*k)
+			q := make([]float64, k)
+			shape := fmt.Sprintf("poi=%d/cols=%d/", n, k)
+			for _, kn := range testKernels() {
+				b.Run(shape+kn.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						f.solveMany(x, y, rhs, k, kn.simd)
+					}
+				})
+			}
+			b.Run(shape+"quadforms", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := f.QuadFormsInto(q, x, y, rhs, k); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

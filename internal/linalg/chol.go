@@ -80,11 +80,13 @@ func (f *CholFactor) SolveInto(x, y, b []float64) error {
 // x[i·k+c]; y is forward-substitution scratch of the same shape. x, y and b
 // must all have length n·k (x and y may not alias b).
 //
-// Right-hand sides go four at a time through one leaf loop, so their
-// independent subtraction chains overlap instead of each waiting on its
-// own latency. Each right-hand side still sees exactly the floating-point
-// operations of SolveCholesky in the same order: every column is bitwise
-// identical to solving it alone.
+// Right-hand sides go through one leaf kernel per row in blocks of
+// columns, so their independent subtraction chains overlap instead of each
+// waiting on its own latency: on CPUs with AVX2, blocks of sixteen and then
+// four columns, one column per SIMD lane; otherwise, and for the columns
+// left over, blocks of four in Go and then one at a time. Each right-hand
+// side still sees exactly the floating-point operations of SolveCholesky in
+// the same order: every column is bitwise identical to solving it alone.
 func (f *CholFactor) SolveManyInto(x, y, b []float64, k int) error {
 	n := f.n
 	if k < 1 {
@@ -96,7 +98,38 @@ func (f *CholFactor) SolveManyInto(x, y, b []float64, k int) error {
 	if len(x) != n*k || len(y) != n*k {
 		return fmt.Errorf("linalg: solve buffers %d/%d, want %d×%d", len(x), len(y), n, k)
 	}
+	f.solveMany(x, y, b, k, useAVX2)
+	return nil
+}
+
+// QuadFormsInto solves m X = R for k interleaved right-hand sides, as
+// SolveManyInto(x, y, r, k), and sets q[c] = r_c·x_c, the quadratic form
+// r_cᵀ m⁻¹ r_c, for every column c < len(q) ≤ k. Each sum runs over i in
+// ascending order from +0, exactly as Dot over the column's residual and
+// solution; columns from len(q) on are solved but not summed, which lets a
+// caller pad k. It allocates nothing.
+func (f *CholFactor) QuadFormsInto(q, x, y, r []float64, k int) error {
+	if len(q) > k {
+		return fmt.Errorf("linalg: %d quadratic forms from %d right-hand sides", len(q), k)
+	}
+	if err := f.SolveManyInto(x, y, r, k); err != nil {
+		return err
+	}
+	f.columnDots(q, r, x, k, useAVX2)
+	return nil
+}
+
+// solveMany is SolveManyInto on checked buffers. With simd the AVX2 row
+// kernels solve whole blocks of sixteen, then four, columns; the Go kernels
+// solve the rest. Tests call it with both values to compare every kernel
+// the CPU can run.
+func (f *CholFactor) solveMany(x, y, b []float64, k int, simd bool) {
+	n := f.n
 	c := 0
+	if simd {
+		c = f.solveBlocks(x, y, b, k, c, 16)
+		c = f.solveBlocks(x, y, b, k, c, 4)
+	}
 	for ; c+4 <= k; c += 4 {
 		// Forward substitution L y = b.
 		for i := 0; i < n; i++ {
@@ -125,7 +158,52 @@ func (f *CholFactor) SolveManyInto(x, y, b []float64, k int) error {
 			x[o] = sub1(f.upper[i*n+i+1:(i+1)*n], x[min(o+k, len(x)):], k, y[o]) / f.diag[i]
 		}
 	}
-	return nil
+}
+
+// solveBlocks solves w columns at a time from column c while a whole block
+// fits in k, with one call of the w-wide AVX2 row kernel (w is 16 or 4) per
+// row and block, and returns the first column it left unsolved. The kernel
+// reads v[t·k+j] for t < len(coef) and j < w: the rows already solved in
+// the same block, all inside x or y once the buffer lengths are checked.
+// The kernels are called directly: through a function value each call
+// passes an ABI wrapper, which cost 10–15% at the template shapes.
+func (f *CholFactor) solveBlocks(x, y, b []float64, k, c, w int) int {
+	n := f.n
+	for ; c+w <= k; c += w {
+		for i := 0; i < n; i++ {
+			o := i*k + c
+			if w == 16 {
+				row16(y[o:o+w], b[o:o+w], f.lower[i*n:i*n+i], y[c:], k, f.diag[i])
+			} else {
+				row4(y[o:o+w], b[o:o+w], f.lower[i*n:i*n+i], y[c:], k, f.diag[i])
+			}
+		}
+		for i := n - 1; i >= 0; i-- {
+			o := i*k + c
+			if w == 16 {
+				row16(x[o:o+w], y[o:o+w], f.upper[i*n+i+1:(i+1)*n], x[min(o+k, len(x)):], k, f.diag[i])
+			} else {
+				row4(x[o:o+w], y[o:o+w], f.upper[i*n+i+1:(i+1)*n], x[min(o+k, len(x)):], k, f.diag[i])
+			}
+		}
+	}
+	return c
+}
+
+// columnDots sets q[c] = Σ_i r[i·k+c]·x[i·k+c] for c < len(q), i ascending
+// from +0: with simd through the AVX2 kernel, one column per lane.
+func (f *CholFactor) columnDots(q, r, x []float64, k int, simd bool) {
+	if simd {
+		colDots(q, r, x, f.n, k)
+		return
+	}
+	for c := range q {
+		sum := 0.0
+		for i := c; i < len(r); i += k {
+			sum += r[i] * x[i]
+		}
+		q[c] = sum
+	}
 }
 
 // sub4 returns s_j − Σ_t row[t]·v[t·stride+j] for j = 0..3, subtracting

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -88,8 +89,10 @@ func TestCholFactorSolveBitwiseIdentical(t *testing.T) {
 }
 
 // TestSolveManyIntoBitwiseIdentical: every interleaved right-hand side must
-// equal a fresh SolveCholesky of that column alone, to the bit, across the
-// four-wide leaf, the single-column remainder and every mix of the two.
+// equal a fresh SolveCholesky of that column alone, to the bit, for every
+// kernel set the CPU runs, across the sixteen- and four-wide blocks, the
+// single-column remainder and every mix of them; SolveManyInto must match
+// too, whichever set it dispatches to.
 func TestSolveManyIntoBitwiseIdentical(t *testing.T) {
 	for n := 1; n <= 40; n++ {
 		m := seededSPD(n, uint64(n)*131)
@@ -100,27 +103,98 @@ func TestSolveManyIntoBitwiseIdentical(t *testing.T) {
 		f := CholFactorOf(l)
 		for k := 1; k <= 33; k++ {
 			b := seededVec(n*k, uint64(n*1000+k))
-			x := make([]float64, n*k)
-			y := make([]float64, n*k)
-			if err := f.SolveManyInto(x, y, b, k); err != nil {
-				t.Fatal(err)
-			}
+			want := make([]float64, n*k)
 			col := make([]float64, n)
 			for c := 0; c < k; c++ {
 				for i := range col {
 					col[i] = b[i*k+c]
 				}
-				want, err := SolveCholesky(l, col)
+				x, err := SolveCholesky(l, col)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, w := range want {
-					if got := x[i*k+c]; math.Float64bits(got) != math.Float64bits(w) {
-						t.Fatalf("n=%d k=%d column %d: x[%d] = %x, want %x", n, k, c, i,
-							math.Float64bits(got), math.Float64bits(w))
-					}
+				for i, v := range x {
+					want[i*k+c] = v
 				}
 			}
+			x := make([]float64, n*k)
+			y := make([]float64, n*k)
+			for _, kn := range testKernels() {
+				clear(x)
+				f.solveMany(x, y, b, k, kn.simd)
+				assertBitwise(t, fmt.Sprintf("%s n=%d k=%d", kn.name, n, k), x, want)
+			}
+			clear(x)
+			if err := f.SolveManyInto(x, y, b, k); err != nil {
+				t.Fatal(err)
+			}
+			assertBitwise(t, fmt.Sprintf("SolveManyInto n=%d k=%d", n, k), x, want)
+		}
+	}
+}
+
+// TestQuadFormsInto: each quadratic form must equal Dot of the column's
+// residual with its own SolveCholesky solution, to the bit, for every
+// kernel set, with one right-hand side and with padded ones (len(q) < k).
+func TestQuadFormsInto(t *testing.T) {
+	for _, n := range []int{1, 3, 12, 28} {
+		m := seededSPD(n, uint64(n)*7)
+		l, err := Cholesky(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := CholFactorOf(l)
+		for _, shape := range [][2]int{{1, 1}, {3, 4}, {13, 16}, {16, 16}, {21, 24}, {33, 33}} {
+			nq, k := shape[0], shape[1]
+			r := seededVec(n*k, uint64(n*100+k))
+			want := make([]float64, nq)
+			col := make([]float64, n)
+			for c := range want {
+				for i := range col {
+					col[i] = r[i*k+c]
+				}
+				sol, err := SolveCholesky(l, col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[c] = Dot(col, sol)
+			}
+			x := make([]float64, n*k)
+			y := make([]float64, n*k)
+			q := make([]float64, nq)
+			for _, kn := range testKernels() {
+				clear(q)
+				f.solveMany(x, y, r, k, kn.simd)
+				f.columnDots(q, r, x, k, kn.simd)
+				assertBitwise(t, fmt.Sprintf("%s n=%d q=%d k=%d", kn.name, n, nq, k), q, want)
+			}
+			clear(q)
+			if err := f.QuadFormsInto(q, x, y, r, k); err != nil {
+				t.Fatal(err)
+			}
+			assertBitwise(t, fmt.Sprintf("QuadFormsInto n=%d q=%d k=%d", n, nq, k), q, want)
+		}
+	}
+	f, err := NewCholFactor(seededSPD(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.QuadFormsInto(make([]float64, 5), make([]float64, 12), make([]float64, 12), make([]float64, 12), 4); err == nil {
+		t.Fatal("want an error for more forms than right-hand sides")
+	}
+	if err := f.QuadFormsInto(make([]float64, 2), make([]float64, 12), make([]float64, 12), make([]float64, 11), 4); err == nil {
+		t.Fatal("want the solve's length error")
+	}
+}
+
+// assertBitwise fails unless got and want agree element for element in
+// their bits, except that any NaN matches any NaN.
+func assertBitwise(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i, w := range want {
+		g := got[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: [%d] = %v (%#x), want %v (%#x)", what, i, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 }

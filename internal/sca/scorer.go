@@ -16,12 +16,12 @@ import (
 // worker for parallel classification.
 //
 // When every class shares one Cholesky factor (a pooled template), the
-// residuals of all classes are solved together in one interleaved
-// linalg.CholFactor.SolveManyInto call, padded to a multiple of four with
-// zero columns that are discarded. Otherwise each class is solved on its
-// own. Either way every score is computed with exactly the floating-point
-// operations of Templates.LogLikelihoods in the same order, so
-// classifications and posteriors derived from a Scorer are bitwise
+// residuals of all classes go through one interleaved
+// linalg.CholFactor.QuadFormsInto call, padded to a multiple of four with
+// columns that are solved but never summed. Otherwise each class is solved
+// on its own. Either way every score is computed with exactly the
+// floating-point operations of Templates.LogLikelihoods in the same order,
+// so classifications and posteriors derived from a Scorer are bitwise
 // identical to the per-vector path — the property the replay-determinism
 // selftest enforces.
 type Scorer struct {
@@ -29,10 +29,12 @@ type Scorer struct {
 	logTwoPi float64 // d·log(2π), shared additive constant of every score
 	f        []float64
 	// shared is the factor common to every class, or nil when classes
-	// carry their own; k is then the padded class count, else 1. resid,
-	// y and x hold d×k interleaved columns: entry i of class ci at i·k+ci.
+	// carry their own; k is then the padded class count, else 1. means,
+	// resid, y and x hold d×k interleaved columns: entry i of class ci at
+	// i·k+ci (means only for a shared factor).
 	shared *linalg.CholFactor
 	k      int
+	means  []float64
 	resid  []float64
 	y, x   []float64
 	ll     []float64
@@ -41,21 +43,27 @@ type Scorer struct {
 // NewScorer prepares a reusable scoring context for the template set.
 func (t *Templates) NewScorer() *Scorer {
 	d := len(t.POIs)
-	shared, k := sharedFactor(t.classes), 1
-	if shared != nil {
-		k = (len(t.classes) + 3) &^ 3
-	}
-	return &Scorer{
+	s := &Scorer{
 		t:        t,
 		logTwoPi: float64(d) * math.Log(2*math.Pi),
 		f:        make([]float64, d),
-		shared:   shared,
-		k:        k,
-		resid:    make([]float64, d*k),
-		y:        make([]float64, d*k),
-		x:        make([]float64, d*k),
+		shared:   sharedFactor(t.classes),
+		k:        1,
 		ll:       make([]float64, len(t.classes)),
 	}
+	if s.shared != nil {
+		s.k = (len(t.classes) + 3) &^ 3
+		s.means = make([]float64, d*s.k)
+		for ci, c := range t.classes {
+			for i, m := range c.mean {
+				s.means[i*s.k+ci] = m
+			}
+		}
+	}
+	s.resid = make([]float64, d*s.k)
+	s.y = make([]float64, d*s.k)
+	s.x = make([]float64, d*s.k)
+	return s
 }
 
 // sharedFactor returns the Cholesky factor every class uses, or nil when
@@ -102,38 +110,28 @@ func (s *Scorer) ScoreVector(f []float64) ([]float64, error) {
 	if len(f) != len(s.t.POIs) {
 		return nil, fmt.Errorf("sca: feature vector of %d entries, want %d", len(f), len(s.t.POIs))
 	}
+	// Each Mahalanobis sum runs over i in ascending order from +0, exactly
+	// as linalg.Dot over the class's own residual and solution.
 	if s.shared == nil {
 		for ci := range s.t.classes {
 			c := &s.t.classes[ci]
 			for i := range f {
 				s.resid[i] = f[i] - c.mean[i]
 			}
-			// Mahalanobis distance via the cached Cholesky solve (bitwise
-			// identical to factoring fresh; see linalg.CholFactor).
-			if err := c.fact.SolveInto(s.x, s.y, s.resid); err != nil {
+			if err := c.fact.QuadFormsInto(s.ll[ci:ci+1], s.x, s.y, s.resid, 1); err != nil {
 				return nil, err
 			}
-			s.ll[ci] = -0.5 * (linalg.Dot(s.resid, s.x) + c.logDet + s.logTwoPi)
 		}
-		return s.ll, nil
-	}
-	k := s.k
-	for ci := range s.t.classes {
-		mean := s.t.classes[ci].mean
-		for i := range f {
-			s.resid[i*k+ci] = f[i] - mean[i]
+	} else {
+		k, nc := s.k, len(s.ll)
+		for i, fi := range f {
+			resid, mean := s.resid[i*k:i*k+nc], s.means[i*k:i*k+nc]
+			for ci, m := range mean {
+				resid[ci] = fi - m
+			}
 		}
-	}
-	if err := s.shared.SolveManyInto(s.x, s.y, s.resid, k); err != nil {
-		return nil, err
-	}
-	// Each class's Mahalanobis sum runs over i in ascending order from
-	// 0.0, exactly as linalg.Dot over its own residual and solution.
-	clear(s.ll)
-	for i := range f {
-		row, sol := s.resid[i*k:i*k+len(s.ll)], s.x[i*k:i*k+len(s.ll)]
-		for ci, r := range row {
-			s.ll[ci] += r * sol[ci]
+		if err := s.shared.QuadFormsInto(s.ll, s.x, s.y, s.resid, k); err != nil {
+			return nil, err
 		}
 	}
 	for ci := range s.ll {
