@@ -18,7 +18,10 @@ import (
 // small enough for a stable -benchtime 1x CI run.
 func benchLadderCtx(b *testing.B, backend string) *ring.Context {
 	b.Helper()
-	params := ring.ParamsN4096()
+	params, err := ring.LadderParams(4096)
+	if err != nil {
+		b.Fatal(err)
+	}
 	ctx, err := ring.NewContextFor(params, backend)
 	if err != nil {
 		b.Fatal(err)
@@ -79,7 +82,11 @@ func BenchmarkRNSMul(b *testing.B) {
 func BenchmarkTracegen(b *testing.B) {
 	br := snapshotBench(b)
 	const coeffs = 64
-	q := ring.ParamsN2048().Moduli[0]
+	params, err := ring.LadderParams(2048)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := params.Moduli[0]
 	src, err := core.FirmwareSource(coeffs, core.FirmwareModulus(q))
 	if err != nil {
 		b.Fatal(err)

@@ -9,11 +9,8 @@ package reveal
 
 import (
 	"context"
-	"reflect"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"reveal/internal/bfv"
 	"reveal/internal/core"
@@ -670,54 +667,4 @@ func BenchmarkSegmentStage(b *testing.B) {
 		}
 	}
 	br.Metric(float64(len(segs)), "segments")
-}
-
-// BenchmarkParallelClassification measures the multi-worker claim loop
-// on a Table-1-sized campaign (both error polynomials of one encryption,
-// 2·n coefficients) against its one-worker case, verifying the
-// outputs are identical. The speedup scales with available cores; the
-// snapshot records the worker count so runs on different hardware stay
-// comparable.
-func BenchmarkParallelClassification(b *testing.B) {
-	s := getDefaultSession(b)
-	br := snapshotBench(b)
-	segs := attackSegments(b, s)
-	ctx := context.Background()
-	workers := runtime.GOMAXPROCS(0)
-
-	// Serial baseline, best of two runs (outside the timed region).
-	var serial *core.AttackResult
-	var err error
-	serialDur := time.Duration(1<<62 - 1)
-	for rep := 0; rep < 2; rep++ {
-		t0 := time.Now()
-		serial, err = s.Classifier.AttackSegmentsCtx(ctx, segs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if d := time.Since(t0); d < serialDur {
-			serialDur = d
-		}
-	}
-
-	b.ResetTimer()
-	var par *core.AttackResult
-	for i := 0; i < b.N; i++ {
-		par, err = s.Classifier.AttackSegmentsParallel(ctx, segs, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if !reflect.DeepEqual(serial.Values, par.Values) ||
-		!reflect.DeepEqual(serial.Signs, par.Signs) ||
-		!reflect.DeepEqual(serial.Probs, par.Probs) {
-		b.Fatal("parallel classification diverged from serial")
-	}
-	parDur := time.Duration(int64(b.Elapsed()) / int64(b.N))
-	br.Metric(float64(workers), "workers")
-	br.Metric(float64(len(segs)), "coefficients")
-	br.Metric(float64(serialDur.Microseconds())/1000, "serial-ms")
-	br.Metric(float64(parDur.Microseconds())/1000, "parallel-ms")
-	br.Metric(float64(serialDur)/float64(parDur), "speedup-x")
 }

@@ -2,6 +2,7 @@ package bfv
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -189,90 +190,15 @@ func TestCiphertextEquationHolds(t *testing.T) {
 		}
 	}
 	ctx.Add(c0, dm, c0)
-	if !c0.Equal(ct.C[0]) {
+	if !reflect.DeepEqual(c0, ct.C[0]) {
 		t.Error("c0 does not satisfy the encryption equation")
 	}
 	// c1 = p1 u + e2.
 	c1 := ctx.NewPoly()
 	ctx.MulPoly(pk.P1, u, c1)
 	ctx.Add(c1, e2, c1)
-	if !c1.Equal(ct.C[1]) {
+	if !reflect.DeepEqual(c1, ct.C[1]) {
 		t.Error("c1 does not satisfy the encryption equation")
-	}
-}
-
-func TestHomomorphicAddSub(t *testing.T) {
-	params, _, _, enc, dec := paperSetup(t, 106)
-	ev, err := NewEvaluator(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa := params.NewPlaintext()
-	pb := params.NewPlaintext()
-	pa.Coeffs[0], pa.Coeffs[5] = 100, 37
-	pb.Coeffs[0], pb.Coeffs[5] = 200, 250
-	ca, _ := enc.Encrypt(pa)
-	cb, _ := enc.Encrypt(pb)
-
-	sum, err := dec.Decrypt(ev.Add(ca, cb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Coeffs[0] != (100+200)%256 || sum.Coeffs[5] != (37+250)%256 {
-		t.Errorf("homomorphic add wrong: %d %d", sum.Coeffs[0], sum.Coeffs[5])
-	}
-	diff, err := dec.Decrypt(ev.Sub(ca, cb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff.Coeffs[0] != (100-200+256)%256 {
-		t.Errorf("homomorphic sub wrong: %d", diff.Coeffs[0])
-	}
-	neg, err := dec.Decrypt(ev.Neg(ca))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if neg.Coeffs[0] != (256-100)%256 {
-		t.Errorf("homomorphic neg wrong: %d", neg.Coeffs[0])
-	}
-}
-
-func TestHomomorphicPlainOps(t *testing.T) {
-	params, _, _, enc, dec := paperSetup(t, 107)
-	ev, err := NewEvaluator(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa := params.NewPlaintext()
-	pa.Coeffs[0] = 11
-	ca, _ := enc.Encrypt(pa)
-
-	pb := params.NewPlaintext()
-	pb.Coeffs[0] = 5
-
-	added, err := ev.AddPlain(ca, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := dec.Decrypt(added)
-	if got.Coeffs[0] != 16 {
-		t.Errorf("AddPlain: %d want 16", got.Coeffs[0])
-	}
-	subbed, err := ev.SubPlain(ca, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ = dec.Decrypt(subbed)
-	if got.Coeffs[0] != 6 {
-		t.Errorf("SubPlain: %d want 6", got.Coeffs[0])
-	}
-	mulled, err := ev.MulPlain(ca, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ = dec.Decrypt(mulled)
-	if got.Coeffs[0] != 55 {
-		t.Errorf("MulPlain: %d want 55", got.Coeffs[0])
 	}
 }
 
@@ -372,7 +298,7 @@ func TestMulInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, _ := enc.EncryptZero()
+	ct, _ := enc.Encrypt(params.NewPlaintext())
 	deg2 := &Ciphertext{C: append(ct.Clone().C, params.Context().NewPoly())}
 	if _, err := ev.Mul(deg2, ct); err == nil {
 		t.Error("Mul with degree-2 input should fail")
@@ -388,7 +314,7 @@ func TestNoiseBudgetFreshAndDrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, _ := enc.EncryptZero()
+	ct, _ := enc.Encrypt(params.NewPlaintext())
 	fresh, err := dec.NoiseBudget(ct)
 	if err != nil {
 		t.Fatal(err)
@@ -478,44 +404,11 @@ func BenchmarkDecrypt1024(b *testing.B) {
 	pk := kg.GenPublicKey(sk)
 	enc := NewEncryptor(params, pk, prng)
 	dec := NewDecryptor(params, sk)
-	ct, _ := enc.EncryptZero()
+	ct, _ := enc.Encrypt(params.NewPlaintext())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.Decrypt(ct); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestRerandomize(t *testing.T) {
-	params, _, _, enc, dec := paperSetup(t, 112)
-	ev, err := NewEvaluator(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := params.NewPlaintext()
-	pt.Coeffs[0] = 99
-	ct, err := enc.Encrypt(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := ev.Rerandomize(ct, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same plaintext, different ciphertext.
-	got, err := dec.Decrypt(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Coeffs[0] != 99 {
-		t.Errorf("rerandomized decrypt: %d", got.Coeffs[0])
-	}
-	if fresh.C[0].Equal(ct.C[0]) || fresh.C[1].Equal(ct.C[1]) {
-		t.Error("rerandomization did not change the ciphertext")
-	}
-	deg2 := &Ciphertext{C: append(ct.Clone().C, params.Context().NewPoly())}
-	if _, err := ev.Rerandomize(deg2, enc); err == nil {
-		t.Error("degree-2 input should fail")
 	}
 }

@@ -1,8 +1,6 @@
 package bfv
 
 import (
-	"fmt"
-
 	"reveal/internal/modular"
 	"reveal/internal/ring"
 	"reveal/internal/sampler"
@@ -120,52 +118,4 @@ func (e *Encryptor) scaledPlaintext(pt *Plaintext) *ring.Poly {
 		}
 	}
 	return p
-}
-
-// EncryptZero produces an encryption of zero, used by tests and the
-// rerandomization gadget.
-func (e *Encryptor) EncryptZero() (*Ciphertext, error) {
-	pt := e.params.NewPlaintext()
-	return e.Encrypt(pt)
-}
-
-// SanityCheckTranscript verifies internal consistency of a transcript
-// against the parameter set (bounds and branch agreement).
-func SanityCheckTranscript(params *Parameters, tr *EncryptionTranscript) error {
-	if len(tr.E1) != params.N || len(tr.E2) != params.N || len(tr.U) != params.N {
-		return fmt.Errorf("bfv: transcript length mismatch")
-	}
-	max := int64(params.MaxDeviation) + 1
-	check := func(vals []int64, branches []sampler.Branch, name string) error {
-		for i, v := range vals {
-			if v > max || v < -max {
-				return fmt.Errorf("bfv: %s[%d]=%d exceeds clip bound", name, i, v)
-			}
-			var want sampler.Branch
-			switch {
-			case v > 0:
-				want = sampler.BranchPositive
-			case v < 0:
-				want = sampler.BranchNegative
-			default:
-				want = sampler.BranchZero
-			}
-			if branches[i] != want {
-				return fmt.Errorf("bfv: %s[%d] branch %v inconsistent with value %d", name, i, branches[i], v)
-			}
-		}
-		return nil
-	}
-	if err := check(tr.E1, tr.Branch1, "e1"); err != nil {
-		return err
-	}
-	if err := check(tr.E2, tr.Branch2, "e2"); err != nil {
-		return err
-	}
-	for i, v := range tr.U {
-		if v < -1 || v > 1 {
-			return fmt.Errorf("bfv: u[%d]=%d not ternary", i, v)
-		}
-	}
-	return nil
 }

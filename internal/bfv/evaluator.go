@@ -58,73 +58,6 @@ func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 	return out
 }
 
-// Sub returns ct0 - ct1.
-func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) *Ciphertext {
-	neg := ev.Neg(ct1)
-	return ev.Add(ct0, neg)
-}
-
-// Neg returns -ct.
-func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
-	ctx := ev.params.Context()
-	out := ct.Clone()
-	for i := range out.C {
-		ctx.Neg(out.C[i], out.C[i])
-	}
-	return out
-}
-
-// AddPlain returns ct + Δ·pt.
-func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if err := ev.params.Validate(pt); err != nil {
-		return nil, err
-	}
-	out := ct.Clone()
-	for j, q := range ev.params.Moduli {
-		dj := ev.params.DeltaMod(j)
-		for i, m := range pt.Coeffs {
-			out.C[0].Coeffs[j][i] = modular.Add(out.C[0].Coeffs[j][i], modular.Mul(dj, m, q), q)
-		}
-	}
-	return out, nil
-}
-
-// SubPlain returns ct - Δ·pt.
-func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if err := ev.params.Validate(pt); err != nil {
-		return nil, err
-	}
-	out := ct.Clone()
-	for j, q := range ev.params.Moduli {
-		dj := ev.params.DeltaMod(j)
-		for i, m := range pt.Coeffs {
-			out.C[0].Coeffs[j][i] = modular.Sub(out.C[0].Coeffs[j][i], modular.Mul(dj, m, q), q)
-		}
-	}
-	return out, nil
-}
-
-// MulPlain returns ct · pt (plaintext multiplied in as an integer
-// polynomial with coefficients < t; no Δ scaling).
-func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if err := ev.params.Validate(pt); err != nil {
-		return nil, err
-	}
-	ctx := ev.params.Context()
-	ptPoly := ctx.NewPoly()
-	for j, q := range ev.params.Moduli {
-		for i, m := range pt.Coeffs {
-			ptPoly.Coeffs[j][i] = m % q
-		}
-	}
-	out := &Ciphertext{C: make([]*ring.Poly, len(ct.C))}
-	for i := range ct.C {
-		out.C[i] = ctx.NewPoly()
-		ctx.MulPoly(ct.C[i], ptPoly, out.C[i])
-	}
-	return out, nil
-}
-
 // Mul returns the degree-2 ciphertext encrypting m0·m1:
 //
 //	(d0, d1, d2) = round(t/Q · (c0 ⊗ c1)) mod Q.
@@ -250,19 +183,4 @@ func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext, rk *RelinKey) (*Ciphertext, 
 		return nil, err
 	}
 	return ev.Relinearize(prod, rk)
-}
-
-// Rerandomize refreshes a ciphertext's randomness by adding a fresh
-// encryption of zero: the plaintext is unchanged, but the new ciphertext
-// is statistically unlinkable to the old one (at the cost of one fresh
-// noise term).
-func (ev *Evaluator) Rerandomize(ct *Ciphertext, enc *Encryptor) (*Ciphertext, error) {
-	if ct.Degree() != 1 {
-		return nil, fmt.Errorf("bfv: Rerandomize requires a degree-1 ciphertext")
-	}
-	zero, err := enc.EncryptZero()
-	if err != nil {
-		return nil, err
-	}
-	return ev.Add(ct, zero), nil
 }

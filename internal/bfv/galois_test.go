@@ -169,7 +169,7 @@ func TestGaloisValidation(t *testing.T) {
 	if _, err := kg.GenGaloisKey(sk, 4); err == nil {
 		t.Error("even Galois element should fail")
 	}
-	ct, _ := enc.EncryptZero()
+	ct, _ := enc.Encrypt(params.NewPlaintext())
 	if _, err := ev.ApplyGalois(ct, nil); err == nil {
 		t.Error("nil key should fail")
 	}

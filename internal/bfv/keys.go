@@ -1,8 +1,6 @@
 package bfv
 
 import (
-	"fmt"
-
 	"reveal/internal/modular"
 	"reveal/internal/ring"
 	"reveal/internal/sampler"
@@ -138,18 +136,4 @@ func (kg *KeyGenerator) noisePoly() *ring.Poly {
 		panic(err)
 	}
 	return p
-}
-
-// CheckKeyPair verifies pk is consistent with sk: p0 + p1·s must be a
-// small-norm polynomial (the key-generation error).
-func CheckKeyPair(params *Parameters, sk *SecretKey, pk *PublicKey) error {
-	ctx := params.Context()
-	t := ctx.NewPoly()
-	ctx.MulPoly(pk.P1, sk.S, t)
-	ctx.Add(pk.P0, t, t)
-	norm := ctx.InfNormCentered(t)
-	if norm > uint64(params.MaxDeviation)+1 {
-		return fmt.Errorf("bfv: key pair inconsistent: residual norm %d", norm)
-	}
-	return nil
 }

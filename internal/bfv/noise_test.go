@@ -7,7 +7,7 @@ import (
 	"reveal/internal/sampler"
 )
 
-func noiseSetup(t *testing.T, seed uint64) (*Parameters, *Encryptor, *Decryptor, *Evaluator, *NoiseEstimator) {
+func noiseSetup(t *testing.T, seed uint64) (*Parameters, *Encryptor, *Decryptor, *Evaluator) {
 	t.Helper()
 	params := PaperParameters()
 	prng := sampler.NewXoshiro256(seed)
@@ -20,13 +20,13 @@ func noiseSetup(t *testing.T, seed uint64) (*Parameters, *Encryptor, *Decryptor,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return params, enc, dec, ev, NewNoiseEstimator(params)
+	return params, enc, dec, ev
 }
 
 func TestFreshNoiseWithinBound(t *testing.T) {
-	params, enc, dec, _, ne := noiseSetup(t, 800)
-	bound := ne.Fresh()
-	if !ne.CanDecrypt(bound) {
+	params, enc, dec, _ := noiseSetup(t, 800)
+	bound := FreshNoiseBound(params)
+	if !DecryptableBound(params, bound) {
 		t.Fatal("fresh ciphertexts must decrypt at paper parameters")
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -39,40 +39,41 @@ func TestFreshNoiseWithinBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ne.CheckBound(dec, ct, bound); err != nil {
+		if err := CheckNoiseBound(dec, ct, bound); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
 
 func TestAddNoiseWithinBound(t *testing.T) {
-	params, enc, dec, ev, ne := noiseSetup(t, 801)
+	params, enc, dec, ev := noiseSetup(t, 801)
 	pa := params.NewPlaintext()
 	pa.Coeffs[0] = 3
 	ca, _ := enc.Encrypt(pa)
 	cb, _ := enc.Encrypt(pa)
 	sum := ev.Add(ca, cb)
-	bound := ne.Add(ne.Fresh(), ne.Fresh())
-	if err := ne.CheckBound(dec, sum, bound); err != nil {
+	fresh := FreshNoiseBound(params)
+	bound := AddNoiseBound(params, fresh, fresh)
+	if err := CheckNoiseBound(dec, sum, bound); err != nil {
 		t.Fatal(err)
 	}
 	// One addition is guaranteed by the worst-case analysis at these tiny
 	// parameters (Δ/2 ≈ 2.6e5, fresh bound ≈ 8.6e4).
-	if !ne.CanDecrypt(bound) {
+	if !DecryptableBound(params, bound) {
 		t.Error("one addition must be guaranteed decryptable")
 	}
 	// Repeated additions: the bound keeps tracking the measured noise, and
 	// — being worst-case — gives up long before actual decryption fails.
 	acc := ca
-	accBound := ne.Fresh()
+	accBound := fresh
 	for i := 0; i < 32; i++ {
 		acc = ev.Add(acc, cb)
-		accBound = ne.Add(accBound, ne.Fresh())
+		accBound = AddNoiseBound(params, accBound, fresh)
 	}
-	if err := ne.CheckBound(dec, acc, accBound); err != nil {
+	if err := CheckNoiseBound(dec, acc, accBound); err != nil {
 		t.Fatal(err)
 	}
-	if ne.CanDecrypt(accBound) {
+	if DecryptableBound(params, accBound) {
 		t.Log("note: worst-case bound unexpectedly still under Δ/2")
 	}
 	// Reality: decryption still works (average-case noise ≪ worst case).
@@ -85,40 +86,16 @@ func TestAddNoiseWithinBound(t *testing.T) {
 	}
 }
 
-func TestAddPlainAndMulPlainBounds(t *testing.T) {
-	params, enc, dec, ev, ne := noiseSetup(t, 802)
-	pa := params.NewPlaintext()
-	pa.Coeffs[0] = 7
-	ca, _ := enc.Encrypt(pa)
-
-	pb := params.NewPlaintext()
-	pb.Coeffs[0] = 5
-	added, err := ev.AddPlain(ca, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ne.CheckBound(dec, added, ne.AddPlain(ne.Fresh())); err != nil {
-		t.Fatal(err)
-	}
-
-	mulled, err := ev.MulPlain(ca, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ne.CheckBound(dec, mulled, ne.MulPlain(ne.Fresh())); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBudgetBitsConsistentWithDecryptor(t *testing.T) {
-	params, enc, dec, _, ne := noiseSetup(t, 803)
+	params, enc, dec, _ := noiseSetup(t, 803)
 	pt := params.NewPlaintext()
 	ct, _ := enc.Encrypt(pt)
 	measuredBudget, err := dec.NoiseBudget(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boundBudget := ne.BudgetBits(ne.Fresh())
+	// The fresh bound in Decryptor.NoiseBudget's convention, log2(Δ/(2·bound)).
+	boundBudget := float64(params.Delta().BitLen()-FreshNoiseBound(params).BitLen()) - 1
 	// The analytic bound is pessimistic: its budget must not exceed the
 	// measured one (much), and both are positive here.
 	if boundBudget > measuredBudget+1 {
@@ -130,7 +107,7 @@ func TestBudgetBitsConsistentWithDecryptor(t *testing.T) {
 }
 
 func TestMeasureNoiseMatchesBudget(t *testing.T) {
-	params, enc, dec, _, _ := noiseSetup(t, 804)
+	params, enc, dec, _ := noiseSetup(t, 804)
 	pt := params.NewPlaintext()
 	ct, _ := enc.Encrypt(pt)
 	norm, err := dec.MeasureNoise(ct)

@@ -5,6 +5,7 @@ package bfv_test
 // and every encryption transcript respects the sampler's clipping bound.
 
 import (
+	"math"
 	"math/big"
 	"testing"
 
@@ -48,13 +49,13 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 }
 
 // TestFreshNoiseWithinEstimatorBound: the measured infinity norm of the
-// decryption noise must stay below the NoiseEstimator's fresh bound, and
-// the budget must be positive — otherwise the estimator is lying and every
-// downstream "can we still decrypt" decision is unsound.
+// decryption noise must stay below the analytic fresh bound, and the
+// budget must be positive — otherwise the encryptor adds more noise than
+// the BFV analysis allows and every "can we still decrypt" decision is
+// unsound.
 func TestFreshNoiseWithinEstimatorBound(t *testing.T) {
 	params := smallTestParams(t)
-	ne := bfv.NewNoiseEstimator(params)
-	fresh := ne.Fresh()
+	fresh := bfv.FreshNoiseBound(params)
 	for _, seed := range []uint64{7, 8, 9, 10} {
 		prng := sampler.NewXoshiro256(seed)
 		kg := bfv.NewKeyGenerator(params, prng)
@@ -62,11 +63,11 @@ func TestFreshNoiseWithinEstimatorBound(t *testing.T) {
 		pk := kg.GenPublicKey(sk)
 		enc := bfv.NewEncryptor(params, pk, prng)
 		dec := bfv.NewDecryptor(params, sk)
-		ct, err := enc.EncryptZero()
+		ct, err := enc.Encrypt(params.NewPlaintext())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ne.CheckBound(dec, ct, fresh); err != nil {
+		if err := bfv.CheckNoiseBound(dec, ct, fresh); err != nil {
 			t.Fatalf("seed %d: fresh ciphertext exceeds estimator bound: %v", seed, err)
 		}
 		budget, err := dec.NoiseBudget(ct)
@@ -102,7 +103,7 @@ func TestTranscriptRespectsClipping(t *testing.T) {
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	enc := bfv.NewEncryptor(params, pk, prng)
-	maxVal := params.NoiseSampler().MaxValue()
+	maxVal := int64(math.Round(params.NoiseSampler().MaxDeviation))
 
 	for iter := 0; iter < 10; iter++ {
 		pt := params.NewPlaintext()

@@ -131,12 +131,3 @@ func (c *CoefficientClassifier) AttackWithOptions(ctx context.Context, cap *Encr
 	}
 	return &AttackOutcome{E1: r1, E2: r2}, nil
 }
-
-// RecoveredE2 returns the maximum-likelihood e2 as signed coefficients.
-func (o *AttackOutcome) RecoveredE2() []int64 {
-	out := make([]int64, len(o.E2.Values))
-	for i, v := range o.E2.Values {
-		out[i] = int64(v)
-	}
-	return out
-}

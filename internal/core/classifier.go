@@ -65,17 +65,6 @@ func (c *CoefficientClassifier) scorer() *segScorer {
 
 func (c *CoefficientClassifier) release(ss *segScorer) { c.scorers.Put(ss) }
 
-// Classification is the outcome for one coefficient sub-trace.
-type Classification struct {
-	// Value is the maximum-likelihood coefficient.
-	Value int
-	// Sign is the recovered branch (−1, 0, +1).
-	Sign int
-	// Probs is the posterior over coefficient values (a row of Table II):
-	// P(v) = P(sign)·P(v | sign), over the classifier's label set.
-	Probs Posterior
-}
-
 // tailAlign aligns a sub-trace by its end: the sampler-port read at the
 // start of each iteration has data-dependent duration (the time-variant
 // distribution call), but everything after it — the branch, the stores, the
@@ -86,22 +75,6 @@ func tailAlign(seg trace.Trace, length int) trace.Trace {
 		return seg[len(seg)-length:].Clone()
 	}
 	return seg.Resample(length)
-}
-
-// ClassifySegment classifies one per-coefficient sub-trace: branch first
-// (V1), then the value template of the recovered side (V2/V3), with the
-// combined posterior P(v) = P(sign)·P(v | sign). The arithmetic runs on a
-// pooled segScorer, scoring each template set exactly once.
-func (c *CoefficientClassifier) ClassifySegment(seg trace.Trace) (*Classification, error) {
-	ss := c.scorer()
-	defer c.release(ss)
-	labels := c.labels()
-	row := make([]float64, len(labels))
-	value, sign, err := ss.classify(seg, row)
-	if err != nil {
-		return nil, err
-	}
-	return &Classification{Value: value, Sign: sign, Probs: Posterior{Labels: labels, P: row}}, nil
 }
 
 // AttackResult aggregates the single-trace attack over one error

@@ -9,7 +9,6 @@ import (
 	"reveal/internal/bfv"
 	"reveal/internal/sampler"
 	"reveal/internal/sca"
-	"reveal/internal/trace"
 )
 
 // smallParams is a fast single-modulus configuration for pipeline tests:
@@ -521,36 +520,6 @@ func TestEstimateRejectsMultiModulus(t *testing.T) {
 	}
 }
 
-func TestSummarizeHints(t *testing.T) {
-	res := &AttackResult{
-		Values: []int{1, -2},
-		Signs:  []int{1, -1},
-		Probs: []Posterior{
-			posteriorOf(map[int]float64{1: 0.9, 2: 0.1}),
-			posteriorOf(map[int]float64{-2: 1.0}),
-		},
-	}
-	rows, err := SummarizeHints(res, []int64{1, -2}, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatal("want 2 rows")
-	}
-	if rows[1].Variance != 0 {
-		t.Error("certain hint must have zero variance")
-	}
-	if rows[0].Centered <= 1 || rows[0].Centered >= 1.2 {
-		t.Errorf("centered=%v want 1.1", rows[0].Centered)
-	}
-	if rows[0].TrueValue != 1 {
-		t.Error("truth not propagated")
-	}
-	if _, err := SummarizeHints(res, nil, []int{5}); err == nil {
-		t.Error("out-of-range index should fail")
-	}
-}
-
 func TestShufflingCountermeasure(t *testing.T) {
 	dev := NewDevice(9)
 	cls := smallProfile(t, dev)
@@ -897,14 +866,8 @@ func TestFirmwareMaskedSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range values {
-		r, err := cpu.ReadWord(PolyBase + uint32(8*i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := cpu.ReadWord(PolyBase + uint32(8*i+4))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := readWord(cpu, PolyBase+uint32(8*i))
+		s2 := readWord(cpu, PolyBase+uint32(8*i+4))
 		want, _ := sampler.AssignSigned(v, []uint64{q})
 		got := (uint64(r) + uint64(s2)) % q
 		if got != want[0] {
@@ -1058,106 +1021,5 @@ func TestSecondOrderLeakageOfMaskedKernel(t *testing.T) {
 	}
 	if _, err := RunSecondOrderStudy(dev, 257, 5, 3, 98); err == nil {
 		t.Error("too few traces should fail")
-	}
-}
-
-// The stochastic (linear-regression) profiling model works on real device
-// traces: with a tiny profiling budget it matches or beats per-value
-// templates on positive coefficients (it shares strength across classes
-// through the bit basis — the ML-profiling direction of the paper's §V-B).
-func TestStochasticProfilingOnDeviceTraces(t *testing.T) {
-	const q = 12289
-	dev := NewDevice(121)
-	src, err := FirmwareSource(18, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := AssembleFirmware(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn := sampler.DefaultClippedNormal()
-	prng := sampler.NewXoshiro256(122)
-
-	// Collect labeled positive sub-traces: labels 1..14, interleaved.
-	collect := func(perLabel int) *trace.Set {
-		set := &trace.Set{}
-		counts := map[int]int{}
-		length := 0
-		var raw []trace.Segment
-		var labels []int
-		for {
-			values := make([]int64, 18)
-			for i := range values {
-				values[i] = int64(1 + sampler.Uint64Below(prng, 14))
-			}
-			metas := SyntheticMetas(prng, cn, 18)
-			_, segs, err := dev.SegmentCapture(fw, values, metas)
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := true
-			for i := 1; i < len(segs)-1; i++ {
-				v := int(values[i])
-				if counts[v] < perLabel {
-					raw = append(raw, segs[i])
-					labels = append(labels, v)
-					counts[v]++
-				}
-			}
-			for v := 1; v <= 14; v++ {
-				if counts[v] < perLabel {
-					done = false
-				}
-			}
-			if done {
-				break
-			}
-		}
-		length = len(raw[0].Samples)
-		for _, s := range raw {
-			if len(s.Samples) < length {
-				length = len(s.Samples)
-			}
-		}
-		for i, s := range raw {
-			set.Append(tailAlign(s.Samples, length), labels[i])
-		}
-		return set
-	}
-
-	train := collect(8) // tiny budget: 8 traces per value
-	basis := sca.BitBasis(4, func(l int) uint32 { return uint32(l) })
-	sm, err := sca.FitStochastic(train, basis, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := sca.DefaultTemplateOptions()
-	opts.POICount = 12
-	opts.MinSpacing = 1
-	tm, err := sca.BuildTemplates(train, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	test := collect(6)
-	smOK, tmOK := 0, 0
-	for i, tr := range test.Traces {
-		if p, err := sm.Classify(tr); err == nil && p == test.Labels[i] {
-			smOK++
-		}
-		if p, err := tm.Classify(tr); err == nil && p == test.Labels[i] {
-			tmOK++
-		}
-	}
-	n := test.Len()
-	t.Logf("stochastic %d/%d vs templates %d/%d at 8 traces/value", smOK, n, tmOK, n)
-	// The stochastic model must be competitive (within 10%) and well above
-	// the 1/14 chance floor.
-	if float64(smOK) < float64(tmOK)-0.1*float64(n) {
-		t.Errorf("stochastic %d/%d trails templates %d/%d badly", smOK, n, tmOK, n)
-	}
-	if smOK < n/4 {
-		t.Errorf("stochastic accuracy %d/%d too close to chance", smOK, n)
 	}
 }

@@ -178,29 +178,6 @@ func (d *Device) render(cpu *rv32.CPU, budget int) (trace.Trace, error) {
 	return samples, nil
 }
 
-// StoredPoly reads back the polynomial residues the firmware wrote (ground
-// truth for tests).
-func (d *Device) StoredPoly(firmware []byte, values []int64, metas []sampler.SampleMeta) ([]uint32, error) {
-	port := &samplerPort{values: values, waits: make([]int, len(values))}
-	cpu := rv32.NewCPU(d.MemSize)
-	cpu.MapMMIO(PortBase, 0x100, port)
-	if err := cpu.Load(firmware, 0); err != nil {
-		return nil, err
-	}
-	if _, err := cpu.Run(64 * (len(values) + 4)); err != nil {
-		return nil, err
-	}
-	out := make([]uint32, len(values))
-	for i := range out {
-		w, err := cpu.ReadWord(PolyBase + uint32(4*i))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
 // SegmentCapture captures a trace and cuts it into the per-coefficient
 // sub-traces using the port-spike peaks, returning exactly len(values)
 // segments.
@@ -283,19 +260,4 @@ func (d *Device) Perturb(seed uint64, spread float64) *Device {
 	out.Model.BetaHDReg = d.Model.BetaHDReg * jitter()
 	out.Model.DeltaHDBus = d.Model.DeltaHDBus * jitter()
 	return out
-}
-
-// runMaskedForTest executes the masked kernel and returns the CPU so tests
-// can inspect the written shares.
-func (d *Device) runMaskedForTest(firmware []byte, values []int64, q uint64, maskSeed uint64) (*rv32.CPU, error) {
-	cpu := rv32.NewCPU(d.MemSize)
-	cpu.MapMMIO(PortBase, 0x100, &samplerPort{values: values, waits: make([]int, len(values))})
-	cpu.MapMMIO(MaskPortBase, 0x100, &maskPort{q: q, prng: sampler.NewXoshiro256(maskSeed)})
-	if err := cpu.Load(firmware, 0); err != nil {
-		return nil, err
-	}
-	if _, err := cpu.Run(96 * (len(values) + 4)); err != nil {
-		return nil, err
-	}
-	return cpu, nil
 }

@@ -96,29 +96,3 @@ func SignOnlyWithGuess(params *bfv.Parameters, res *AttackResult) (bikz float64,
 	}
 	return bikz, guess, nil
 }
-
-// HintSummary is one row of Table II: the probability table of a single
-// measurement with its centered mean and variance.
-type HintSummary struct {
-	TrueValue int
-	Probs     Posterior
-	Centered  float64
-	Variance  float64
-}
-
-// SummarizeHints produces the Table II rows for the given coefficients.
-func SummarizeHints(res *AttackResult, truth []int64, indices []int) ([]HintSummary, error) {
-	out := make([]HintSummary, 0, len(indices))
-	for _, i := range indices {
-		if i < 0 || i >= len(res.Probs) {
-			return nil, fmt.Errorf("core: index %d out of range", i)
-		}
-		h := dbdd.HintFromProbabilities(res.Probs[i].Labels, res.Probs[i].P)
-		s := HintSummary{Probs: res.Probs[i], Centered: h.Mean, Variance: h.Variance}
-		if truth != nil && i < len(truth) {
-			s.TrueValue = int(truth[i])
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}

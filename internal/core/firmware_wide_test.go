@@ -21,7 +21,11 @@ func TestFirmwareModulus(t *testing.T) {
 		}
 	}
 	// Low limb on wide primes.
-	q54 := ring.ParamsN2048().Moduli[0]
+	params, err := ring.LadderParams(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q54 := params.Moduli[0]
 	if got, want := FirmwareModulus(q54), q54&0xffffffff; got != want {
 		t.Fatalf("FirmwareModulus(%d) = %d, want %d", q54, got, want)
 	}

@@ -243,35 +243,3 @@ func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphert
 	}
 	return nil, nil, trials, fmt.Errorf("core: residual search exhausted after %d trials", trials)
 }
-
-// CrossValidateE1 closes the loop on the second error polynomial: with the
-// message and u recovered, e1 = c0 − p0·u − Δ·m is computable exactly, and
-// can be compared against what the single-trace attack classified for the
-// e1 sampling run — an attacker-side self-check requiring no ground truth.
-func CrossValidateE1(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext,
-	u *ring.Poly, m *bfv.Plaintext, e1Attack *AttackResult) (agreement float64, err error) {
-	ctx := params.Context()
-	if len(e1Attack.Values) != ctx.N {
-		return 0, fmt.Errorf("core: e1 attack covered %d coefficients, want %d", len(e1Attack.Values), ctx.N)
-	}
-	// e1 = c0 − p0·u − Δ·m.
-	p0u := ctx.NewPoly()
-	ctx.MulPoly(pk.P0, u, p0u)
-	e1 := ctx.NewPoly()
-	ctx.Sub(ct.C[0], p0u, e1)
-	for j, q := range params.Moduli {
-		dj := params.DeltaMod(j)
-		for i, mv := range m.Coeffs {
-			e1.Coeffs[j][i] = modular.Sub(e1.Coeffs[j][i], modular.Mul(dj, mv, q), q)
-		}
-	}
-	match := 0
-	q0 := params.Moduli[0]
-	for i := 0; i < ctx.N; i++ {
-		truth := modular.CenteredRep(e1.Coeffs[0][i], q0)
-		if truth == int64(e1Attack.Values[i]) {
-			match++
-		}
-	}
-	return float64(match) / float64(ctx.N), nil
-}

@@ -67,8 +67,10 @@ func (ss *segScorer) tailAlignInto(seg trace.Trace) trace.Trace {
 	return seg.ResampleInto(ss.alignBuf)
 }
 
-// classify is ClassifySegment over the reusable scoring context: it writes
-// the posterior into row, which holds one entry per label of c.labels().
+// classify classifies one per-coefficient sub-trace on the reusable scoring
+// context: branch first (V1), then the value template of the recovered
+// side (V2/V3), with the combined posterior P(v) = P(sign)·P(v | sign)
+// written into row, which holds one entry per label of c.labels().
 func (ss *segScorer) classify(seg trace.Trace, row []float64) (value, sign int, err error) {
 	aligned := ss.tailAlignInto(seg)
 	signLL, err := ss.sign.ScoreTrace(aligned)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"reveal/internal/sca"
 	"reveal/internal/trace"
 )
 
@@ -15,22 +16,47 @@ type legacyClassification struct {
 	Probs       map[int]float64
 }
 
+// legacyProbabilities is the map-form template posterior of the
+// pre-scorer pipeline: the per-class scores through a max-shifted softmax
+// keyed by label, its normalizing sum taken in ascending class order, and
+// the maximum-likelihood label.
+func legacyProbabilities(tpl *sca.Templates, tr trace.Trace) (map[int]float64, int, error) {
+	s := tpl.NewScorer()
+	ll, err := s.ScoreTrace(tr)
+	if err != nil {
+		return nil, 0, err
+	}
+	max := math.Inf(-1)
+	for _, v := range ll {
+		if v > max {
+			max = v
+		}
+	}
+	probs := make(map[int]float64, len(ll))
+	sum := 0.0
+	for ci, v := range ll {
+		e := math.Exp(v - max)
+		probs[s.Label(ci)] = e
+		sum += e
+	}
+	for l := range probs {
+		probs[l] /= sum
+	}
+	return probs, s.ArgMaxLabel(ll), nil
+}
+
 // legacyClassifySegment replicates the pre-scorer classification pipeline —
 // map-based posteriors, duplicate template evaluations and all — as the
 // bitwise ground truth for the pooled segScorer path.
 func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*legacyClassification, error) {
 	aligned := tailAlign(seg, c.Length)
-	signProbs, err := c.Sign.Probabilities(aligned)
+	signProbs, sign, err := legacyProbabilities(c.Sign, aligned)
 	if err != nil {
 		return nil, fmt.Errorf("core: sign classification: %w", err)
 	}
-	sign, err := c.Sign.Classify(aligned)
-	if err != nil {
-		return nil, err
-	}
 	probs := map[int]float64{0: signProbs[0]}
 	if c.Pos != nil {
-		posProbs, err := c.Pos.Probabilities(aligned)
+		posProbs, _, err := legacyProbabilities(c.Pos, aligned)
 		if err != nil {
 			return nil, err
 		}
@@ -39,7 +65,7 @@ func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*legacyCl
 		}
 	}
 	if c.Neg != nil {
-		negProbs, err := c.Neg.Probabilities(aligned)
+		negProbs, _, err := legacyProbabilities(c.Neg, aligned)
 		if err != nil {
 			return nil, err
 		}
@@ -67,12 +93,12 @@ func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*legacyCl
 		if c.Pos == nil {
 			return nil, fmt.Errorf("core: no positive templates")
 		}
-		value, err = c.Pos.Classify(aligned)
+		_, value, err = legacyProbabilities(c.Pos, aligned)
 	case -1:
 		if c.Neg == nil {
 			return nil, fmt.Errorf("core: no negative templates")
 		}
-		value, err = c.Neg.Classify(aligned)
+		_, value, err = legacyProbabilities(c.Neg, aligned)
 	}
 	if err != nil {
 		return nil, err

@@ -196,30 +196,6 @@ func TestApproximateHintConditioning(t *testing.T) {
 	}
 }
 
-func TestModularHint(t *testing.T) {
-	in, err := NewLWEInstance(1, 1, 97, 1, 10.24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Large modulus relative to σ=3.2: perfect.
-	if err := in.ModularHint(1, 2, 64); err != nil {
-		t.Fatal(err)
-	}
-	if !in.eliminated[1] {
-		t.Error("wide modular hint should be perfect")
-	}
-	// Small modulus: variance clamp to k²/12.
-	if err := in.ModularHint(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(in.Var[0]-4.0/12) > 1e-12 {
-		t.Errorf("modular variance=%v want %v", in.Var[0], 4.0/12)
-	}
-	if err := in.ModularHint(0, 0, 1); err == nil {
-		t.Error("modulus 1 should fail")
-	}
-}
-
 func TestHintFromProbabilities(t *testing.T) {
 	// Certain value: variance 0.
 	h := HintFromProbabilities([]int{3}, []float64{1})
@@ -355,7 +331,7 @@ func TestGuessBestCoordinate(t *testing.T) {
 	if err := in.ApproximateHint(2, 1.98, 0.0001); err != nil {
 		t.Fatal(err)
 	}
-	g, err := in.GuessBestCoordinate()
+	g, err := in.GuessBestCoordinateIn(0, len(in.Var))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +352,7 @@ func TestGuessBestCoordinate(t *testing.T) {
 			}
 		}
 	}
-	if _, err := in.GuessBestCoordinate(); err == nil {
+	if _, err := in.GuessBestCoordinateIn(0, len(in.Var)); err == nil {
 		t.Error("no coordinates left should fail")
 	}
 }
@@ -459,58 +435,6 @@ func TestGuessBestCoordinateIn(t *testing.T) {
 	}
 }
 
-func TestShortVectorHint(t *testing.T) {
-	in := sealInstance(t)
-	base, err := in.EstimateBikz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Projecting out one q-vector (norm q): loses a dimension and a factor
-	// q of volume. For a large instance the effect is tiny but must not
-	// increase hardness dramatically; the bookkeeping must be exact.
-	dimBefore, volBefore := in.Dim(), in.LogVol()
-	if err := in.ShortVectorHint(132120577); err != nil {
-		t.Fatal(err)
-	}
-	if in.Dim() != dimBefore-1 {
-		t.Error("dim not reduced")
-	}
-	if math.Abs((volBefore-in.LogVol())-math.Log(132120577)) > 1e-9 {
-		t.Error("volume not divided by the norm")
-	}
-	after, err := in.EstimateBikz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(after-base) > 25 {
-		t.Errorf("single short-vector hint moved bikz too much: %.2f -> %.2f", base, after)
-	}
-	// A *short* vector (norm ≪ vol^(1/d)) helps: hardness must not grow.
-	in2 := sealInstance(t)
-	if err := in2.ShortVectorHint(2); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := in2.EstimateBikz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2 > base+1e-6 {
-		t.Errorf("short-vector hint increased hardness: %.2f -> %.2f", base, b2)
-	}
-	// Validation.
-	if err := in2.ShortVectorHint(0); err == nil {
-		t.Error("non-positive norm should fail")
-	}
-	tiny, err := NewLWEInstance(1, 1, 7, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny.dim = 2
-	if err := tiny.ShortVectorHint(3); err == nil {
-		t.Error("dimension floor should be enforced")
-	}
-}
-
 // uncachedNormalizedLogVol is the estimate's log-volume sum taking each
 // coordinate's log afresh: the oracle for the cached ½·ln σ² terms.
 func uncachedNormalizedLogVol(in *Instance) float64 {
@@ -524,9 +448,9 @@ func uncachedNormalizedLogVol(in *Instance) float64 {
 	return lv
 }
 
-// applyRandomHints integrates steps seeded random hints of all four kinds
-// (perfect, approximate, modular, sign), skipping the errors that a
-// coordinate already eliminated returns.
+// applyRandomHints integrates steps seeded random hints of all three kinds
+// (perfect, approximate, sign), skipping the errors that a coordinate
+// already eliminated returns.
 func applyRandomHints(in *Instance, seed uint64, steps int) {
 	s := seed
 	next := func(n int) int {
@@ -535,14 +459,12 @@ func applyRandomHints(in *Instance, seed uint64, steps int) {
 	}
 	for range steps {
 		coord := next(len(in.Var))
-		switch next(4) {
+		switch next(3) {
 		case 0:
 			_ = in.PerfectHint(coord, float64(next(7)-3))
 		case 1:
 			_ = in.ApproximateHint(coord, float64(next(7)-3), float64(1+next(100))/37)
 		case 2:
-			_ = in.ModularHint(coord, float64(next(5)), 2+next(40))
-		case 3:
 			_ = in.SignHint(coord, next(3)-1)
 		}
 	}

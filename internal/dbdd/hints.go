@@ -88,15 +88,6 @@ type GuessResult struct {
 	SuccessProb float64
 }
 
-// GuessBestCoordinate finds the non-eliminated coordinate with the
-// smallest posterior variance, integrates its rounded mean as a perfect
-// hint, and reports the success probability of that guess under the
-// Gaussian posterior (probability that the true value rounds to the
-// guessed integer).
-func (in *Instance) GuessBestCoordinate() (*GuessResult, error) {
-	return in.GuessBestCoordinateIn(0, len(in.Var))
-}
-
 // GuessBestCoordinateIn restricts the guess to coordinates [lo, hi) — the
 // paper guesses among the measured (error) coordinates, not the ternary
 // secret.

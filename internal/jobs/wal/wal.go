@@ -21,6 +21,7 @@ package wal
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -330,6 +331,11 @@ func (l *Log) Append(rec Record) (int64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: log is closed")
 	}
+	if l.seq == math.MaxInt64 {
+		// The next number would wrap to a non-positive seq, which replay
+		// skips: the record would be acknowledged and then lost.
+		return 0, fmt.Errorf("wal: sequence numbers exhausted at %d", l.seq)
+	}
 	l.seq++
 	rec.Seq = l.seq
 	if rec.Time.IsZero() {
@@ -462,20 +468,6 @@ func (l *Log) Snapshot(jobSeq uint64, jobs []JobImage) error {
 	}
 	l.segments = keep
 	return nil
-}
-
-// Seq reports the last assigned WAL sequence number.
-func (l *Log) Seq() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// Segments reports how many WAL segment files are currently on disk.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segments)
 }
 
 // Close fsyncs and closes the active segment. Appends are rejected

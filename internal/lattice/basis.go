@@ -130,20 +130,6 @@ func (b *Basis) dotRows(i, j int) *big.Int {
 	return acc
 }
 
-// DotVec returns <row_i, v> for an external vector.
-func (b *Basis) DotVec(i int, v []*big.Int) (*big.Int, error) {
-	if len(v) != b.NumCols() {
-		return nil, fmt.Errorf("lattice: vector length %d, want %d", len(v), b.NumCols())
-	}
-	acc := new(big.Int)
-	tmp := new(big.Int)
-	for c := range v {
-		tmp.Mul(b.rows[i][c], v[c])
-		acc.Add(acc, tmp)
-	}
-	return acc, nil
-}
-
 // gso computes the exact Gram-Schmidt data: mu[i][j] for j<i and the
 // squared norms B[i] of the orthogonalized vectors, as rationals.
 func (b *Basis) gso() (mu [][]*big.Rat, B []*big.Rat, err error) {
@@ -174,18 +160,4 @@ func (b *Basis) gso() (mu [][]*big.Rat, B []*big.Rat, err error) {
 		}
 	}
 	return mu, B, nil
-}
-
-// VolumeSq returns the squared volume (Gram determinant) of the lattice as
-// an exact rational: prod_i B[i].
-func (b *Basis) VolumeSq() (*big.Rat, error) {
-	_, B, err := b.gso()
-	if err != nil {
-		return nil, err
-	}
-	out := big.NewRat(1, 1)
-	for _, v := range B {
-		out.Mul(out, v)
-	}
-	return out, nil
 }

@@ -165,17 +165,6 @@ func combineRows(b *Basis, coeffs []int64, from int) []*big.Int {
 	return out
 }
 
-// NormSqVec returns the squared norm of a vector.
-func NormSqVec(v []*big.Int) *big.Int {
-	acc := new(big.Int)
-	tmp := new(big.Int)
-	for _, x := range v {
-		tmp.Mul(x, x)
-		acc.Add(acc, tmp)
-	}
-	return acc
-}
-
 // BKZ runs block-Korkine-Zolotarev reduction with the given block size for
 // the given number of tours (passes over the basis). Block size 2 is
 // (essentially) LLL; larger blocks find shorter vectors. The implementation
@@ -354,32 +343,4 @@ func hermiteEliminate(gens *Basis) (*Basis, error) {
 		return nil, fmt.Errorf("lattice: all generators were zero")
 	}
 	return &Basis{rows: out}, nil
-}
-
-// ProgressiveBKZ runs BKZ with increasing block sizes (doubling from 4 up
-// to maxBlock), the standard practical schedule: early cheap tours improve
-// the basis so the expensive large-block tours start from a better place.
-func ProgressiveBKZ(b *Basis, maxBlock int) error {
-	if maxBlock < 2 {
-		return fmt.Errorf("lattice: maxBlock %d must be >= 2", maxBlock)
-	}
-	if err := LLL(b, 0); err != nil {
-		return err
-	}
-	for block := 4; ; block *= 2 {
-		if block > maxBlock {
-			block = maxBlock
-		}
-		if block > b.NumRows() {
-			block = b.NumRows()
-		}
-		if block >= 2 {
-			if err := BKZ(b, block, 2); err != nil {
-				return err
-			}
-		}
-		if block >= maxBlock || block >= b.NumRows() {
-			return nil
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package lattice
 
 import (
-	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -393,96 +392,5 @@ func BenchmarkBKZ10Block4(b *testing.B) {
 		if err := BKZ(work, 4, 2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestGSProfileAndDiagnostics(t *testing.T) {
-	// Orthogonal basis: defect exactly 1, profile = log2 of diag entries.
-	b, _ := NewBasisFromInt64([][]int64{{4, 0}, {0, 8}})
-	profile, err := GSProfile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(profile[0]-2) > 1e-12 || math.Abs(profile[1]-3) > 1e-12 {
-		t.Errorf("profile=%v want [2 3]", profile)
-	}
-	defect, err := OrthogonalityDefect(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(defect-1) > 1e-9 {
-		t.Errorf("orthogonal defect=%v want 1", defect)
-	}
-	// A skewed basis has defect > 1, and LLL reduces it.
-	skew, _ := NewBasisFromInt64([][]int64{{1, 0}, {1000, 1}})
-	dBefore, err := OrthogonalityDefect(skew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dBefore <= 1 {
-		t.Fatalf("skewed defect=%v should exceed 1", dBefore)
-	}
-	if err := LLL(skew, 0); err != nil {
-		t.Fatal(err)
-	}
-	dAfter, err := OrthogonalityDefect(skew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dAfter >= dBefore {
-		t.Errorf("LLL did not reduce defect: %v -> %v", dBefore, dAfter)
-	}
-}
-
-func TestRootHermiteFactorLLLRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	b := randomBasis(rng, 12, 1000)
-	if err := LLL(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	delta, err := RootHermiteFactor(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LLL's root Hermite factor is ≈ 1.02; random small lattices scatter,
-	// but it must stay in a sane band.
-	if delta < 0.9 || delta > 1.1 {
-		t.Errorf("root Hermite factor %v implausible for LLL", delta)
-	}
-	// BKZ must not worsen it.
-	bkz := b.Clone()
-	if err := BKZ(bkz, 6, 3); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := RootHermiteFactor(bkz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2 > delta+1e-9 {
-		t.Errorf("BKZ worsened δ: %v -> %v", delta, d2)
-	}
-}
-
-func TestProgressiveBKZ(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	b := randomBasis(rng, 10, 80)
-	lll := b.Clone()
-	if err := LLL(lll, 0); err != nil {
-		t.Fatal(err)
-	}
-	prog := b.Clone()
-	if err := ProgressiveBKZ(prog, 8); err != nil {
-		t.Fatal(err)
-	}
-	if prog.NormSq(0).Cmp(lll.NormSq(0)) > 0 {
-		t.Errorf("progressive BKZ worse than LLL: %v > %v", prog.NormSq(0), lll.NormSq(0))
-	}
-	volA, _ := b.VolumeSq()
-	volB, _ := prog.VolumeSq()
-	if volA.Cmp(volB) != 0 {
-		t.Error("progressive BKZ changed the lattice")
-	}
-	if err := ProgressiveBKZ(b, 1); err == nil {
-		t.Error("maxBlock 1 should fail")
 	}
 }

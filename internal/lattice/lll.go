@@ -93,38 +93,3 @@ func roundRat(r *big.Rat) *big.Int {
 }
 
 var bigOne = big.NewInt(1)
-
-// IsLLLReduced verifies the size-reduction and Lovász conditions, the
-// property tests' oracle.
-func IsLLLReduced(b *Basis, delta float64) (bool, error) {
-	if delta == 0 {
-		delta = DefaultDelta
-	}
-	mu, B, err := b.gso()
-	if err != nil {
-		return false, err
-	}
-	half := big.NewRat(1, 2)
-	negHalf := big.NewRat(-1, 2)
-	// Allow a hair of slack on the strict 1/2 bound (rounding ties).
-	slack := big.NewRat(1, 1000000)
-	hiBound := new(big.Rat).Add(half, slack)
-	loBound := new(big.Rat).Sub(negHalf, slack)
-	for i := 1; i < b.NumRows(); i++ {
-		for j := 0; j < i; j++ {
-			if mu[i][j].Cmp(hiBound) > 0 || mu[i][j].Cmp(loBound) < 0 {
-				return false, nil
-			}
-		}
-	}
-	deltaRat := new(big.Rat).SetFloat64(delta)
-	for k := 1; k < b.NumRows(); k++ {
-		musq := new(big.Rat).Mul(mu[k][k-1], mu[k][k-1])
-		rhs := new(big.Rat).Sub(deltaRat, musq)
-		rhs.Mul(rhs, B[k-1])
-		if B[k].Cmp(rhs) < 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}

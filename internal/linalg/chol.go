@@ -23,16 +23,6 @@ type CholFactor struct {
 	logDet float64
 }
 
-// NewCholFactor factors m (symmetric positive definite) and prepares the
-// cached solve structures.
-func NewCholFactor(m *Matrix) (*CholFactor, error) {
-	l, err := Cholesky(m)
-	if err != nil {
-		return nil, err
-	}
-	return CholFactorOf(l), nil
-}
-
 // CholFactorOf wraps an existing lower-triangular Cholesky factor (as
 // produced by Cholesky) without re-factoring.
 func CholFactorOf(l *Matrix) *CholFactor {
@@ -53,27 +43,8 @@ func CholFactorOf(l *Matrix) *CholFactor {
 	return f
 }
 
-// N returns the dimension of the factored matrix.
-func (f *CholFactor) N() int { return f.n }
-
 // LogDet returns log(det(m)) of the factored matrix.
 func (f *CholFactor) LogDet() float64 { return f.logDet }
-
-// Lower returns a copy of the lower-triangular factor as a Matrix.
-func (f *CholFactor) Lower() *Matrix {
-	m := NewMatrix(f.n, f.n)
-	copy(m.Data, f.lower)
-	return m
-}
-
-// SolveInto solves m x = b into caller-owned buffers: x receives the
-// solution, y is forward-substitution scratch. x, y and b must all have
-// length n (x and y may not alias b). It is SolveManyInto with one
-// right-hand side: no allocation, and the arithmetic matches SolveCholesky
-// operation for operation.
-func (f *CholFactor) SolveInto(x, y, b []float64) error {
-	return f.SolveManyInto(x, y, b, 1)
-}
 
 // SolveManyInto solves m X = B for k right-hand sides stored interleaved:
 // element i of right-hand side c is b[i·k+c], and its solution lands in
@@ -236,16 +207,6 @@ func sub1(row, v []float64, stride int, s float64) float64 {
 		j += stride
 	}
 	return s
-}
-
-// Solve solves m x = b, allocating fresh buffers.
-func (f *CholFactor) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.n)
-	y := make([]float64, f.n)
-	if err := f.SolveInto(x, y, b); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // Inverse returns m^-1: one SolveManyInto call whose n interleaved

@@ -84,139 +84,6 @@ func SolveCholesky(l *Matrix, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// LU holds an LU factorization with partial pivoting: P m = L U.
-type LU struct {
-	lu    *Matrix
-	pivot []int
-	sign  float64
-}
-
-// NewLU factors m (square) with partial pivoting.
-func NewLU(m *Matrix) (*LU, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("linalg: LU needs square matrix, got %dx%d", m.Rows, m.Cols)
-	}
-	n := m.Rows
-	lu := m.Clone()
-	pivot := make([]int, n)
-	sign := 1.0
-	for i := range pivot {
-		pivot[i] = i
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p, maxAbs := col, math.Abs(lu.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if a := math.Abs(lu.At(r, col)); a > maxAbs {
-				p, maxAbs = r, a
-			}
-		}
-		if maxAbs == 0 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			for j := 0; j < n; j++ {
-				lu.Data[p*n+j], lu.Data[col*n+j] = lu.Data[col*n+j], lu.Data[p*n+j]
-			}
-			pivot[p], pivot[col] = pivot[col], pivot[p]
-			sign = -sign
-		}
-		inv := 1.0 / lu.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := lu.At(r, col) * inv
-			lu.Set(r, col, f)
-			if f == 0 {
-				continue
-			}
-			for j := col + 1; j < n; j++ {
-				lu.Set(r, j, lu.At(r, j)-f*lu.At(col, j))
-			}
-		}
-	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
-}
-
-// Solve solves m x = b using the factorization.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	n := f.lu.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), n)
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.pivot[i]]
-	}
-	// Forward: L y = Pb (unit diagonal).
-	for i := 0; i < n; i++ {
-		for k := 0; k < i; k++ {
-			x[i] -= f.lu.At(i, k) * x[k]
-		}
-	}
-	// Back: U x = y.
-	for i := n - 1; i >= 0; i-- {
-		for k := i + 1; k < n; k++ {
-			x[i] -= f.lu.At(i, k) * x[k]
-		}
-		x[i] /= f.lu.At(i, i)
-	}
-	return x, nil
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Inverse returns m^-1 via LU factorization.
-func Inverse(m *Matrix) (*Matrix, error) {
-	f, err := NewLU(m)
-	if err != nil {
-		return nil, err
-	}
-	n := m.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
-// Solve solves m x = b directly.
-func Solve(m *Matrix, b []float64) ([]float64, error) {
-	f, err := NewLU(m)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Det returns det(m).
-func Det(m *Matrix) (float64, error) {
-	f, err := NewLU(m)
-	if err != nil {
-		if errors.Is(err, ErrSingular) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return f.Det(), nil
-}
-
 // RegularizeSPD adds ridge*I to the diagonal of a covariance matrix in
 // place and returns it; used to repair near-singular pooled covariances
 // estimated from finite trace sets.

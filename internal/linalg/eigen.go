@@ -9,7 +9,7 @@ import (
 // EigSym computes the eigendecomposition of a symmetric matrix using the
 // cyclic Jacobi method: m = V diag(λ) Vᵀ, eigenvalues sorted descending
 // with matching eigenvector columns. Robust and dependency-free; intended
-// for the moderate dimensions of template/LDA work.
+// for the moderate dimensions of template work.
 func EigSym(m *Matrix, tol float64, maxSweeps int) (values []float64, vectors *Matrix, err error) {
 	if m.Rows != m.Cols {
 		return nil, nil, fmt.Errorf("linalg: EigSym needs a square matrix, got %dx%d", m.Rows, m.Cols)

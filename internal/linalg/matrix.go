@@ -34,22 +34,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: row %d has %d entries, want %d", i, len(r), cols)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -63,13 +47,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
 // Transpose returns the transposed matrix.
 func (m *Matrix) Transpose() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
@@ -79,30 +56,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return t
-}
-
-// Add returns m + other.
-func (m *Matrix) Add(other *Matrix) (*Matrix, error) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return nil, fmt.Errorf("linalg: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols)
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += other.Data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - other.
-func (m *Matrix) Sub(other *Matrix) (*Matrix, error) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return nil, fmt.Errorf("linalg: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols)
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= other.Data[i]
-	}
-	return out, nil
 }
 
 // Scale returns s*m.
@@ -212,38 +165,6 @@ func Dot(a, b []float64) float64 {
 		sum += a[i] * b[i]
 	}
 	return sum
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
-}
-
-// OuterProduct returns the matrix a b^T.
-func OuterProduct(a, b []float64) *Matrix {
-	m := NewMatrix(len(a), len(b))
-	for i, ai := range a {
-		for j, bj := range b {
-			m.Set(i, j, ai*bj)
-		}
-	}
-	return m
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// two matrices of the same shape, or +Inf on shape mismatch.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return math.Inf(1)
-	}
-	max := 0.0
-	for i := range a.Data {
-		d := math.Abs(a.Data[i] - b.Data[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.

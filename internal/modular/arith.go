@@ -48,9 +48,6 @@ func Mul(a, b, q uint64) uint64 {
 	return rem
 }
 
-// Reduce returns a mod q for arbitrary a.
-func Reduce(a, q uint64) uint64 { return a % q }
-
 // Exp returns a^e mod q by square-and-multiply.
 func Exp(a, e, q uint64) uint64 {
 	if q == 1 {
@@ -96,14 +93,6 @@ func Inverse(a, q uint64) (uint64, bool) {
 	return uint64(t0), true
 }
 
-// GCD returns the greatest common divisor of a and b.
-func GCD(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 // ValidateModulus reports an error when q is unusable as a coefficient
 // modulus (zero, one, or wider than MaxModulusBits bits).
 func ValidateModulus(q uint64) error {
@@ -135,25 +124,6 @@ func NewBarrett(q uint64) (Barrett, error) {
 	hiQuot, hiRem := bits.Div64(1, 0, q) // 2^64 = hiQuot*q + hiRem
 	loQuot, _ := bits.Div64(hiRem, 0, q)
 	return Barrett{q: q, ratio: [2]uint64{loQuot, hiQuot}}, nil
-}
-
-// Modulus returns the modulus this Barrett state reduces by.
-func (b Barrett) Modulus() uint64 { return b.q }
-
-// Reduce returns x mod q using Barrett reduction.
-func (b Barrett) Reduce(x uint64) uint64 {
-	// Estimate quotient: floor(x * ratio / 2^128), where ratio ~ 2^128/q.
-	hi1, _ := bits.Mul64(x, b.ratio[0])
-	hi2, lo2 := bits.Mul64(x, b.ratio[1])
-	carry := uint64(0)
-	_, c := bits.Add64(lo2, hi1, 0)
-	carry = c
-	quot := hi2 + carry
-	r := x - quot*b.q
-	for r >= b.q {
-		r -= b.q
-	}
-	return r
 }
 
 // MulMod returns (x*y) mod q using 128-bit multiply followed by a

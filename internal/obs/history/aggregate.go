@@ -102,24 +102,3 @@ func (s *Store) Aggregate(kind, tenant string, window int) KindAggregate {
 	recs := s.Recent(kind, tenant, window)
 	return KindAggregate{Kind: kind, Tenant: tenant, Runs: len(recs), Metrics: AggregateRecords(recs)}
 }
-
-// windowMeans reduces a window of records to per-metric means — the value
-// set the drift watchdog compares against the pinned baseline.
-func windowMeans(records []RunRecord) map[string]float64 {
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for i := range records {
-		for name, v := range records[i].Values() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			sums[name] += v
-			counts[name]++
-		}
-	}
-	means := make(map[string]float64, len(sums))
-	for name, sum := range sums {
-		means[name] = sum / float64(counts[name])
-	}
-	return means
-}

@@ -190,21 +190,6 @@ func (w *Watchdog) evaluateLocked(kind string) []DriftAlert {
 	return alerts
 }
 
-// Pin re-pins kind's baseline from its current rolling window (manual
-// re-baselining after an accepted change) and clears its alert state.
-func (w *Watchdog) Pin(kind string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	win := w.windows[kind]
-	if len(win) == 0 {
-		return fmt.Errorf("history: no observed runs of kind %q to pin", kind)
-	}
-	w.baselines[kind] = meansOf(win)
-	w.alerting[kind] = map[string]bool{}
-	w.persistLocked()
-	return nil
-}
-
 // Baselines returns a copy of the pinned baselines keyed by kind.
 func (w *Watchdog) Baselines() map[string]map[string]float64 {
 	if w == nil {

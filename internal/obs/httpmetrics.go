@@ -37,14 +37,6 @@ func (w *statusRecorder) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Flush forwards http.Flusher so long-poll/streaming handlers behind the
-// middleware can still flush incremental responses.
-func (w *statusRecorder) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // httpMetrics is the pre-registered metric family used by the middleware;
 // built once per recorder wrapping, so the per-request path is map reads
 // and atomic adds only.

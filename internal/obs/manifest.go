@@ -50,19 +50,6 @@ func WriteManifest(path string, m *Manifest) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadManifest loads a manifest written by WriteManifest.
-func ReadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("obs: parsing manifest %s: %w", path, err)
-	}
-	return &m, nil
-}
-
 // GitDescribe returns `git describe --always --dirty` for the working tree
 // ("" when git or the repository is unavailable).
 func GitDescribe() string {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"reveal/internal/testkit"
 )
 
 func TestProfilerCollectOnce(t *testing.T) {
@@ -160,7 +162,7 @@ func TestRuntimeAndDriftFamiliesParse(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pm, err := ParsePrometheusText(bytes.NewReader(buf.Bytes()))
+	pm, err := testkit.ParsePrometheusText(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
 	}

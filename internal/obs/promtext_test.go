@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"reveal/internal/testkit"
 )
 
 // TestParsePrometheusTextRoundTrip feeds a real Registry.WritePrometheus
@@ -27,7 +29,7 @@ func TestParsePrometheusTextRoundTrip(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pm, err := ParsePrometheusText(bytes.NewReader(buf.Bytes()))
+	pm, err := testkit.ParsePrometheusText(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("real exposition rejected: %v\n%s", err, buf.String())
 	}
@@ -82,7 +84,7 @@ func TestParsePrometheusTextMalformed(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ParsePrometheusText(strings.NewReader(c.in)); err == nil {
+			if _, err := testkit.ParsePrometheusText(strings.NewReader(c.in)); err == nil {
 				t.Fatalf("accepted malformed exposition %q", c.in)
 			}
 		})
@@ -92,7 +94,7 @@ func TestParsePrometheusTextMalformed(t *testing.T) {
 // TestParsePrometheusTextTimestamps accepts the optional trailing
 // timestamp field the format permits.
 func TestParsePrometheusTextTimestamps(t *testing.T) {
-	pm, err := ParsePrometheusText(strings.NewReader("m 1.5 1690000000000\n"))
+	pm, err := testkit.ParsePrometheusText(strings.NewReader("m 1.5 1690000000000\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"reveal/internal/testkit"
 )
 
 func getJSON(t *testing.T, url string, out any) int {
@@ -250,7 +252,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 					_, err = io.Copy(&buf, resp.Body)
 					resp.Body.Close()
 					if err == nil {
-						_, err = ParsePrometheusText(&buf)
+						_, err = testkit.ParsePrometheusText(&buf)
 					}
 				}
 				if err != nil {

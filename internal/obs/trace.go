@@ -274,10 +274,6 @@ func (r *Recorder) RecordCoeff(ev CoeffEvent) {
 	r.coeffEvents.add(ev)
 }
 
-// RecordCoeff records a per-coefficient event on the global recorder
-// (no-op when observability is disabled).
-func RecordCoeff(ev CoeffEvent) { Global().RecordCoeff(ev) }
-
 // PosteriorStats derives the CoeffEvent quality fields from a posterior
 // over candidate values — p[k] is the probability of labels[k], labels
 // ascending: the top-two margin, the Shannon entropy in bits, and the

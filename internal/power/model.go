@@ -183,10 +183,3 @@ func (s *Synthesizer) Samples() []float64 { return s.samples }
 
 // Reset drops the rendered samples, keeping the buffer for reuse.
 func (s *Synthesizer) Reset() { s.samples = s.samples[:0] }
-
-// HWByte returns the Hamming weight of the low byte of v; exposed for
-// leakage-model analysis in tests and ablations.
-func HWByte(v uint32) int { return bits.OnesCount8(uint8(v)) }
-
-// HW32 returns the 32-bit Hamming weight.
-func HW32(v uint32) int { return bits.OnesCount32(v) }

@@ -76,12 +76,6 @@ func NewContextFor(params *Parameters, backendName string) (*Context, error) {
 	return ctx, nil
 }
 
-// Params returns the validated parameters this context was built from.
-func (c *Context) Params() *Parameters { return c.params }
-
-// Backend returns the arithmetic backend bound to this context.
-func (c *Context) Backend() Backend { return c.backend }
-
 // Level returns the number of moduli in the chain.
 func (c *Context) Level() int { return len(c.Moduli) }
 

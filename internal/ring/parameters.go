@@ -134,27 +134,3 @@ func LadderParams(n int) (*Parameters, error) {
 	ladderCache[n] = p
 	return p, nil
 }
-
-// mustLadder panics on a ladder generation failure; the ladder entries are
-// static configurations, so failure is a programming error.
-func mustLadder(n int) *Parameters {
-	p, err := LadderParams(n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// ParamsN1024 returns the paper's legacy configuration: n=1024 with the
-// single 27-bit prime 132120577.
-func ParamsN1024() *Parameters { return mustLadder(1024) }
-
-// ParamsN2048 returns the SEAL default for n=2048: one 54-bit prime.
-func ParamsN2048() *Parameters { return mustLadder(2048) }
-
-// ParamsN4096 returns the SEAL default for n=4096: a 36+36+37-bit chain.
-func ParamsN4096() *Parameters { return mustLadder(4096) }
-
-// ParamsN8192 returns the SEAL default for n=8192: a 43+43+44+44+44-bit
-// chain.
-func ParamsN8192() *Parameters { return mustLadder(8192) }

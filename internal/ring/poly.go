@@ -28,14 +28,6 @@ func (p *Poly) Clone() *Poly {
 	return c
 }
 
-// Copy overwrites p with the contents of src (same context required).
-func (p *Poly) Copy(src *Poly) {
-	for j := range p.Coeffs {
-		copy(p.Coeffs[j], src.Coeffs[j])
-	}
-	p.InNTT = src.InNTT
-}
-
 // Zero resets all coefficients to zero, staying in the current domain.
 func (p *Poly) Zero() {
 	for j := range p.Coeffs {
@@ -43,24 +35,6 @@ func (p *Poly) Zero() {
 			p.Coeffs[j][i] = 0
 		}
 	}
-}
-
-// Equal reports whether p and other hold identical representations.
-func (p *Poly) Equal(other *Poly) bool {
-	if p.InNTT != other.InNTT || len(p.Coeffs) != len(other.Coeffs) {
-		return false
-	}
-	for j := range p.Coeffs {
-		if len(p.Coeffs[j]) != len(other.Coeffs[j]) {
-			return false
-		}
-		for i := range p.Coeffs[j] {
-			if p.Coeffs[j][i] != other.Coeffs[j][i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (c *Context) checkSameDomain(op string, ps ...*Poly) {
@@ -119,25 +93,6 @@ func (c *Context) MulPoly(a, b, out *Poly) {
 	c.INTT(out)
 }
 
-// MulScalar sets out = s * a for a scalar s (reduced per modulus).
-func (c *Context) MulScalar(a *Poly, s uint64, out *Poly) {
-	for j, q := range c.Moduli {
-		c.backend.MulScalarVec(j, a.Coeffs[j], s%q, out.Coeffs[j])
-	}
-	out.InNTT = a.InNTT
-}
-
-// AddScalar sets out = a + s (s added to the constant coefficient if in
-// coefficient domain; to every slot if in NTT domain the caller is
-// responsible for meaning). Here it adds s to every residue of coefficient
-// 0 in coefficient representation.
-func (c *Context) AddScalar(a *Poly, s uint64, out *Poly) {
-	out.Copy(a)
-	for j, q := range c.Moduli {
-		out.Coeffs[j][0] = modular.Add(out.Coeffs[j][0], s%q, q)
-	}
-}
-
 // SetSigned fills p (coefficient domain) from centered signed coefficients;
 // values[i] may be any int64 with |v| < min(q_j).
 func (c *Context) SetSigned(p *Poly, values []int64) error {
@@ -151,45 +106,6 @@ func (c *Context) SetSigned(p *Poly, values []int64) error {
 	}
 	p.InNTT = false
 	return nil
-}
-
-// InfNormCentered returns the infinity norm of p using the centered
-// representation with respect to the full modulus Q. Only meaningful in
-// coefficient representation; for multi-prime chains the coefficient is
-// CRT-composed first.
-func (c *Context) InfNormCentered(p *Poly) uint64 {
-	if p.InNTT {
-		panic("ring: InfNormCentered requires coefficient representation")
-	}
-	if len(c.Moduli) == 1 {
-		q := c.Moduli[0]
-		var max uint64
-		for _, x := range p.Coeffs[0] {
-			v := modular.CenteredRep(x, q)
-			if v < 0 {
-				v = -v
-			}
-			if uint64(v) > max {
-				max = uint64(v)
-			}
-		}
-		return max
-	}
-	half := c.BigQ()
-	half.Rsh(half, 1)
-	var max uint64
-	for i := 0; i < c.N; i++ {
-		v := c.ComposeCRT(p, i)
-		if v.Cmp(half) > 0 {
-			v.Sub(c.bigQ, v)
-		}
-		if v.IsUint64() && v.Uint64() > max {
-			max = v.Uint64()
-		} else if !v.IsUint64() {
-			max = ^uint64(0)
-		}
-	}
-	return max
 }
 
 // Automorphism sets out = p(x^g) in R_q for odd g (the Galois action

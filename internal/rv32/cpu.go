@@ -380,15 +380,6 @@ func (c *CPU) Run(maxInstrs int) (int, error) {
 	return maxInstrs, nil
 }
 
-// ReadWord reads RAM directly (test/debug helper, no MMIO).
-func (c *CPU) ReadWord(addr uint32) (uint32, error) {
-	if int(addr)+4 > len(c.Mem) {
-		return 0, fmt.Errorf("rv32: ReadWord at %#x out of bounds", addr)
-	}
-	return uint32(c.Mem[addr]) | uint32(c.Mem[addr+1])<<8 |
-		uint32(c.Mem[addr+2])<<16 | uint32(c.Mem[addr+3])<<24, nil
-}
-
 // WriteWord writes RAM directly (test/debug helper, no MMIO).
 func (c *CPU) WriteWord(addr, v uint32) error {
 	if int(addr)+4 > len(c.Mem) {

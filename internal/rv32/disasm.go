@@ -13,13 +13,6 @@ var abiNames = [32]string{
 	"t3", "t4", "t5", "t6",
 }
 
-// Disasm renders a decoded instruction as assembler text using ABI
-// register names. Branch and jump targets are shown as relative offsets;
-// use DisasmAt to render re-assemblable absolute targets.
-func (in Instr) Disasm() string {
-	return in.disasm(nil)
-}
-
 // DisasmAt renders the instruction as it sits at address pc: branch and
 // jump targets become absolute addresses, so the output re-assembles to
 // the identical encoding.

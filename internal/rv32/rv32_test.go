@@ -323,6 +323,17 @@ func TestAssemblerErrors(t *testing.T) {
 		"beq a0, a1, nolabel", // unknown label
 		"slli a0, a1, 99",     // shift out of range
 		"dup: nop\ndup: nop",  // duplicate label
+		// Operand counts, registers and immediates of every pseudo and
+		// instruction form.
+		"addi a0, a1, %lo(nolabel)", "lui a0, %hi(nolabel)", "li a0, 0x1ffffffff",
+		"lw a0, 4(notareg)", "lw a0, nolabel(a1)", "sw a0, a1", "1bad: nop",
+		"j nolabel", "jal nolabel", "jal a0", "la a0, nolabel", ".word nolabel",
+		"mv a0", "not a0", "neg a0", "seqz a0", "snez a0", "li a0", "li notareg, 5",
+		"la a0", "j", "call", "call nolabel", "jr", "jr notareg", "beqz a0",
+		"bnez notareg, x", "lui a0", "lui a0, nolabel", "auipc notareg, 1",
+		"mv notareg, a0", "mv a0, notareg", "not a0, nr", "neg nr, a0", "seqz a0, nr",
+		"snez nr, a0", "add a0, a1", "lw a0", "sw a0, 4(a1), 3", "beq a0, a1",
+		"beq nr, a1, x", "slli a0, a1", "slli nr, a1, 3", "addi a0, a1, x+1",
 	}
 	for _, src := range bad {
 		if _, _, err := Assemble(src, 0); err == nil {

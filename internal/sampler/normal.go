@@ -84,8 +84,3 @@ func (cn *ClippedNormal) SamplePoly(p PRNG, n int) ([]int64, []SampleMeta) {
 	}
 	return values, metas
 }
-
-// MaxValue returns the largest magnitude a rounded sample can take.
-func (cn *ClippedNormal) MaxValue() int64 {
-	return int64(math.Round(cn.MaxDeviation))
-}

@@ -2,10 +2,9 @@
 // a deterministic seedable PRNG, uniform and ternary polynomial samplers,
 // and — centrally for this reproduction — the ClippedNormalDistribution of
 // SEAL v3.2, whose sign-dependent post-processing is the side channel the
-// RevEAL attack exploits. A CDT sampler (the technique analyzed by prior
-// work the paper distinguishes itself from) and a SEAL v3.6-style
-// branch-free sampler (the patched code path) are provided for baselines
-// and defense ablations.
+// RevEAL attack exploits. The tests hold it to a CDT sampler (the
+// technique of the prior work the paper distinguishes itself from) and
+// check AssignSigned against a SEAL v3.6-style branch-free assignment.
 package sampler
 
 import "math"

@@ -199,9 +199,6 @@ type TemplateHealth struct {
 	Warnings      []string    `json:"warnings,omitempty"`
 }
 
-// Healthy reports whether no warnings were raised.
-func (h *TemplateHealth) Healthy() bool { return len(h.Warnings) == 0 }
-
 // Health checks the conditioning of a trained template set: covariance
 // condition number and minimum eigenvalue (worst class for per-class
 // covariances), per-class trace counts against the feature dimension, and

@@ -163,7 +163,7 @@ func TestTemplateHealthWellConditioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.Healthy() {
+	if len(h.Warnings) != 0 {
 		t.Fatalf("well-conditioned templates flagged: %+v", h)
 	}
 	if h.Classes != 2 || !h.Pooled || h.POICount != 3 {
@@ -192,7 +192,7 @@ func TestTemplateHealthFlagsStarvedClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Healthy() {
+	if len(h.Warnings) == 0 {
 		t.Fatalf("3 traces/class for 3 POIs must warn: %+v", h)
 	}
 	found := false
@@ -228,7 +228,7 @@ func TestTemplateHealthFlagsIllConditioned(t *testing.T) {
 	if h.ConditionNumber < HealthMaxCondition {
 		t.Fatalf("duplicated POI should blow up conditioning, got %v", h.ConditionNumber)
 	}
-	if h.Healthy() {
+	if len(h.Warnings) == 0 {
 		t.Fatalf("ill-conditioned templates must warn: %+v", h)
 	}
 }

@@ -1,0 +1,149 @@
+package sca
+
+import (
+	"math"
+	"sort"
+
+	"reveal/internal/linalg"
+	"reveal/internal/trace"
+)
+
+// The map-returning template API: the per-call scoring path that the
+// pooled Scorer replaced, kept here as the map-form oracle the tests
+// compare Scorer, ScoreVector and PosteriorValues against.
+
+// Extract gathers the POI samples of a trace into a feature vector.
+func Extract(tr trace.Trace, pois []int) []float64 {
+	return ExtractInto(make([]float64, len(pois)), tr, pois)
+}
+
+// InverseCovariance returns the precomputed inverse covariance Σ⁻¹ of the
+// class with the given label, or nil if the label is unknown. The matrix is
+// shared with the template (and, for pooled templates, across all classes):
+// treat it as read-only.
+func (t *Templates) InverseCovariance(label int) *linalg.Matrix {
+	for i := range t.classes {
+		if t.classes[i].label == label {
+			return t.classes[i].invCov
+		}
+	}
+	return nil
+}
+
+// ClassLogDet returns the precomputed covariance log-determinant of the
+// class with the given label (NaN if the label is unknown).
+func (t *Templates) ClassLogDet(label int) float64 {
+	for i := range t.classes {
+		if t.classes[i].label == label {
+			return t.classes[i].logDet
+		}
+	}
+	return math.NaN()
+}
+
+// LogLikelihoods returns the Gaussian log-density of the trace under each
+// class, keyed by label. It routes through a one-shot Scorer, so the
+// arithmetic — cached-factor Cholesky solve, identical operation order — is
+// exactly what the batch scoring path computes.
+func (t *Templates) LogLikelihoods(tr trace.Trace) (map[int]float64, error) {
+	s := t.NewScorer()
+	ll, err := s.ScoreTrace(tr)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int]float64, len(t.classes))
+	for ci := range t.classes {
+		out[t.classes[ci].label] = ll[ci]
+	}
+	return out, nil
+}
+
+// Classify returns the maximum-likelihood label.
+func (t *Templates) Classify(tr trace.Trace) (int, error) {
+	s := t.NewScorer()
+	ll, err := s.ScoreTrace(tr)
+	if err != nil {
+		return 0, err
+	}
+	return s.ArgMaxLabel(ll), nil
+}
+
+// Probabilities converts log-likelihoods into a posterior over labels via
+// a numerically-stable softmax (uniform prior), the per-measurement score
+// table that Table II reports and the DBDD hints consume.
+func (t *Templates) Probabilities(tr trace.Trace) (map[int]float64, error) {
+	s := t.NewScorer()
+	ll, err := s.ScoreTrace(tr)
+	if err != nil {
+		return nil, err
+	}
+	return s.Posteriors(ll), nil
+}
+
+// CombineProbabilities multiplies independent posteriors (e.g. the V2 value
+// template and the V3 negation template) and renormalizes — the paper's
+// combination of the second and third vulnerability.
+func CombineProbabilities(ps ...map[int]float64) map[int]float64 {
+	if len(ps) == 0 {
+		return nil
+	}
+	labels := make([]int, 0, len(ps[0]))
+	out := map[int]float64{}
+	for l, v := range ps[0] {
+		labels = append(labels, l)
+		out[l] = v
+	}
+	sort.Ints(labels)
+	for _, p := range ps[1:] {
+		for l := range out {
+			out[l] *= p[l]
+		}
+	}
+	// Label-order accumulation keeps the normalization deterministic (float
+	// addition is order-sensitive; map order is not).
+	sum := 0.0
+	for _, l := range labels {
+		sum += out[l]
+	}
+	if sum <= 0 {
+		// Degenerate: fall back to uniform over the label set.
+		u := 1.0 / float64(len(out))
+		for l := range out {
+			out[l] = u
+		}
+		return out
+	}
+	for l := range out {
+		out[l] /= sum
+	}
+	return out
+}
+
+// PosteriorInto converts scores into a softmax posterior keyed by label,
+// writing into dst (which should be empty), replicating
+// Templates.Probabilities' accumulation order exactly: the normalizing sum
+// runs in ascending class order, never map order.
+func (s *Scorer) PosteriorInto(ll []float64, dst map[int]float64) {
+	max := math.Inf(-1)
+	for _, v := range ll {
+		if v > max {
+			max = v
+		}
+	}
+	sum := 0.0
+	for ci := range s.t.classes {
+		e := math.Exp(ll[ci] - max)
+		dst[s.t.classes[ci].label] = e
+		sum += e
+	}
+	for l := range dst {
+		dst[l] /= sum
+	}
+}
+
+// Posteriors converts scores into a freshly allocated posterior map.
+func (s *Scorer) Posteriors(ll []float64) map[int]float64 {
+	out := make(map[int]float64, len(ll))
+	s.PosteriorInto(ll, out)
+	return out
+}

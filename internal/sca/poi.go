@@ -180,11 +180,6 @@ func SelectPOIs(scores []float64, count, minSpacing int) []int {
 	return pois
 }
 
-// Extract gathers the POI samples of a trace into a feature vector.
-func Extract(tr trace.Trace, pois []int) []float64 {
-	return ExtractInto(make([]float64, len(pois)), tr, pois)
-}
-
 // ExtractInto gathers the POI samples of a trace into a caller-provided
 // feature buffer (which must have len(pois) entries) and returns it.
 func ExtractInto(dst []float64, tr trace.Trace, pois []int) []float64 {

@@ -11,19 +11,18 @@ import (
 // Scorer is a reusable scoring context over one trained template set: all
 // scratch buffers (POI feature vector, residual, triangular-solve
 // workspace, per-class scores) are allocated once and reused across every
-// scored sub-trace, eliminating the per-classification allocations of the
-// map-based Templates API. One Scorer serves one goroutine; create one per
-// worker for parallel classification.
+// scored sub-trace. One Scorer serves one goroutine; create one per worker
+// for parallel classification.
 //
 // When every class shares one Cholesky factor (a pooled template), the
 // residuals of all classes go through one interleaved
 // linalg.CholFactor.QuadFormsInto call, padded to a multiple of four with
 // columns that are solved but never summed. Otherwise each class is solved
 // on its own. Either way every score is computed with exactly the
-// floating-point operations of Templates.LogLikelihoods in the same order,
-// so classifications and posteriors derived from a Scorer are bitwise
-// identical to the per-vector path — the property the replay-determinism
-// selftest enforces.
+// floating-point operations of a per-class linalg.SolveCholesky and dot
+// product in the same order, so classifications and posteriors derived
+// from a Scorer are bitwise identical to the per-vector path — the
+// property the replay-determinism selftest enforces.
 type Scorer struct {
 	t        *Templates
 	logTwoPi float64 // d·log(2π), shared additive constant of every score
@@ -79,9 +78,6 @@ func sharedFactor(cs []classTemplate) *linalg.CholFactor {
 	}
 	return cs[0].fact
 }
-
-// Templates returns the template set this scorer was built for.
-func (s *Scorer) Templates() *Templates { return s.t }
 
 // Classes returns the number of trained classes.
 func (s *Scorer) Classes() int { return len(s.t.classes) }
@@ -140,9 +136,9 @@ func (s *Scorer) ScoreVector(f []float64) ([]float64, error) {
 	return s.ll, nil
 }
 
-// ArgMaxLabel returns the label of the highest score, replicating
-// Templates.Classify's deterministic tie and NaN handling (first strict
-// maximum in ascending class order).
+// ArgMaxLabel returns the label of the highest score: the first strict
+// maximum in ascending class order, so ties and NaN scores resolve the
+// same way on every run.
 func (s *Scorer) ArgMaxLabel(ll []float64) int {
 	best, bestLL := 0, math.Inf(-1)
 	first := true
@@ -156,32 +152,10 @@ func (s *Scorer) ArgMaxLabel(ll []float64) int {
 	return best
 }
 
-// PosteriorInto converts scores into a softmax posterior keyed by label,
-// writing into dst (which should be empty), replicating
-// Templates.Probabilities' accumulation order exactly: the normalizing sum
-// runs in ascending class order, never map order.
-func (s *Scorer) PosteriorInto(ll []float64, dst map[int]float64) {
-	max := math.Inf(-1)
-	for _, v := range ll {
-		if v > max {
-			max = v
-		}
-	}
-	sum := 0.0
-	for ci := range s.t.classes {
-		e := math.Exp(ll[ci] - max)
-		dst[s.t.classes[ci].label] = e
-		sum += e
-	}
-	for l := range dst {
-		dst[l] /= sum
-	}
-}
-
 // PosteriorValues converts scores into a softmax posterior written into a
-// per-class slice (dst[ci] = P(class ci), ascending label order), with the
-// exact arithmetic of PosteriorInto — max-shifted exp and a normalizing sum
-// accumulated in class order — but no map. dst must have len(ll) entries.
+// per-class slice (dst[ci] = P(class ci), ascending label order): a
+// max-shifted exp and a normalizing sum accumulated in class order, never
+// map order. dst must have len(ll) entries.
 func (s *Scorer) PosteriorValues(ll, dst []float64) {
 	max := math.Inf(-1)
 	for _, v := range ll {
@@ -198,43 +172,4 @@ func (s *Scorer) PosteriorValues(ll, dst []float64) {
 	for ci := range dst {
 		dst[ci] /= sum
 	}
-}
-
-// Posteriors converts scores into a freshly allocated posterior map.
-func (s *Scorer) Posteriors(ll []float64) map[int]float64 {
-	out := make(map[int]float64, len(ll))
-	s.PosteriorInto(ll, out)
-	return out
-}
-
-// ScoreBatch scores every trace of a sub-trace set in one pass over the
-// pooled scratch buffers, returning an n×classes row-major score matrix
-// (row i holds the per-class log-likelihoods of trs[i] in ascending label
-// order). Only the result matrix is allocated.
-func (s *Scorer) ScoreBatch(trs []trace.Trace) (*linalg.Matrix, error) {
-	out := linalg.NewMatrix(len(trs), len(s.t.classes))
-	for i, tr := range trs {
-		ll, err := s.ScoreTrace(tr)
-		if err != nil {
-			return nil, fmt.Errorf("sca: scoring trace %d: %w", i, err)
-		}
-		copy(out.Data[i*out.Cols:(i+1)*out.Cols], ll)
-	}
-	return out, nil
-}
-
-// ClassifyBatch classifies every trace of a sub-trace set through one
-// reusable scoring context — the allocation-free equivalent of calling
-// Classify in a loop, with bitwise-identical results.
-func (t *Templates) ClassifyBatch(trs []trace.Trace) ([]int, error) {
-	s := t.NewScorer()
-	out := make([]int, len(trs))
-	for i, tr := range trs {
-		ll, err := s.ScoreTrace(tr)
-		if err != nil {
-			return nil, fmt.Errorf("sca: classifying trace %d: %w", i, err)
-		}
-		out[i] = s.ArgMaxLabel(ll)
-	}
-	return out, nil
 }

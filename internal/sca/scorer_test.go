@@ -124,6 +124,42 @@ func TestScorerBitwiseIdenticalToReference(t *testing.T) {
 	}
 }
 
+// TestPosteriorValuesMatchesMapOracle: the dense posterior the attack
+// consumes must equal the map-form softmax of Probabilities bit for bit,
+// class by class in ascending label order, for pooled and per-class
+// covariances.
+func TestPosteriorValuesMatchesMapOracle(t *testing.T) {
+	for _, pooled := range []bool{true, false} {
+		tmpl, test := trainedScorerFixture(t, pooled)
+		s := tmpl.NewScorer()
+		if s.Classes() != len(tmpl.Labels()) {
+			t.Fatalf("pooled=%v: Classes() = %d, want %d", pooled, s.Classes(), len(tmpl.Labels()))
+		}
+		dst := make([]float64, s.Classes())
+		for i, tr := range test.Traces {
+			want, err := tmpl.Probabilities(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ll, err := s.ScoreTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.PosteriorValues(ll, dst)
+			for ci, p := range dst {
+				l := s.Label(ci)
+				if l != tmpl.Labels()[ci] {
+					t.Fatalf("pooled=%v: Label(%d) = %d, want %d", pooled, ci, l, tmpl.Labels()[ci])
+				}
+				if math.Float64bits(p) != math.Float64bits(want[l]) {
+					t.Fatalf("pooled=%v trace %d: P(%d) = %x, want %x", pooled, i, l,
+						math.Float64bits(p), math.Float64bits(want[l]))
+				}
+			}
+		}
+	}
+}
+
 // FuzzScorerReference drives the Scorer — the batched path over a pooled
 // template and the class-by-class path over per-class covariances — with
 // arbitrary float patterns, NaN and ±Inf included, and requires every score
@@ -178,42 +214,6 @@ func FuzzScorerReference(f *testing.F) {
 	})
 }
 
-// TestScoreBatchMatchesPerTrace: the batch path is the per-trace path.
-func TestScoreBatchMatchesPerTrace(t *testing.T) {
-	tmpl, test := trainedScorerFixture(t, true)
-	s := tmpl.NewScorer()
-	batch, err := s.ScoreBatch(test.Traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Rows != len(test.Traces) || batch.Cols != s.Classes() {
-		t.Fatalf("batch shape %dx%d, want %dx%d", batch.Rows, batch.Cols, len(test.Traces), s.Classes())
-	}
-	labels, err := tmpl.ClassifyBatch(test.Traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range test.Traces {
-		ll, err := s.ScoreTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ci := range ll {
-			if math.Float64bits(ll[ci]) != math.Float64bits(batch.At(i, ci)) {
-				t.Fatalf("trace %d class %d: batch score %x, want %x", i, ci,
-					math.Float64bits(batch.At(i, ci)), math.Float64bits(ll[ci]))
-			}
-		}
-		want, err := tmpl.Classify(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if labels[i] != want {
-			t.Fatalf("trace %d: ClassifyBatch = %d, want %d", i, labels[i], want)
-		}
-	}
-}
-
 // TestScorerErrors covers the shape guards.
 func TestScorerErrors(t *testing.T) {
 	tmpl, _ := trainedScorerFixture(t, true)
@@ -223,12 +223,6 @@ func TestScorerErrors(t *testing.T) {
 	}
 	if _, err := s.ScoreVector(make([]float64, 1)); err == nil {
 		t.Error("wrong feature width should fail")
-	}
-	if _, err := s.ScoreBatch([]trace.Trace{make(trace.Trace, 1)}); err == nil {
-		t.Error("batch with short trace should fail")
-	}
-	if _, err := tmpl.ClassifyBatch([]trace.Trace{make(trace.Trace, 1)}); err == nil {
-		t.Error("classify batch with short trace should fail")
 	}
 }
 
@@ -265,8 +259,11 @@ func TestTemplatesPrecomputedStructures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dmax := linalg.MaxAbsDiff(prod, linalg.Identity(d)); dmax > 1e-8 {
-		t.Fatalf("|Σ·Σ⁻¹ − I| = %g", dmax)
+	id := linalg.Identity(d)
+	for i, v := range prod.Data {
+		if math.Abs(v-id.Data[i]) > 1e-8 {
+			t.Fatalf("|Σ·Σ⁻¹ − I| = %g at entry %d", math.Abs(v-id.Data[i]), i)
+		}
 	}
 	if tmpl.InverseCovariance(12345) != nil {
 		t.Error("unknown label should return nil inverse")
@@ -375,37 +372,6 @@ func BenchmarkScoreTraceScorer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.ScoreTrace(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScoreTraceMapAPI(b *testing.B) {
-	train := synthSet(7, []int{-3, -1, 0, 2, 5}, 60, 24, 0.08)
-	tmpl, err := BuildTemplates(train, DefaultTemplateOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := train.Traces[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tmpl.LogLikelihoods(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScoreBatch(b *testing.B) {
-	train := synthSet(7, []int{-3, -1, 0, 2, 5}, 60, 24, 0.08)
-	tmpl, err := BuildTemplates(train, DefaultTemplateOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := tmpl.NewScorer()
-	trs := train.Traces[:64]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ScoreBatch(trs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -144,8 +144,12 @@ func testTraceIDEndToEnd(t *testing.T, poolWorkers int) {
 
 	// 4. Per-job manifest.json.
 	dir := filepath.Join(dataDir, st.ID)
-	m, err := obs.ReadManifest(filepath.Join(dir, "manifest.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var m obs.Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.TraceID != traceID {

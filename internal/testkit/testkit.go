@@ -1,7 +1,8 @@
 // Package testkit is the repo-wide correctness harness: seeded generators
 // for property-based tests, slow math/big reference implementations the
-// fast ring/modular/bfv arithmetic is differentially tested against, and
-// golden-vector helpers with a shared -update flag.
+// fast ring/modular/bfv arithmetic is differentially tested against,
+// golden-vector helpers with a shared -update flag, and a Prometheus text
+// parser that validates /metrics expositions.
 //
 // The harness has four layers (see docs/TESTING.md):
 //

@@ -52,49 +52,6 @@ func WriteSet(w io.Writer, s *Set) error {
 	return bw.Flush()
 }
 
-// readSetChunk bounds ReadSet's per-chunk decode, so a short stream with
-// an inflated header fails on the first missing chunk (with ErrTruncated)
-// instead of forcing a multi-GB up-front allocation.
-const readSetChunk = 4096
-
-// ReadSet deserializes a Set written by WriteSet. It is built on the
-// incremental StreamReader, so a header whose sample count disagrees with
-// the actual payload is rejected at chunk granularity with a typed
-// ErrTruncated error.
-func ReadSet(r io.Reader) (*Set, error) {
-	sr, err := NewStreamReader(bufio.NewReader(r))
-	if err != nil {
-		return nil, err
-	}
-	s := &Set{}
-	s.Labels = append(s.Labels, sr.Labels()...)
-	initialCap := sr.Samples()
-	if initialCap > readSetChunk {
-		initialCap = readSetChunk
-	}
-	chunk := make(Trace, initialCap)
-	for {
-		if _, _, err := sr.NextTrace(); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		t := make(Trace, 0, initialCap)
-		for {
-			n, err := sr.ReadChunk(chunk)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			t = append(t, chunk[:n]...)
-		}
-		s.Traces = append(s.Traces, t)
-	}
-	return s, nil
-}
-
 // WriteCSV emits "index,value" rows for a single trace, the format the
 // figure tooling plots.
 func WriteCSV(w io.Writer, t Trace) error {

@@ -86,16 +86,6 @@ func (sr *StreamReader) fill(p []byte, what string) error {
 	return nil
 }
 
-// Traces returns the header's trace count.
-func (sr *StreamReader) Traces() int { return sr.count }
-
-// Samples returns the header's samples-per-trace count.
-func (sr *StreamReader) Samples() int { return sr.samples }
-
-// Labels returns the decoded label table (one entry per trace). The slice
-// is owned by the reader.
-func (sr *StreamReader) Labels() []int { return sr.labels }
-
 // BytesRead reports the total bytes consumed from the underlying reader.
 func (sr *StreamReader) BytesRead() int64 { return sr.read }
 
@@ -227,16 +217,6 @@ func NewStreamSegmenter(cfg StreamSegmenterConfig) (*StreamSegmenter, error) {
 	return sg, nil
 }
 
-// Threshold returns the active peak threshold and whether calibration has
-// happened yet.
-func (sg *StreamSegmenter) Threshold() (float64, bool) { return sg.thr, sg.calib }
-
-// BufferedSamples returns how many samples have been committed so far.
-func (sg *StreamSegmenter) BufferedSamples() int { return len(sg.buf) }
-
-// EmittedSegments returns how many segments have been emitted so far.
-func (sg *StreamSegmenter) EmittedSegments() int { return sg.emitted }
-
 // Window returns a writable slice of n samples at the tail of the internal
 // buffer for zero-copy ingest: decode directly into it, then Commit(m) for
 // the m ≤ n samples actually written. The slice is invalidated by any
@@ -270,13 +250,6 @@ func (sg *StreamSegmenter) Commit(n int) ([]Segment, error) {
 		return nil, err
 	}
 	return sg.emit(false), nil
-}
-
-// Feed copies one chunk into the buffer and returns the newly confirmed
-// segments — the convenience form of Window+Commit.
-func (sg *StreamSegmenter) Feed(chunk Trace) ([]Segment, error) {
-	copy(sg.Window(len(chunk)), chunk)
-	return sg.Commit(len(chunk))
 }
 
 // Flush marks the end of the trace: the threshold is calibrated over the

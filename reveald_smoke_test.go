@@ -24,6 +24,7 @@ import (
 	"reveal/internal/jobs"
 	"reveal/internal/obs"
 	"reveal/internal/service"
+	"reveal/internal/testkit"
 )
 
 func TestRevealdServiceSmoke(t *testing.T) {
@@ -138,7 +139,7 @@ func TestRevealdServiceSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := obs.ParsePrometheusText(bytes.NewReader(raw))
+	pm, err := testkit.ParsePrometheusText(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("/metrics is not a valid Prometheus exposition: %v\n%s", err, raw)
 	}
