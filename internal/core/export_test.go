@@ -30,17 +30,18 @@ type Classification struct {
 // ClassifySegment classifies one per-coefficient sub-trace: branch first
 // (V1), then the value template of the recovered side (V2/V3), with the
 // combined posterior P(v) = P(sign)·P(v | sign). The arithmetic runs on a
-// pooled segScorer, scoring each template set exactly once.
+// pooled segScorer as a run of one segment, scoring each template set
+// exactly once.
 func (c *CoefficientClassifier) ClassifySegment(seg trace.Trace) (*Classification, error) {
 	ss := c.scorer()
 	defer c.release(ss)
 	labels := c.labels()
 	row := make([]float64, len(labels))
-	value, sign, err := ss.classify(seg, row)
-	if err != nil {
+	var value, sign [1]int
+	if err := ss.classify(0, []trace.Segment{{Samples: seg}}, row, value[:], sign[:]); err != nil {
 		return nil, err
 	}
-	return &Classification{Value: value, Sign: sign, Probs: Posterior{Labels: labels, P: row}}, nil
+	return &Classification{Value: value[0], Sign: sign[0], Probs: Posterior{Labels: labels, P: row}}, nil
 }
 
 // StoredPoly reads back the polynomial residues the firmware wrote, the

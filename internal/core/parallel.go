@@ -13,7 +13,9 @@ import (
 // classifyClaim is how many consecutive coefficients one claim covers.
 // Each claim costs one atomic add and one ctx check; 16 keeps that
 // overhead negligible while a preempted worker holds back at most 16
-// coefficients, so no goroutine idles behind a long contiguous shard.
+// coefficients, so no goroutine idles behind a long contiguous shard. A
+// claim is one run of segScorer.classify, so a sign template of at most
+// four classes scores four of its coefficients per block.
 const classifyClaim = 16
 
 // AttackSegmentsCtx classifies every per-coefficient segment of an already
@@ -26,7 +28,8 @@ func (c *CoefficientClassifier) AttackSegmentsCtx(ctx context.Context, segs []tr
 // AttackSegmentsParallel is the one classification loop over a segment
 // slice. The caller and workers−1 further goroutines (none when
 // workers ≤ 1) each claim the next classifyClaim coefficients from a shared
-// counter, check ctx once per claim, and write each result by index.
+// counter, check ctx once per claim, classify the claim as one run of
+// segments, and write each result by index.
 // Because every coefficient's classification is an independent pure
 // function of its segment, the output is byte-identical for every worker
 // count. Posteriors are written in place into one n×labels arena, each
@@ -70,16 +73,13 @@ func (c *CoefficientClassifier) AttackSegmentsParallel(ctx context.Context, segs
 				fail(fmt.Errorf("core: classification canceled at coefficient %d: %w", lo, err))
 				return
 			}
-			for i := lo; i < min(lo+classifyClaim, len(segs)); i++ {
-				row := arena[i*width : (i+1)*width : (i+1)*width]
-				value, sign, err := ss.classify(segs[i].Samples, row)
-				if err != nil {
-					fail(fmt.Errorf("core: coefficient %d: %w", i, err))
-					return
-				}
-				res.Values[i] = value
-				res.Signs[i] = sign
-				res.Probs[i] = Posterior{Labels: labels, P: row}
+			hi := min(lo+classifyClaim, len(segs))
+			if err := ss.classify(lo, segs[lo:hi], arena[lo*width:hi*width], res.Values[lo:hi], res.Signs[lo:hi]); err != nil {
+				fail(err)
+				return
+			}
+			for i := lo; i < hi; i++ {
+				res.Probs[i] = Posterior{Labels: labels, P: arena[i*width : (i+1)*width : (i+1)*width]}
 			}
 		}
 	}

@@ -19,6 +19,14 @@ func captureSmall(t *testing.T, seed uint64) (*CoefficientClassifier, *Encryptio
 	t.Helper()
 	dev := NewDevice(seed)
 	cls := smallProfile(t, dev)
+	cap, params := captureOn(t, dev, seed)
+	return cls, cap, params
+}
+
+// captureOn captures one encryption on dev at the q=12289, n=64 test
+// scale.
+func captureOn(t *testing.T, dev *Device, seed uint64) (*EncryptionCapture, *bfv.Parameters) {
+	t.Helper()
 	params := smallParams(t)
 	prng := sampler.NewXoshiro256(seed ^ 0xFACE)
 	kg := bfv.NewKeyGenerator(params, prng)
@@ -30,8 +38,7 @@ func captureSmall(t *testing.T, seed uint64) (*CoefficientClassifier, *Encryptio
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = sk
-	return cls, cap, params
+	return cap, params
 }
 
 // legacyAttack classifies every segment with legacyClassifySegment, the
@@ -56,25 +63,66 @@ func legacyAttack(t *testing.T, cls *CoefficientClassifier, segs []trace.Segment
 func smallSegments(t *testing.T, seed uint64) (*CoefficientClassifier, []trace.Segment) {
 	t.Helper()
 	cls, cap, params := captureSmall(t, seed)
+	return cls, e2Segments(t, cap, params)
+}
+
+// highAccuracySegments is smallSegments on a low-noise device with the
+// classifier of the recovery demonstration: HighAccuracyProfileOptions,
+// 28 POIs per template.
+func highAccuracySegments(t *testing.T, seed uint64) (*CoefficientClassifier, []trace.Segment) {
+	t.Helper()
+	dev := NewLowNoiseDevice(seed)
+	opts := HighAccuracyProfileOptions()
+	opts.Q = 12289
+	cls, err := Profile(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, params := captureOn(t, dev, seed)
+	return cls, e2Segments(t, cap, params)
+}
+
+// e2Segments cuts the capture's e2 trace into its params.N coefficient
+// segments (sentinel dropped).
+func e2Segments(t *testing.T, cap *EncryptionCapture, params *bfv.Parameters) []trace.Segment {
+	t.Helper()
 	segs, err := trace.SegmentEncryptionTrace(cap.TraceE2, params.N+1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cls, segs[:params.N]
+	return segs[:params.N]
+}
+
+// prefixResult is the first n coefficients of an attack result.
+func prefixResult(r *AttackResult, n int) *AttackResult {
+	return &AttackResult{Values: r.Values[:n], Signs: r.Signs[:n], Probs: r.Probs[:n]}
 }
 
 // TestParallelClassificationMatchesSerial is the worker-pool determinism
 // guarantee: the claim loop must reproduce the legacy per-segment
-// classification, every posterior to the bit, for any worker count.
+// classification, every posterior to the bit, for any worker count — over
+// full claims and full sign groups (64 segments), partial ones (1, 3, 5,
+// 17 and 63), and for both the default classifier and the 28-POI
+// high-accuracy one.
 func TestParallelClassificationMatchesSerial(t *testing.T) {
-	cls, segs := smallSegments(t, 11)
-	want := legacyAttack(t, cls, segs)
-	for _, workers := range []int{0, 1, 2, 3, 7, 64, 200} {
-		got, err := cls.AttackSegmentsParallel(context.Background(), segs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, fx := range []struct {
+		name string
+		load func(*testing.T, uint64) (*CoefficientClassifier, []trace.Segment)
+	}{{"default", smallSegments}, {"high-accuracy", highAccuracySegments}} {
+		cls, segs := fx.load(t, 11)
+		if fx.name == "high-accuracy" && len(cls.Pos.POIs) != 28 {
+			t.Fatalf("high-accuracy value templates have %d POIs, want 28", len(cls.Pos.POIs))
 		}
-		assertResultsBitIdentical(t, want, got)
+		want := legacyAttack(t, cls, segs)
+		for _, n := range []int{1, 3, 5, 17, 63, len(segs)} {
+			for _, workers := range []int{0, 1, 2, 3, 7, 64, 200} {
+				got, err := cls.AttackSegmentsParallel(context.Background(), segs[:n], workers)
+				if err != nil {
+					t.Fatalf("%s n=%d workers=%d: %v", fx.name, n, workers, err)
+				}
+				assertResultsBitIdentical(t, prefixResult(want, n), got)
+			}
+		}
 	}
 }
 
@@ -82,7 +130,8 @@ func TestParallelClassificationMatchesSerial(t *testing.T) {
 // templates fails on a negative coefficient. With one such coefficient
 // among 256, the other workers are still claiming when it fails; the loop
 // must return that error — not a cancellation seen while stopping them —
-// whatever the worker count.
+// whatever the worker count. The coefficient sits inside a claim and a
+// sign block (index 41), and the error must name it.
 func TestParallelClassificationFirstErrorWins(t *testing.T) {
 	cls, segs := smallSegments(t, 22)
 	onlyPos := &CoefficientClassifier{
@@ -105,7 +154,7 @@ func TestParallelClassificationFirstErrorWins(t *testing.T) {
 	for i := range long {
 		long[i] = ok[i%len(ok)]
 	}
-	long[40] = segs[bad]
+	long[41] = segs[bad]
 	for _, workers := range []int{1, 4} {
 		_, err := onlyPos.AttackSegmentsParallel(context.Background(), long, workers)
 		if err == nil {
@@ -113,6 +162,9 @@ func TestParallelClassificationFirstErrorWins(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "no negative templates") {
 			t.Errorf("workers=%d: error %q does not name the missing templates", workers, err)
+		}
+		if !strings.Contains(err.Error(), "coefficient 41:") {
+			t.Errorf("workers=%d: error %q does not name coefficient 41", workers, err)
 		}
 		if errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: error %q reports a cancellation", workers, err)

@@ -9,17 +9,23 @@ import (
 
 // segScorer is a per-goroutine classification context over one trained
 // CoefficientClassifier: one reusable sca.Scorer per template set (sign,
-// positive values, negative values), a reusable tail-alignment buffer, and
-// the sign posterior scratch. It computes each class log-likelihood exactly
-// once per segment and writes the combined posterior in place into a
-// caller-owned row, keeping every floating-point operation of the
-// historical map-based path in the same order, so results are bitwise
-// identical.
+// positive values, negative values), reusable tail-alignment and score
+// buffers for a run of segments, and the sign posterior scratch. It scores
+// each template set once per run of segments and writes each combined
+// posterior in place into a caller-owned row, keeping every floating-point
+// operation of the historical map-based path in the same order, so results
+// are bitwise identical.
 type segScorer struct {
 	c              *CoefficientClassifier
 	sign, pos, neg *sca.Scorer
-	alignBuf       trace.Trace
-	signPost       []float64
+	// alignBuf holds the stretched copies of short segments, one Length
+	// slot per segment of the run; aligned is the run's aligned views.
+	alignBuf trace.Trace
+	aligned  []trace.Trace
+	// signLL, posLL and negLL are the run's score matrices, one row per
+	// segment.
+	signLL, posLL, negLL []float64
+	signPost             []float64
 	// Indices of the −1/0/+1 labels in the sign scorer's class order
 	// (−1 when the label is absent — its posterior then reads as 0,
 	// matching the historical map lookup of a missing key).
@@ -30,10 +36,9 @@ type segScorer struct {
 
 func newSegScorer(c *CoefficientClassifier) *segScorer {
 	ss := &segScorer{
-		c:        c,
-		sign:     c.Sign.NewScorer(),
-		alignBuf: make(trace.Trace, c.Length),
-		idxNeg:   -1, idxZero: -1, idxPos: -1,
+		c:      c,
+		sign:   c.Sign.NewScorer(),
+		idxNeg: -1, idxZero: -1, idxPos: -1,
 	}
 	ss.signPost = make([]float64, ss.sign.Classes())
 	for ci := 0; ci < ss.sign.Classes(); ci++ {
@@ -56,27 +61,84 @@ func newSegScorer(c *CoefficientClassifier) *segScorer {
 	return ss
 }
 
-// tailAlignInto aligns a segment by its end without copying: segments at
-// least Length long yield a view of their last Length samples; shorter
-// ones are stretched into the reusable buffer with the exact interpolation
-// of Trace.Resample.
-func (ss *segScorer) tailAlignInto(seg trace.Trace) trace.Trace {
-	if len(seg) >= ss.c.Length {
-		return seg[len(seg)-ss.c.Length:]
+// align aligns every segment of a run by its end without copying:
+// segments at least Length long yield a view of their last Length samples;
+// shorter ones are stretched into their slot of the reusable buffer with
+// the exact interpolation of Trace.Resample.
+func (ss *segScorer) align(segs []trace.Segment) []trace.Trace {
+	l := ss.c.Length
+	if len(ss.alignBuf) < len(segs)*l {
+		ss.alignBuf = make(trace.Trace, len(segs)*l)
 	}
-	return seg.ResampleInto(ss.alignBuf)
+	ss.aligned = ss.aligned[:0]
+	for j, s := range segs {
+		if len(s.Samples) >= l {
+			ss.aligned = append(ss.aligned, s.Samples[len(s.Samples)-l:])
+		} else {
+			ss.aligned = append(ss.aligned, s.Samples.ResampleInto(ss.alignBuf[j*l:(j+1)*l]))
+		}
+	}
+	return ss.aligned
 }
 
-// classify classifies one per-coefficient sub-trace on the reusable scoring
-// context: branch first (V1), then the value template of the recovered
-// side (V2/V3), with the combined posterior P(v) = P(sign)·P(v | sign)
-// written into row, which holds one entry per label of c.labels().
-func (ss *segScorer) classify(seg trace.Trace, row []float64) (value, sign int, err error) {
-	aligned := ss.tailAlignInto(seg)
-	signLL, err := ss.sign.ScoreTrace(aligned)
-	if err != nil {
-		return 0, 0, fmt.Errorf("core: sign classification: %w", err)
+// scores scores every aligned segment against one template set into buf,
+// grown to len(trs) rows, and returns the score matrix.
+func scores(s *sca.Scorer, buf *[]float64, trs []trace.Trace) ([]float64, error) {
+	n := len(trs) * s.Classes()
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
 	}
+	ll := (*buf)[:n]
+	return ll, s.ScoreTraces(ll, trs)
+}
+
+// classify classifies a run of per-coefficient segments, the first of
+// which is coefficient first: it aligns them all, scores the sign template
+// and the positive and negative value templates for all of them, then
+// combines each coefficient's posterior — branch first (V1), then the value
+// template of the recovered side (V2/V3), P(v) = P(sign)·P(v | sign) —
+// into its row of rows (one entry per label of c.labels()) and its value
+// and sign into values and signs. Every segment is aligned to Length
+// samples, so a template that cannot score one cannot score any: such an
+// error names the run's first coefficient; any other names its own.
+func (ss *segScorer) classify(first int, segs []trace.Segment, rows []float64, values, signs []int) error {
+	aligned := ss.align(segs)
+	// The views point into the caller's traces; the pooled scorer must
+	// not keep those alive.
+	defer clear(aligned)
+	signLL, err := scores(ss.sign, &ss.signLL, aligned)
+	if err != nil {
+		return fmt.Errorf("core: coefficient %d: sign classification: %w", first, err)
+	}
+	var posLL, negLL []float64
+	if ss.pos != nil {
+		if posLL, err = scores(ss.pos, &ss.posLL, aligned); err != nil {
+			return fmt.Errorf("core: coefficient %d: positive value classification: %w", first, err)
+		}
+	}
+	if ss.neg != nil {
+		if negLL, err = scores(ss.neg, &ss.negLL, aligned); err != nil {
+			return fmt.Errorf("core: coefficient %d: negative value classification: %w", first, err)
+		}
+	}
+	width := len(ss.c.labels())
+	for j := range segs {
+		row := rows[j*width : (j+1)*width]
+		value, sign, err := ss.combine(row, signLL, posLL, negLL, j)
+		if err != nil {
+			return fmt.Errorf("core: coefficient %d: %w", first+j, err)
+		}
+		values[j], signs[j] = value, sign
+	}
+	return nil
+}
+
+// combine writes segment j's posterior into row from the run's score
+// matrices (posLL or negLL nil when the classifier lacks that side) and
+// returns its maximum-likelihood value and sign.
+func (ss *segScorer) combine(row, signLL, posLL, negLL []float64, j int) (value, sign int, err error) {
+	ns := ss.sign.Classes()
+	signLL = signLL[j*ns : (j+1)*ns]
 	ss.sign.PosteriorValues(signLL, ss.signPost)
 	sign = ss.sign.ArgMaxLabel(signLL)
 
@@ -88,12 +150,9 @@ func (ss *segScorer) classify(seg trace.Trace, row []float64) (value, sign int, 
 	}
 	// P(v) = P(sign)·P(v | sign), each value posterior written in place.
 	row[ss.zero] = postAt(ss.idxZero)
-	var posLL, negLL []float64
 	if ss.pos != nil {
-		posLL, err = ss.pos.ScoreTrace(aligned)
-		if err != nil {
-			return 0, 0, fmt.Errorf("core: positive value classification: %w", err)
-		}
+		nc := ss.pos.Classes()
+		posLL = posLL[j*nc : (j+1)*nc]
 		post := row[ss.zero+1:]
 		ss.pos.PosteriorValues(posLL, post)
 		pSign := postAt(ss.idxPos)
@@ -102,10 +161,8 @@ func (ss *segScorer) classify(seg trace.Trace, row []float64) (value, sign int, 
 		}
 	}
 	if ss.neg != nil {
-		negLL, err = ss.neg.ScoreTrace(aligned)
-		if err != nil {
-			return 0, 0, fmt.Errorf("core: negative value classification: %w", err)
-		}
+		nc := ss.neg.Classes()
+		negLL = negLL[j*nc : (j+1)*nc]
 		post := row[:ss.zero]
 		ss.neg.PosteriorValues(negLL, post)
 		nSign := postAt(ss.idxNeg)

@@ -22,8 +22,8 @@ type legacyClassification struct {
 // the maximum-likelihood label.
 func legacyProbabilities(tpl *sca.Templates, tr trace.Trace) (map[int]float64, int, error) {
 	s := tpl.NewScorer()
-	ll, err := s.ScoreTrace(tr)
-	if err != nil {
+	ll := make([]float64, s.Classes())
+	if err := s.ScoreTraces(ll, []trace.Trace{tr}); err != nil {
 		return nil, 0, err
 	}
 	max := math.Inf(-1)

@@ -235,7 +235,7 @@ func (sa *StreamAttack) Feed(chunk trace.Trace) error {
 // classification on a classified-count stride, and stops mid-batch: the
 // verdict for a given trace prefix never depends on chunk boundaries.
 func (sa *StreamAttack) onSegments(segs []trace.Segment) error {
-	for _, s := range segs {
+	for k := range segs {
 		if len(sa.res.Values) >= sa.opts.Coefficients {
 			return nil // the sentinel segment is discarded unclassified
 		}
@@ -246,12 +246,14 @@ func (sa *StreamAttack) onSegments(segs []trace.Segment) error {
 		}
 		row := sa.arena[:len(labels):len(labels)]
 		sa.arena = sa.arena[len(labels):]
-		value, sign, err := sa.ss.classify(s.Samples, row)
-		if err != nil {
-			return fmt.Errorf("core: coefficient %d: %w", i, err)
+		// One segment per run: each segment is classified as it closes,
+		// so the first hint and the early-exit point stay where they are.
+		var value, sign [1]int
+		if err := sa.ss.classify(i, segs[k:k+1], row, value[:], sign[:]); err != nil {
+			return err
 		}
-		sa.res.Values = append(sa.res.Values, value)
-		sa.res.Signs = append(sa.res.Signs, sign)
+		sa.res.Values = append(sa.res.Values, value[0])
+		sa.res.Signs = append(sa.res.Signs, sign[0])
 		sa.res.Probs = append(sa.res.Probs, Posterior{Labels: labels, P: row})
 		if sa.firstHint == 0 {
 			sa.firstHint = time.Since(sa.started)

@@ -78,7 +78,8 @@ func BenchmarkSolveCached(b *testing.B) {
 
 // BenchmarkSolveClassByClass solves the sixteen residuals of a pooled
 // 28-POI template against one factor with one SolveInto per class;
-// BenchmarkSolveManyInterleaved/poi=28/cols=16 solves them in one call.
+// BenchmarkQuadBlock/poi=28/one-vector scores them, sums included, in one
+// block.
 func BenchmarkSolveClassByClass(b *testing.B) {
 	const n, k = 28, 16
 	f, err := NewCholFactor(seededSPD(n, 5))
@@ -98,34 +99,33 @@ func BenchmarkSolveClassByClass(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveManyInterleaved solves interleaved right-hand sides at the
-// shapes of the default (12 POIs) and high-accuracy (28 POIs) templates:
-// four columns for the sign template's three classes, sixteen for the
-// value templates. Each shape runs every kernel set the CPU has, called
-// directly, and QuadFormsInto as scoring calls it (whichever set it
-// dispatches to, plus the column sums).
-func BenchmarkSolveManyInterleaved(b *testing.B) {
+// BenchmarkQuadBlock scores one sixteen-lane block at the shapes of the
+// default (12 POIs) and high-accuracy (28 POIs) templates: one feature
+// vector against a value template's classes, and four vectors against four
+// copies of the sign template's. Each shape runs every kernel set the CPU
+// has, called directly, and QuadBlockInto as scoring calls it.
+func BenchmarkQuadBlock(b *testing.B) {
 	for _, n := range []int{12, 28} {
 		f, err := NewCholFactor(seededSPD(n, 5))
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, k := range []int{4, 16} {
-			rhs := seededVec(n*k, 6)
-			x := make([]float64, n*k)
-			y := make([]float64, n*k)
-			q := make([]float64, k)
-			shape := fmt.Sprintf("poi=%d/cols=%d/", n, k)
+		feat := seededVec(4*n, 6)
+		means := seededVec(n*BlockLanes, 7)
+		work := make([]float64, twinWork(n))
+		q := make([]float64, BlockLanes)
+		for _, mode := range blockModes(n) {
+			shape := fmt.Sprintf("poi=%d/%s/", n, mode.name)
 			for _, kn := range testKernels() {
 				b.Run(shape+kn.name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						f.solveMany(x, y, rhs, k, kn.simd)
+						f.quadBlock(q, feat, mode.fstride, means, work, kn.simd)
 					}
 				})
 			}
-			b.Run(shape+"quadforms", func(b *testing.B) {
+			b.Run(shape+"QuadBlockInto", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if err := f.QuadFormsInto(q, x, y, rhs, k); err != nil {
+					if err := f.QuadBlockInto(q, feat, mode.fstride, means, work); err != nil {
 						b.Fatal(err)
 					}
 				}

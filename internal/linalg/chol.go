@@ -51,13 +51,11 @@ func (f *CholFactor) LogDet() float64 { return f.logDet }
 // x[i·k+c]; y is forward-substitution scratch of the same shape. x, y and b
 // must all have length n·k (x and y may not alias b).
 //
-// Right-hand sides go through one leaf kernel per row in blocks of
-// columns, so their independent subtraction chains overlap instead of each
-// waiting on its own latency: on CPUs with AVX2, blocks of sixteen and then
-// four columns, one column per SIMD lane; otherwise, and for the columns
-// left over, blocks of four in Go and then one at a time. Each right-hand
-// side still sees exactly the floating-point operations of SolveCholesky in
-// the same order: every column is bitwise identical to solving it alone.
+// Right-hand sides go through one leaf kernel per row in blocks of four
+// columns, then one at a time, so their independent subtraction chains
+// overlap instead of each waiting on its own latency. Each right-hand side
+// still sees exactly the floating-point operations of SolveCholesky in the
+// same order: every column is bitwise identical to solving it alone.
 func (f *CholFactor) SolveManyInto(x, y, b []float64, k int) error {
 	n := f.n
 	if k < 1 {
@@ -69,7 +67,7 @@ func (f *CholFactor) SolveManyInto(x, y, b []float64, k int) error {
 	if len(x) != n*k || len(y) != n*k {
 		return fmt.Errorf("linalg: solve buffers %d/%d, want %d×%d", len(x), len(y), n, k)
 	}
-	f.solveMany(x, y, b, k, useAVX2)
+	f.solveMany(x, y, b, k)
 	return nil
 }
 
@@ -86,21 +84,82 @@ func (f *CholFactor) QuadFormsInto(q, x, y, r []float64, k int) error {
 	if err := f.SolveManyInto(x, y, r, k); err != nil {
 		return err
 	}
-	f.columnDots(q, r, x, k, useAVX2)
+	columnDots(q, r, x, k)
 	return nil
 }
 
-// solveMany is SolveManyInto on checked buffers. With simd the AVX2 row
-// kernels solve whole blocks of sixteen, then four, columns; the Go kernels
-// solve the rest. Tests call it with both values to compare every kernel
-// the CPU can run.
-func (f *CholFactor) solveMany(x, y, b []float64, k int, simd bool) {
+// BlockLanes is the width of one QuadBlockInto call: sixteen quadratic
+// forms in four groups of four lanes.
+const BlockLanes = 16
+
+// BlockWork returns the scratch length QuadBlockInto needs on this CPU:
+// one n×16 block for the AVX2 kernel, three for the Go twin.
+func (f *CholFactor) BlockWork() int {
+	if useAVX2 {
+		return f.n * BlockLanes
+	}
+	return 3 * f.n * BlockLanes
+}
+
+// QuadBlockInto computes sixteen quadratic forms against the factored
+// matrix m in one call. Lane j belongs to group g = j/4, which reads the
+// feature vector feat[g·fstride : g·fstride+n]; its residual is
+// r_j[i] = feat[g·fstride+i] − means[i·16+j], and q[j] = r_jᵀ m⁻¹ r_j. With
+// fstride 0 all sixteen lanes read one vector; with fstride n, four
+// consecutive vectors feed four lanes each. means holds n rows of sixteen
+// lanes; work is scratch of at least BlockWork() entries.
+//
+// Every lane performs the floating-point operations of its own residual
+// loop, SolveCholesky and Dot in the same order, so each q[j] is bitwise
+// identical to solving that lane alone. On CPUs with AVX2 one assembly call
+// runs the residual, both substitutions and the sums with one lane per
+// column; elsewhere the Go twin (residual loop, the SolveManyInto kernels,
+// column sums) does. It allocates nothing.
+func (f *CholFactor) QuadBlockInto(q, feat []float64, fstride int, means, work []float64) error {
+	n := f.n
+	if len(q) != BlockLanes {
+		return fmt.Errorf("linalg: %d block quadratic forms, want %d", len(q), BlockLanes)
+	}
+	if fstride < 0 || len(feat) < 3*fstride+n {
+		return fmt.Errorf("linalg: %d features at stride %d, want 4 groups of %d", len(feat), fstride, n)
+	}
+	if len(means) != n*BlockLanes || len(work) < f.BlockWork() {
+		return fmt.Errorf("linalg: block means/work %d/%d, want %d/%d", len(means), len(work), n*BlockLanes, f.BlockWork())
+	}
+	f.quadBlock(q, feat, fstride, means, work, useAVX2)
+	return nil
+}
+
+// quadBlock is QuadBlockInto on checked buffers. With simd one AVX2 call
+// computes the whole block in work's first n×16 entries; otherwise the Go
+// twin does, in three n×16 blocks. Tests call it with both values to
+// compare every kernel the CPU can run.
+func (f *CholFactor) quadBlock(q, feat []float64, fstride int, means, work []float64, simd bool) {
+	n := f.n
+	if n == 0 {
+		clear(q)
+		return
+	}
+	if simd {
+		quadBlock16(q, feat, fstride, means, f.lower, f.upper, f.diag, work)
+		return
+	}
+	m := n * BlockLanes
+	r, y, x := work[:m], work[m:2*m], work[2*m:3*m]
+	for i := 0; i < n; i++ {
+		for j := 0; j < BlockLanes; j++ {
+			r[i*BlockLanes+j] = feat[j/4*fstride+i] - means[i*BlockLanes+j]
+		}
+	}
+	f.solveMany(x, y, r, BlockLanes)
+	columnDots(q, r, x, BlockLanes)
+}
+
+// solveMany is SolveManyInto on checked buffers: blocks of four columns
+// through sub4, then the rest one at a time through sub1.
+func (f *CholFactor) solveMany(x, y, b []float64, k int) {
 	n := f.n
 	c := 0
-	if simd {
-		c = f.solveBlocks(x, y, b, k, c, 16)
-		c = f.solveBlocks(x, y, b, k, c, 4)
-	}
 	for ; c+4 <= k; c += 4 {
 		// Forward substitution L y = b.
 		for i := 0; i < n; i++ {
@@ -131,43 +190,9 @@ func (f *CholFactor) solveMany(x, y, b []float64, k int, simd bool) {
 	}
 }
 
-// solveBlocks solves w columns at a time from column c while a whole block
-// fits in k, with one call of the w-wide AVX2 row kernel (w is 16 or 4) per
-// row and block, and returns the first column it left unsolved. The kernel
-// reads v[t·k+j] for t < len(coef) and j < w: the rows already solved in
-// the same block, all inside x or y once the buffer lengths are checked.
-// The kernels are called directly: through a function value each call
-// passes an ABI wrapper, which cost 10–15% at the template shapes.
-func (f *CholFactor) solveBlocks(x, y, b []float64, k, c, w int) int {
-	n := f.n
-	for ; c+w <= k; c += w {
-		for i := 0; i < n; i++ {
-			o := i*k + c
-			if w == 16 {
-				row16(y[o:o+w], b[o:o+w], f.lower[i*n:i*n+i], y[c:], k, f.diag[i])
-			} else {
-				row4(y[o:o+w], b[o:o+w], f.lower[i*n:i*n+i], y[c:], k, f.diag[i])
-			}
-		}
-		for i := n - 1; i >= 0; i-- {
-			o := i*k + c
-			if w == 16 {
-				row16(x[o:o+w], y[o:o+w], f.upper[i*n+i+1:(i+1)*n], x[min(o+k, len(x)):], k, f.diag[i])
-			} else {
-				row4(x[o:o+w], y[o:o+w], f.upper[i*n+i+1:(i+1)*n], x[min(o+k, len(x)):], k, f.diag[i])
-			}
-		}
-	}
-	return c
-}
-
 // columnDots sets q[c] = Σ_i r[i·k+c]·x[i·k+c] for c < len(q), i ascending
-// from +0: with simd through the AVX2 kernel, one column per lane.
-func (f *CholFactor) columnDots(q, r, x []float64, k int, simd bool) {
-	if simd {
-		colDots(q, r, x, f.n, k)
-		return
-	}
+// from +0.
+func columnDots(q, r, x []float64, k int) {
 	for c := range q {
 		sum := 0.0
 		for i := c; i < len(r); i += k {

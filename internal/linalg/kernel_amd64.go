@@ -27,20 +27,14 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 returns the low word of extended control register XCR0.
 func xgetbv0() uint32
 
-// row16 computes one row of a substitution over sixteen interleaved
-// columns: dst[j] = (src[j] − Σ_t coef[t]·v[t·stride+j]) / d for j < 16,
-// subtracting term by term in ascending t. Each YMM lane is one column's
-// chain with sub4's operations in sub4's order: multiply the column value
-// by the broadcast factor, subtract the product from the accumulator, and
-// divide at the end. Nothing is fused or reassociated, so every lane is
-// bitwise equal to the scalar code. The caller keeps every read in range.
-func row16(dst, src, coef, v []float64, stride int, d float64)
-
-// row4 is row16 for four columns.
-func row4(dst, src, coef, v []float64, stride int, d float64)
-
-// colDots sets q[c] = Σ_i r[i·k+c]·x[i·k+c] for c < len(q) and i < n,
-// summing in ascending i from +0 as Dot does over one column: blocks of
-// sixteen and four columns run one column per YMM lane, the rest through
-// scalar instructions. The caller keeps every read in range.
-func colDots(q, r, x []float64, n, k int)
+// quadBlock16 computes the sixteen lanes of QuadBlockInto in one call.
+// Each YMM register holds one group's four lanes. Per row, the residual
+// feat[g·fstride+i] − means[i·16+j] starts the forward-substitution chain,
+// which subtracts the products row by row in ascending order and divides
+// by the diagonal at the end; back substitution overwrites the rows of
+// work with x in descending order; a last pass forms the residual again
+// and sums r·x from +0 in ascending order. Every lane uses sub4's and
+// columnDots' operations in their order, so it is bitwise equal to the Go
+// twin. Only work's first n×16 entries are used. The caller keeps every
+// read in range and n ≥ 1.
+func quadBlock16(q, feat []float64, fstride int, means, lower, upper, diag, work []float64)

@@ -303,7 +303,7 @@ func encodeItem(mnem string, args []string, addr uint32, labels map[string]uint3
 		if len(args) != 1 {
 			return nil, fmt.Errorf("j needs 1 arg")
 		}
-		off, err := branchOffset(args[0], addr, labels)
+		off, err := branchOffset(mnem, args[0], addr, labels, jumpBits)
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +312,7 @@ func encodeItem(mnem string, args []string, addr uint32, labels map[string]uint3
 		// Accept both "jal label" (rd=ra) and "jal rd, label".
 		switch len(args) {
 		case 1:
-			off, err := branchOffset(args[0], addr, labels)
+			off, err := branchOffset(mnem, args[0], addr, labels, jumpBits)
 			if err != nil {
 				return nil, err
 			}
@@ -322,7 +322,7 @@ func encodeItem(mnem string, args []string, addr uint32, labels map[string]uint3
 			if err != nil {
 				return nil, err
 			}
-			off, err := branchOffset(args[1], addr, labels)
+			off, err := branchOffset(mnem, args[1], addr, labels, jumpBits)
 			if err != nil {
 				return nil, err
 			}
@@ -362,7 +362,7 @@ func encodeItem(mnem string, args []string, addr uint32, labels map[string]uint3
 		if err != nil {
 			return nil, err
 		}
-		off, err := branchOffset(args[1], addr, labels)
+		off, err := branchOffset(mnem, args[1], addr, labels, branchBits)
 		if err != nil {
 			return nil, err
 		}
@@ -412,7 +412,7 @@ func encodeItem(mnem string, args []string, addr uint32, labels map[string]uint3
 		if err != nil {
 			return nil, err
 		}
-		off, err := branchOffset(args[2], addr, labels)
+		off, err := branchOffset(mnem, args[2], addr, labels, branchBits)
 		if err != nil {
 			return nil, err
 		}
@@ -432,6 +432,9 @@ func encodeItem(mnem string, args []string, addr uint32, labels map[string]uint3
 		if err != nil {
 			return nil, err
 		}
+		if !fitsImm12(imm) {
+			return nil, fmt.Errorf("%s offset %d out of range", mnem, imm)
+		}
 		return []uint32{encodeI(0x03, f3, rd, rs1, imm)}, nil
 	}
 
@@ -447,6 +450,9 @@ func encodeItem(mnem string, args []string, addr uint32, labels map[string]uint3
 		imm, rs1, err := parseMem(args[1], labels)
 		if err != nil {
 			return nil, err
+		}
+		if !fitsImm12(imm) {
+			return nil, fmt.Errorf("%s offset %d out of range", mnem, imm)
 		}
 		return []uint32{encodeS(0x23, f3, rs1, rs2, imm)}, nil
 	}
@@ -537,12 +543,28 @@ func regRegImm(args []string, labels map[string]uint32) (int, int, int32, error)
 	return rd, rs1, imm, nil
 }
 
-func branchOffset(arg string, addr uint32, labels map[string]uint32) (int32, error) {
+// Offset widths of the pc-relative formats: a branch encodes a signed
+// 13-bit offset and a jump a signed 21-bit one, both even.
+const (
+	branchBits = 13
+	jumpBits   = 21
+)
+
+// branchOffset returns the offset from addr to a branch or jump target,
+// rejecting one the format's bits cannot encode: out of range, or odd.
+func branchOffset(mnem, arg string, addr uint32, labels map[string]uint32, bits uint) (int32, error) {
 	target, err := parseImm(arg, labels)
 	if err != nil {
 		return 0, err
 	}
-	return int32(uint32(target) - addr), nil
+	off := int32(uint32(target) - addr)
+	if lim := int32(1) << (bits - 1); off < -lim || off >= lim {
+		return 0, fmt.Errorf("%s offset %d out of range", mnem, off)
+	}
+	if off&1 != 0 {
+		return 0, fmt.Errorf("%s offset %d is odd", mnem, off)
+	}
+	return off, nil
 }
 
 func encodeU(op uint32, rd int, imm uint32) uint32 {

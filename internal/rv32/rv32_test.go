@@ -1,6 +1,7 @@
 package rv32
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -334,10 +335,48 @@ func TestAssemblerErrors(t *testing.T) {
 		"mv notareg, a0", "mv a0, notareg", "not a0, nr", "neg nr, a0", "seqz a0, nr",
 		"snez nr, a0", "add a0, a1", "lw a0", "sw a0, 4(a1), 3", "beq a0, a1",
 		"beq nr, a1, x", "slli a0, a1", "slli nr, a1, 3", "addi a0, a1, x+1",
+		// Offsets the format cannot encode: load and store offsets beyond
+		// 12 bits, branch and jump offsets beyond 13 and 21 bits, or odd.
+		"lw a0, 5000(a1)", "sw a0, 5000(a1)", "beq a0, a1, 9000", "jal 3000000",
+		"bne a0, a1, 3",
 	}
 	for _, src := range bad {
 		if _, _, err := Assemble(src, 0); err == nil {
 			t.Errorf("expected error for %q", src)
+		}
+	}
+}
+
+// TestAssemblerOffsetEdges: the extreme offsets of each format must
+// assemble and decode to themselves.
+func TestAssemblerOffsetEdges(t *testing.T) {
+	for _, c := range []struct {
+		src string
+		op  Op
+		imm int32
+	}{
+		{"lw a0, -2048(a1)", OpLW, -2048},
+		{"lbu a0, 2047(a1)", OpLBU, 2047},
+		{"sw a0, -2048(a1)", OpSW, -2048},
+		{"sb a0, 2047(a1)", OpSB, 2047},
+		{"beq a0, a1, 4094", OpBEQ, 4094},
+		{"bgeu a0, a1, -4096", OpBGEU, -4096},
+		{"bnez a0, -4096", OpBNE, -4096},
+		{"jal 1048574", OpJAL, 1048574},
+		{"j -1048576", OpJAL, -1048576},
+	} {
+		img, _, err := Assemble(c.src, 0)
+		if err != nil {
+			t.Errorf("%q: %v", c.src, err)
+			continue
+		}
+		in, err := Decode(binary.LittleEndian.Uint32(img))
+		if err != nil {
+			t.Errorf("%q: decode: %v", c.src, err)
+			continue
+		}
+		if in.Op != c.op || in.Imm != c.imm {
+			t.Errorf("%q decodes as %v %d, want %v %d", c.src, in.Op, in.Imm, c.op, c.imm)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sca
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -10,7 +11,32 @@ import (
 
 // The map-returning template API: the per-call scoring path that the
 // pooled Scorer replaced, kept here as the map-form oracle the tests
-// compare Scorer, ScoreVector and PosteriorValues against.
+// compare Scorer, ScoreVector and PosteriorValues against, and the
+// one-vector cases of ScoreTraces.
+
+// ScoreTrace returns the per-class log-likelihoods of one trace in class
+// order: ScoreTraces with one row.
+func (s *Scorer) ScoreTrace(tr trace.Trace) ([]float64, error) {
+	ll := make([]float64, s.Classes())
+	if err := s.ScoreTraces(ll, []trace.Trace{tr}); err != nil {
+		return nil, err
+	}
+	return ll, nil
+}
+
+// ScoreVector scores an already-extracted POI feature vector through the
+// block scoring ScoreTraces runs.
+func (s *Scorer) ScoreVector(f []float64) ([]float64, error) {
+	if len(f) != len(s.t.POIs) {
+		return nil, fmt.Errorf("sca: feature vector of %d entries, want %d", len(f), len(s.t.POIs))
+	}
+	copy(s.feat, f)
+	ll := make([]float64, s.Classes())
+	if err := s.scoreFeatures(ll, 1); err != nil {
+		return nil, err
+	}
+	return ll, nil
+}
 
 // Extract gathers the POI samples of a trace into a feature vector.
 func Extract(tr trace.Trace, pois []int) []float64 {

@@ -9,34 +9,41 @@ import (
 )
 
 // Scorer is a reusable scoring context over one trained template set: all
-// scratch buffers (POI feature vector, residual, triangular-solve
-// workspace, per-class scores) are allocated once and reused across every
+// scratch buffers (POI feature vectors, triangular-solve workspace,
+// per-block quadratic forms) are allocated once and reused across every
 // scored sub-trace. One Scorer serves one goroutine; create one per worker
 // for parallel classification.
 //
 // When every class shares one Cholesky factor (a pooled template), the
-// residuals of all classes go through one interleaved
-// linalg.CholFactor.QuadFormsInto call, padded to a multiple of four with
-// columns that are solved but never summed. Otherwise each class is solved
-// on its own. Either way every score is computed with exactly the
-// floating-point operations of a per-class linalg.SolveCholesky and dot
-// product in the same order, so classifications and posteriors derived
-// from a Scorer are bitwise identical to the per-vector path — the
+// classes are lanes of linalg.CholFactor.QuadBlockInto blocks, sixteen
+// lanes per call: a template with at most four classes takes four lanes
+// per feature vector and scores four vectors per block, a wider one takes
+// one vector per block and as many blocks as its classes need, and lanes
+// past the last class are scored but never read. Otherwise each class is
+// solved on its own. Either way every score is computed with exactly the
+// floating-point operations of a per-class residual, linalg.SolveCholesky
+// and dot product in the same order, so classifications and posteriors
+// derived from a Scorer are bitwise identical to the per-vector path — the
 // property the replay-determinism selftest enforces.
 type Scorer struct {
 	t        *Templates
 	logTwoPi float64 // d·log(2π), shared additive constant of every score
-	f        []float64
+	// span is one past the largest POI: the shortest trace it can score
+	// (a loaded template's POIs need not ascend).
+	span int
+	// feat holds the feature vectors of one block, vector g at g·d.
+	feat []float64
 	// shared is the factor common to every class, or nil when classes
-	// carry their own; k is then the padded class count, else 1. means,
-	// resid, y and x hold d×k interleaved columns: entry i of class ci at
-	// i·k+ci (means only for a shared factor).
-	shared *linalg.CholFactor
-	k      int
-	means  []float64
-	resid  []float64
-	y, x   []float64
-	ll     []float64
+	// carry their own. group is how many feature vectors one block scores
+	// (4 or 1), lanes how many lanes each takes (4 or 16); means holds the
+	// blocks' d×16 lane means back to back: class ci of vector g is lane
+	// g·lanes + ci%lanes of block ci/lanes.
+	shared       *linalg.CholFactor
+	group, lanes int
+	means        []float64
+	work, q      []float64
+	// resid, y and x are the per-class path's d-entry solve buffers.
+	resid, y, x []float64
 }
 
 // NewScorer prepares a reusable scoring context for the template set.
@@ -45,23 +52,37 @@ func (t *Templates) NewScorer() *Scorer {
 	s := &Scorer{
 		t:        t,
 		logTwoPi: float64(d) * math.Log(2*math.Pi),
-		f:        make([]float64, d),
 		shared:   sharedFactor(t.classes),
-		k:        1,
-		ll:       make([]float64, len(t.classes)),
+		group:    1,
 	}
-	if s.shared != nil {
-		s.k = (len(t.classes) + 3) &^ 3
-		s.means = make([]float64, d*s.k)
-		for ci, c := range t.classes {
+	for _, p := range t.POIs {
+		s.span = max(s.span, p+1)
+	}
+	if s.shared == nil {
+		s.feat = make([]float64, d)
+		s.resid = make([]float64, d)
+		s.y = make([]float64, d)
+		s.x = make([]float64, d)
+		s.q = make([]float64, 1)
+		return s
+	}
+	s.lanes = linalg.BlockLanes
+	if len(t.classes) <= linalg.BlockLanes/4 {
+		s.group, s.lanes = 4, linalg.BlockLanes/4
+	}
+	blocks := (len(t.classes) + s.lanes - 1) / s.lanes
+	s.means = make([]float64, blocks*d*linalg.BlockLanes)
+	for ci, c := range t.classes {
+		block := s.means[ci/s.lanes*d*linalg.BlockLanes:]
+		for g := 0; g < s.group; g++ {
 			for i, m := range c.mean {
-				s.means[i*s.k+ci] = m
+				block[i*linalg.BlockLanes+g*s.lanes+ci%s.lanes] = m
 			}
 		}
 	}
-	s.resid = make([]float64, d*s.k)
-	s.y = make([]float64, d*s.k)
-	s.x = make([]float64, d*s.k)
+	s.feat = make([]float64, s.group*d)
+	s.work = make([]float64, s.shared.BlockWork())
+	s.q = make([]float64, linalg.BlockLanes)
 	return s
 }
 
@@ -83,57 +104,72 @@ func sharedFactor(cs []classTemplate) *linalg.CholFactor {
 func (s *Scorer) Classes() int { return len(s.t.classes) }
 
 // Label returns the class label at index ci (classes are in ascending
-// label order, matching the rows of ScoreTrace's result).
+// label order, matching the columns of ScoreTraces' result).
 func (s *Scorer) Label(ci int) int { return s.t.classes[ci].label }
 
-// ScoreTrace extracts the POI features of tr and returns the per-class
-// Gaussian log-likelihoods in class (ascending label) order. The returned
-// slice is owned by the Scorer and overwritten by the next scoring call.
-func (s *Scorer) ScoreTrace(tr trace.Trace) ([]float64, error) {
-	pois := s.t.POIs
-	if len(tr) <= pois[len(pois)-1] {
-		return nil, fmt.Errorf("sca: trace of %d samples shorter than POI range", len(tr))
+// ScoreTraces extracts the POI features of every trace and writes their
+// per-class Gaussian log-likelihoods into ll, an n × Classes() matrix: row
+// v holds trace v's scores in class (ascending label) order. It allocates
+// nothing.
+func (s *Scorer) ScoreTraces(ll []float64, trs []trace.Trace) error {
+	nc, pois := len(s.t.classes), s.t.POIs
+	if len(ll) != len(trs)*nc {
+		return fmt.Errorf("sca: score matrix of %d entries for %d traces × %d classes", len(ll), len(trs), nc)
 	}
-	for i, p := range pois {
-		s.f[i] = tr[p]
+	for v, tr := range trs {
+		if len(tr) < s.span {
+			return fmt.Errorf("sca: trace %d of %d samples shorter than POI range", v, len(tr))
+		}
 	}
-	return s.ScoreVector(s.f)
+	d := len(pois)
+	for v0 := 0; v0 < len(trs); v0 += s.group {
+		vs := trs[v0:min(v0+s.group, len(trs))]
+		for g, tr := range vs {
+			f := s.feat[g*d : (g+1)*d]
+			for i, p := range pois {
+				f[i] = tr[p]
+			}
+		}
+		if err := s.scoreFeatures(ll[v0*nc:(v0+len(vs))*nc], len(vs)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// ScoreVector scores an already-extracted POI feature vector. The returned
-// slice is owned by the Scorer and overwritten by the next scoring call.
-func (s *Scorer) ScoreVector(f []float64) ([]float64, error) {
-	if len(f) != len(s.t.POIs) {
-		return nil, fmt.Errorf("sca: feature vector of %d entries, want %d", len(f), len(s.t.POIs))
-	}
-	// Each Mahalanobis sum runs over i in ascending order from +0, exactly
-	// as linalg.Dot over the class's own residual and solution.
+// scoreFeatures scores the first nv feature vectors in feat (nv ≤ group)
+// into the nv rows of ll.
+func (s *Scorer) scoreFeatures(ll []float64, nv int) error {
+	d, nc := len(s.t.POIs), len(s.t.classes)
 	if s.shared == nil {
 		for ci := range s.t.classes {
 			c := &s.t.classes[ci]
-			for i := range f {
-				s.resid[i] = f[i] - c.mean[i]
+			for i, fi := range s.feat {
+				s.resid[i] = fi - c.mean[i]
 			}
-			if err := c.fact.QuadFormsInto(s.ll[ci:ci+1], s.x, s.y, s.resid, 1); err != nil {
-				return nil, err
+			if err := c.fact.QuadFormsInto(s.q, s.x, s.y, s.resid, 1); err != nil {
+				return err
 			}
+			ll[ci] = -0.5 * (s.q[0] + c.logDet + s.logTwoPi)
 		}
-	} else {
-		k, nc := s.k, len(s.ll)
-		for i, fi := range f {
-			resid, mean := s.resid[i*k:i*k+nc], s.means[i*k:i*k+nc]
-			for ci, m := range mean {
-				resid[ci] = fi - m
-			}
+		return nil
+	}
+	fstride := 0
+	if s.group > 1 {
+		fstride = d
+	}
+	for ci0 := 0; ci0 < nc; ci0 += s.lanes {
+		block := s.means[ci0/s.lanes*d*linalg.BlockLanes:][:d*linalg.BlockLanes]
+		if err := s.shared.QuadBlockInto(s.q, s.feat, fstride, block, s.work); err != nil {
+			return err
 		}
-		if err := s.shared.QuadFormsInto(s.ll, s.x, s.y, s.resid, k); err != nil {
-			return nil, err
+		for g := 0; g < nv; g++ {
+			for ci := ci0; ci < min(ci0+s.lanes, nc); ci++ {
+				ll[g*nc+ci] = -0.5 * (s.q[g*s.lanes+ci-ci0] + s.t.classes[ci].logDet + s.logTwoPi)
+			}
 		}
 	}
-	for ci := range s.ll {
-		s.ll[ci] = -0.5 * (s.ll[ci] + s.t.classes[ci].logDet + s.logTwoPi)
-	}
-	return s.ll, nil
+	return nil
 }
 
 // ArgMaxLabel returns the label of the highest score: the first strict

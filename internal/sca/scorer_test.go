@@ -214,7 +214,59 @@ func FuzzScorerReference(f *testing.F) {
 	})
 }
 
-// TestScorerErrors covers the shape guards.
+// TestScoreTracesLayouts: ScoreTraces must give every trace of a batch the
+// per-class reference scores bit for bit, whatever the batch size, for each
+// lane layout — four vectors per block (three classes), one block per
+// vector (five), several blocks per vector (twenty) — and for per-class
+// covariances, so partial groups and partial blocks leave no trace behind.
+func TestScoreTracesLayouts(t *testing.T) {
+	var wide []int
+	for l := -10; l < 10; l++ {
+		wide = append(wide, l)
+	}
+	for _, labels := range [][]int{{-1, 0, 1}, {-3, -1, 0, 2, 5}, wide} {
+		for _, pooled := range []bool{true, false} {
+			opts := DefaultTemplateOptions()
+			opts.Pooled = pooled
+			tmpl, err := BuildTemplates(synthSet(7, labels, 40, 24, 0.08), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			test := synthSet(99, labels, 1, 24, 0.08).Traces
+			nc := len(labels)
+			want := make([]float64, len(test)*nc)
+			for v, tr := range test {
+				ref, err := referenceLogLikelihoods(tmpl, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ci, l := range tmpl.Labels() {
+					want[v*nc+ci] = ref[l]
+				}
+			}
+			s := tmpl.NewScorer()
+			for _, n := range []int{1, 3, 5, len(test)} {
+				ll := make([]float64, len(test)*nc)
+				for v0 := 0; v0 < len(test); v0 += n {
+					v1 := min(v0+n, len(test))
+					if err := s.ScoreTraces(ll[v0*nc:v1*nc], test[v0:v1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := range want {
+					if math.Float64bits(ll[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%d classes pooled=%v batches of %d: trace %d class %d = %x, want %x",
+							nc, pooled, n, i/nc, i%nc, math.Float64bits(ll[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScorerErrors covers the shape guards: a short trace is named by its
+// index in the batch, and the range check holds a loaded template's POIs
+// in any order.
 func TestScorerErrors(t *testing.T) {
 	tmpl, _ := trainedScorerFixture(t, true)
 	s := tmpl.NewScorer()
@@ -223,6 +275,22 @@ func TestScorerErrors(t *testing.T) {
 	}
 	if _, err := s.ScoreVector(make([]float64, 1)); err == nil {
 		t.Error("wrong feature width should fail")
+	}
+	nc := s.Classes()
+	good := make(trace.Trace, 24)
+	if err := s.ScoreTraces(make([]float64, nc), []trace.Trace{good, good}); err == nil {
+		t.Error("score matrix for one trace should fail for two")
+	}
+	err := s.ScoreTraces(make([]float64, 2*nc), []trace.Trace{good, good[:3]})
+	if err == nil || !strings.Contains(err.Error(), "trace 1 ") {
+		t.Errorf("short second trace: error %v does not name trace 1", err)
+	}
+	unsorted := *tmpl
+	unsorted.POIs = append([]int(nil), tmpl.POIs...)
+	unsorted.POIs[0], unsorted.POIs[len(unsorted.POIs)-1] = unsorted.POIs[len(unsorted.POIs)-1], unsorted.POIs[0]
+	short := make(trace.Trace, unsorted.POIs[0])
+	if _, err := unsorted.NewScorer().ScoreTrace(short); err == nil {
+		t.Error("trace ending before the first, largest POI should fail")
 	}
 }
 
@@ -367,11 +435,12 @@ func BenchmarkScoreTraceScorer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := train.Traces[0]
+	trs := train.Traces[:1]
 	s := tmpl.NewScorer()
+	ll := make([]float64, s.Classes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ScoreTrace(tr); err != nil {
+		if err := s.ScoreTraces(ll, trs); err != nil {
 			b.Fatal(err)
 		}
 	}
