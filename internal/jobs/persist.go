@@ -12,16 +12,19 @@ import (
 
 // journalLocked appends one lifecycle record for j to the WAL (no-op
 // without one). Submit records carry the full job image; the rest are
-// deltas merged by ID during replay. Append failures are logged, not
-// fatal: a sick disk must not wedge the queue, it only weakens the
-// crash-recovery guarantee until the operator notices; q.mu must be held.
-func (q *Queue) journalLocked(typ wal.RecordType, j *Job) {
+// deltas merged by ID during replay. A failure is logged and returned:
+// Submit refuses a job whose submit record failed, while the other
+// records are best effort, because a sick disk must not wedge the queue —
+// losing one only re-runs a job after a crash; q.mu must be held.
+func (q *Queue) journalLocked(typ wal.RecordType, j *Job) error {
 	if q.opts.WAL == nil {
-		return
+		return nil
 	}
-	if _, err := q.opts.WAL.Append(wal.Record{Type: typ, Job: q.imageLocked(j, typ == wal.RecSubmit)}); err != nil {
+	_, err := q.opts.WAL.Append(wal.Record{Type: typ, Job: q.imageLocked(j, typ == wal.RecSubmit)})
+	if err != nil {
 		obs.Log().Error("wal append failed", "id", j.ID, "type", string(typ), "error", err)
 	}
+	return err
 }
 
 // imageLocked renders j as a WAL job image — full (identity + payload)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"reveal/internal/jobs/wal"
+	"reveal/internal/obs"
 )
 
 // walOptions builds fast queue options journaling into dir.
@@ -246,5 +247,64 @@ func TestRestoreUndecodablePayloadFails(t *testing.T) {
 	got, _ := q2.Get(st.ID)
 	if got.State != StateFailed || !strings.Contains(got.Error, "payload decode failed") {
 		t.Fatalf("job = %+v, want decode failure", got)
+	}
+}
+
+// TestSubmitRefusedWhenWALFails: the WAL is the accept boundary, so a
+// submission whose record the log does not take is refused and leaves no
+// trace: no job in the table, no count, no tenant quota used, no journal
+// event, no job ID spent, and nothing for a restart to replay.
+func TestSubmitRefusedWhenWALFails(t *testing.T) {
+	rec := obs.New(obs.Options{EventCapacity: 64})
+	prev := obs.Global()
+	obs.SetGlobal(rec)
+	t.Cleanup(func() { obs.SetGlobal(prev) })
+	dir := t.TempDir()
+	opts := walOptions(t, dir)
+	opts.TenantQuota = 1
+	q := NewQueue(opts)
+	if err := opts.WAL.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := q.Submit(Spec{Kind: "t", Tenant: "acme", Payload: map[string]any{"v": float64(1)}})
+	if err == nil {
+		t.Fatalf("submit over a closed WAL was acknowledged as %s", st.ID)
+	}
+	if jobs := q.List(); len(jobs) != 0 {
+		t.Fatalf("refused submit left jobs %+v", jobs)
+	}
+	if queued, running := q.Depth(); queued != 0 || running != 0 {
+		t.Fatalf("depth after a refused submit = (%d, %d)", queued, running)
+	}
+	if stats := q.StatsByKind(); len(stats) != 0 {
+		t.Fatalf("refused submit counted in %+v", stats)
+	}
+	if q.tenantActive["acme"] != 0 || q.seq != 0 {
+		t.Fatalf("refused submit used quota %d, job seq %d", q.tenantActive["acme"], q.seq)
+	}
+	snap := rec.Registry().Snapshot()
+	if got := snap.Counters[obs.LabelKey(MetricJobsTotal, "state", "submitted")]; got != 0 {
+		t.Fatalf("submitted counter = %d, want 0", got)
+	}
+	if got := snap.Counters[obs.LabelKey(MetricTenantJobs, "tenant", "acme")]; got != 0 {
+		t.Fatalf("tenant counter = %d, want 0", got)
+	}
+	events, _ := rec.Events().Since(0, 100)
+	for _, ev := range events {
+		if ev.Type == obs.EventJobSubmitted {
+			t.Fatalf("refused submit journaled %+v", ev)
+		}
+	}
+
+	q2, rep, requeued, terminal := reopen(t, dir, decodePayload)
+	if len(rep.Jobs) != 0 || requeued != 0 || terminal != 0 {
+		t.Fatalf("restart replayed %d jobs (%d requeued, %d terminal), want none", len(rep.Jobs), requeued, terminal)
+	}
+	next, err := q2.Submit(Spec{Kind: "t", Tenant: "acme"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != "job-000001" {
+		t.Fatalf("first accepted job after the refusal = %s, want job-000001", next.ID)
 	}
 }

@@ -368,7 +368,8 @@ func (j *Job) event(typ string, detail string) {
 
 // Submit enqueues a job and returns its snapshot. When the queue is over
 // capacity (ErrQueueFull) or the tenant over quota (ErrOverQuota) the
-// submission is rejected without side effects beyond the rejection counter.
+// submission is rejected without side effects beyond the rejection counter;
+// when the WAL does not take its submit record, without any.
 func (q *Queue) Submit(spec Spec) (Status, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -416,6 +417,10 @@ func (q *Queue) Submit(spec Spec) (Status, error) {
 	if spec.Timeout > 0 {
 		j.Deadline = now.Add(spec.Timeout)
 	}
+	if err := q.journalLocked(wal.RecSubmit, j); err != nil {
+		q.seq--
+		return Status{}, fmt.Errorf("jobs: journaling %s: %w", j.ID, err)
+	}
 	q.jobs[j.ID] = j
 	q.byAge = append(q.byAge, j)
 	q.queued++
@@ -428,7 +433,6 @@ func (q *Queue) Submit(spec Spec) (Status, error) {
 		q.metrics.tenantJobs.With(j.Tenant).Inc()
 	}
 	q.gauges()
-	q.journalLocked(wal.RecSubmit, j)
 	j.event(obs.EventJobSubmitted, "")
 	obs.Log().Info("job submitted", "id", j.ID, "kind", j.Kind,
 		"trace_id", j.TraceID, "tenant", j.Tenant,

@@ -6,8 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"reveal/internal/testkit"
 )
 
 // testRecords is a small job history: job-1 runs to done, job-2 fails an
@@ -176,7 +179,7 @@ func TestTornTailSkippedAndSealed(t *testing.T) {
 // snapshot.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, Options{MaxSegmentBytes: 256})
+	l, _ := openLog(t, dir, Options{segmentBytes: 256})
 	var last JobImage
 	for i := 0; i < 20; i++ {
 		last = JobImage{ID: "job-000001", State: "running", Attempts: i}
@@ -196,7 +199,7 @@ func TestSegmentRotation(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rep := openLog(t, dir, Options{MaxSegmentBytes: 256})
+	_, rep := openLog(t, dir, Options{segmentBytes: 256})
 	if len(rep.Jobs) != 1 || rep.Jobs[0].Attempts != 19 {
 		t.Fatalf("replay = %+v, want the final attempt-19 image", rep.Jobs)
 	}
@@ -221,6 +224,51 @@ func TestUpdateForPrunedJobIsIgnored(t *testing.T) {
 	_, rep := openLog(t, dir, Options{})
 	if len(rep.Jobs) != 0 {
 		t.Fatalf("replay resurrected a pruned job: %+v", rep.Jobs)
+	}
+}
+
+// TestReplayCommittedDataDir opens testdata/datadir, written by the code
+// at commit 95faf16: snapshot.json, a segment the snapshot covers (left
+// behind as by a crash before pruning), and an uncovered segment that
+// ends in a torn line. The replay must equal what that code recorded in
+// testdata/datadir.replay.json: the merged jobs, JobSeq, LastSeq, Skipped,
+// SnapshotUsed, and the sequence number and segment file of the next
+// append. A new build must replay an old data directory unchanged.
+func TestReplayCommittedDataDir(t *testing.T) {
+	const src = "testdata/datadir"
+	dir := testkit.CopyDir(t, src)
+	l, rep, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := struct {
+		Jobs         []JobImage `json:"jobs"`
+		JobSeq       uint64     `json:"job_seq"`
+		LastSeq      int64      `json:"last_seq"`
+		Skipped      int        `json:"skipped"`
+		SnapshotUsed bool       `json:"snapshot_used"`
+		NextSeq      int64      `json:"next_seq"`
+		NextSegment  string     `json:"next_segment"`
+	}{Jobs: rep.Jobs, JobSeq: rep.JobSeq, LastSeq: rep.LastSeq, Skipped: rep.Skipped, SnapshotUsed: rep.SnapshotUsed}
+	got.NextSeq, err = l.Append(Record{Type: RecSubmit, Time: time.Unix(1700000100, 0).UTC(),
+		Job: JobImage{ID: "job-000004", Kind: "sleep", State: "queued"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got.NextSegment = strings.Join(testkit.ChangedFiles(t, src, dir), " ")
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/datadir.replay.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data)+"\n" != string(want) {
+		t.Fatalf("replay of %s = %s\nwant %s", src, data, want)
 	}
 }
 

@@ -3,12 +3,11 @@ package history
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"reveal/internal/obs"
+	"reveal/internal/seglog"
 )
 
 // MetricQualityDrift is the drift counter family: one series per
@@ -92,14 +91,14 @@ func NewWatchdog(cfg DriftConfig) (*Watchdog, error) {
 		alerting:  map[string]map[string]bool{},
 	}
 	if cfg.BaselinePath != "" {
-		data, err := os.ReadFile(cfg.BaselinePath)
-		switch {
-		case err == nil:
+		data, err := seglog.ReadFile(cfg.BaselinePath)
+		if err != nil {
+			return nil, fmt.Errorf("history: reading baselines: %w", err)
+		}
+		if data != nil {
 			if jerr := json.Unmarshal(data, &w.baselines); jerr != nil {
 				return nil, fmt.Errorf("history: parsing baselines %s: %w", cfg.BaselinePath, jerr)
 			}
-		case !os.IsNotExist(err):
-			return nil, fmt.Errorf("history: reading baselines: %w", err)
 		}
 	}
 	return w, nil
@@ -223,24 +222,19 @@ func (w *Watchdog) Kinds() []string {
 	return kinds
 }
 
-// persistLocked writes the baselines atomically (tmp + rename); best-effort
-// — the watchdog keeps working in memory when the disk write fails.
+// persistLocked publishes the baselines atomically; best-effort — the
+// watchdog keeps working in memory when the disk write fails, and logs it.
 func (w *Watchdog) persistLocked() {
 	if w.cfg.BaselinePath == "" {
 		return
 	}
 	data, err := json.MarshalIndent(w.baselines, "", "  ")
+	if err == nil {
+		err = seglog.Publish(w.cfg.BaselinePath, append(data, '\n'))
+	}
 	if err != nil {
-		return
+		obs.Log().Warn("persisting drift baselines failed", "path", w.cfg.BaselinePath, "error", err)
 	}
-	tmp := w.cfg.BaselinePath + ".tmp"
-	if err := os.MkdirAll(filepath.Dir(w.cfg.BaselinePath), 0o755); err != nil {
-		return
-	}
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, w.cfg.BaselinePath)
 }
 
 // meansOf averages a window of value maps metric by metric.

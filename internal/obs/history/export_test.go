@@ -9,7 +9,7 @@ import "fmt"
 func (s *Store) LastSeq() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.seq
+	return s.log.Seq()
 }
 
 // Pin re-pins kind's baseline from its current rolling window (manual

@@ -1,6 +1,7 @@
 // Package history is the service's quality memory: a crash-tolerant,
 // append-only on-disk store of compact per-job run records (JSONL segments
-// with an in-memory index and size/retention caps), an aggregation engine
+// of an internal/seglog log, the one the job WAL keeps too, with an
+// in-memory index and size/retention caps), an aggregation engine
 // over them (count, mean, quantiles, EWMA per campaign kind), and a
 // direction-aware drift watchdog that compares fresh aggregates against
 // pinned baselines using the same tolerance semantics as the

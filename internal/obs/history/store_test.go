@@ -1,13 +1,17 @@
 package history
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"reveal/internal/testkit"
 )
 
 func testRecord(kind, tenant string, acc float64) RunRecord {
@@ -163,8 +167,8 @@ func TestStoreTornTailIsSkippedAndSealed(t *testing.T) {
 
 func TestStoreRotationAndRetention(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force constant rotation; MaxSegments 3 forces drops.
-	s, err := Open(Options{Dir: dir, MaxSegmentBytes: 512, MaxSegments: 3})
+	// Tiny segments force constant rotation; maxSegments 3 forces drops.
+	s, err := Open(Options{Dir: dir, segmentBytes: 512, maxSegments: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +210,7 @@ func TestStoreRotationAndRetention(t *testing.T) {
 // compaction constantly active — the -race workout the service relies on.
 func TestStoreConcurrentAppendQuery(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, MaxSegmentBytes: 2048, MaxSegments: 4, SyncEvery: 64})
+	s, err := Open(Options{Dir: dir, segmentBytes: 2048, maxSegments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,4 +282,128 @@ func TestStoreClosedAppendFails(t *testing.T) {
 	if _, err := s.Append(testRecord("attack", "", 1)); err == nil {
 		t.Fatal("append after Close must fail")
 	}
+}
+
+// TestReplayCommittedDataDir opens testdata/datadir, written by the code
+// at commit 95faf16: two segments, the second ending in a torn line. The
+// replay must equal what that code recorded in
+// testdata/datadir.replay.json: the records, Skipped, and the sequence
+// number and segment file of the next append. A new build must replay an
+// old data directory unchanged.
+func TestReplayCommittedDataDir(t *testing.T) {
+	const src = "testdata/datadir"
+	dir := testkit.CopyDir(t, src)
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := struct {
+		Records     []RunRecord `json:"records"`
+		Skipped     int         `json:"skipped"`
+		NextSeq     int64       `json:"next_seq"`
+		NextSegment string      `json:"next_segment"`
+	}{Records: s.Query(Query{Limit: 1000}).Records, Skipped: s.Skipped()}
+	rec, err := s.Append(RunRecord{Time: time.Unix(1700000100, 0).UTC(), Kind: "attack"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got.NextSeq = rec.Seq
+	got.NextSegment = strings.Join(testkit.ChangedFiles(t, src, dir), " ")
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/datadir.replay.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data)+"\n" != string(want) {
+		t.Fatalf("replay of %s = %s\nwant %s", src, data, want)
+	}
+}
+
+// FuzzHistoryReplay writes arbitrary bytes as the first history segment and
+// checks what the drift watchdog and /api/v1/history rely on after a
+// restart: Open never panics and, with no I/O fault, never fails; replay is
+// a pure function of the files, so a reopen replays the same records and
+// the same Skipped; and a record that Append acknowledges survives a
+// reopen as the newest record, as written, next to every record replayed
+// before it.
+func FuzzHistoryReplay(f *testing.F) {
+	var valid []byte
+	for i := 0; i < 4; i++ {
+		rec := testRecord("attack", "ci", 0.9)
+		rec.Seq = int64(i + 1)
+		rec.Time = time.Unix(1700000000, 0).UTC()
+		line, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid = append(append(valid, line...), '\n')
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-7]) // torn tail
+	f.Add(append([]byte("\n"), valid...))
+	f.Add([]byte(`{"seq":9223372036854775807,"kind":"attack"}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seg-%08d.jsonl", 1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopen := func() *Store {
+			s, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			return s
+		}
+		// lines renders records as sorted JSON lines: replay orders records
+		// by seq, and records sharing a seq have no defined order.
+		lines := func(recs []RunRecord) string {
+			out := make([]string, len(recs))
+			for i, r := range recs {
+				b, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = string(b)
+			}
+			sort.Strings(out)
+			return strings.Join(out, "\n")
+		}
+		s := reopen()
+		first, skipped := s.Recent("", "", 0), s.Skipped()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s = reopen()
+		if again := s.Recent("", "", 0); lines(again) != lines(first) || s.Skipped() != skipped {
+			t.Fatalf("reopen replayed %d records (skipped %d), first open %d (skipped %d)",
+				len(again), s.Skipped(), len(first), skipped)
+		}
+
+		fresh := RunRecord{Time: time.Unix(1700000000, 0).UTC(), Kind: "fuzz-fresh",
+			Metrics: map[string]float64{"value_accuracy": 1}}
+		acked, err := s.Append(fresh)
+		if err != nil {
+			_ = s.Close()
+			return
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s = reopen()
+		defer s.Close()
+		after := s.Recent("", "", 0)
+		if n := len(after); n != len(first)+1 || lines(after[n-1:]) != lines([]RunRecord{acked}) {
+			t.Fatalf("after an acknowledged append at seq %d, reopen replayed %d records ending %s, want %d",
+				acked.Seq, n, lines(after[max(n-1, 0):]), len(first)+1)
+		}
+		if lines(after[:len(first)]) != lines(first) {
+			t.Fatal("an append changed the records replayed before it")
+		}
+	})
 }
