@@ -715,6 +715,45 @@ func TestClassifierSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadClassifierRefusesPOIPastLength: every segment is aligned to
+// Length samples, so a loaded template whose largest POI is Length or more
+// could score no coefficient; ReadClassifier refuses it up front instead
+// of leaving the failure to the first coefficient that needs the template.
+// A POI at Length−1 still loads.
+func TestReadClassifierRefusesPOIPastLength(t *testing.T) {
+	opts := DefaultProfileOptions()
+	opts.Q = 12289
+	opts.TracesPerValue = 20
+	cls, err := Profile(NewDevice(43), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct {
+		name string
+		tpl  *sca.Templates
+	}{{"sign", cls.Sign}, {"positive", cls.Pos}, {"negative", cls.Neg}} {
+		last := len(side.tpl.POIs) - 1
+		orig := side.tpl.POIs[last]
+		for _, poi := range []int{cls.Length - 1, cls.Length} {
+			side.tpl.POIs[last] = poi
+			var buf bytes.Buffer
+			if err := WriteClassifier(&buf, cls); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadClassifier(&buf)
+			switch {
+			case poi < cls.Length && err != nil:
+				t.Errorf("%s POI %d of %d-sample segments: %v", side.name, poi, cls.Length, err)
+			case poi >= cls.Length && err == nil:
+				t.Errorf("%s POI %d of %d-sample segments loaded", side.name, poi, cls.Length)
+			case poi >= cls.Length && !strings.Contains(err.Error(), side.name+" templates"):
+				t.Errorf("%s POI %d: error %q does not name the template set", side.name, poi, err)
+			}
+		}
+		side.tpl.POIs[last] = orig
+	}
+}
+
 // The decryption-side extension (§II-B): the secret key repeats across
 // decryptions, so multi-trace CPA recovers it — and a single trace does
 // not suffice, which is exactly why the encryption attack had to be

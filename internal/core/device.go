@@ -114,7 +114,8 @@ func (d *Device) captureWithSetup(firmware []byte, values []int64, metas []sampl
 	for i, m := range metas {
 		port.waits[i] = d.WaitBase + d.WaitPerRejection*m.Rejections
 	}
-	cpu := rv32.NewCPU(d.MemSize)
+	cpu, ram := d.newCPU()
+	defer ramBufs.Put(ram)
 	cpu.MapMMIO(PortBase, 0x100, port)
 	if err := cpu.Load(firmware, 0); err != nil {
 		return nil, err
@@ -139,14 +140,31 @@ func (d *Device) captureWithSetup(firmware []byte, values []int64, metas []sampl
 		if shift > 0 {
 			floor := samples.Mean()
 			pre := make(trace.Trace, shift, shift+len(samples))
-			for i := range pre {
-				n, _ := sampler.NormFloat64(jitterPRNG)
+			jitterPRNG.NormFloat64s(pre)
+			for i, n := range pre {
 				pre[i] = floor + n*d.Model.NoiseSigma
 			}
 			samples = append(pre, samples...)
 		}
 	}
 	return samples, nil
+}
+
+// ramBufs recycles the simulator's RAM across captures, devices and
+// goroutines, as renderBufs does for render buffers.
+var ramBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// newCPU returns a core over d.MemSize bytes of zeroed RAM taken from
+// ramBufs. Put ram back only after the last read of cpu.Mem.
+func (d *Device) newCPU() (cpu *rv32.CPU, ram *[]byte) {
+	ram = ramBufs.Get().(*[]byte)
+	if cap(*ram) < d.MemSize {
+		*ram = make([]byte, d.MemSize)
+	} else {
+		*ram = (*ram)[:d.MemSize]
+		clear(*ram)
+	}
+	return &rv32.CPU{Mem: *ram}, ram
 }
 
 // renderBufs recycles render buffers across captures, devices and
@@ -203,7 +221,8 @@ type mmioRegionSpec struct {
 // kernels with custom port layouts, e.g. the masked variant); the caller
 // is responsible for consumption checks.
 func (d *Device) captureRegions(firmware []byte, regions []mmioRegionSpec, coeffs int) (trace.Trace, error) {
-	cpu := rv32.NewCPU(d.MemSize)
+	cpu, ram := d.newCPU()
+	defer ramBufs.Put(ram)
 	for _, r := range regions {
 		cpu.MapMMIO(r.base, r.size, r.handler)
 	}

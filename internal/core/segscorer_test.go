@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -189,4 +190,118 @@ func TestSegScorerMissingSide(t *testing.T) {
 		t.Error("expected at least one classifiable segment without negative templates")
 	}
 	_ = sawErr // negative coefficients may or may not appear at this scale
+}
+
+// ruledOutSites returns, for each segment at least Length samples long,
+// the sample indices of the POIs that only a ruled-out value template
+// reads: the segment's sign posterior gives that side exactly 0, and
+// neither the sign template nor a live value template uses the POI. It
+// also returns how many segments have such sites.
+func ruledOutSites(t *testing.T, cls *CoefficientClassifier, segs []trace.Segment) ([][]int, int) {
+	t.Helper()
+	sign := cls.Sign.NewScorer()
+	ll := make([]float64, sign.Classes())
+	post := make([]float64, sign.Classes())
+	sites := make([][]int, len(segs))
+	n := 0
+	for i, s := range segs {
+		off := len(s.Samples) - cls.Length
+		if off < 0 {
+			continue // stretched: one sample feeds several aligned ones
+		}
+		if err := sign.ScoreTraces(ll, []trace.Trace{s.Samples[off:]}); err != nil {
+			t.Fatal(err)
+		}
+		sign.PosteriorValues(ll, post)
+		pSign := map[int]float64{}
+		for ci := range post {
+			pSign[sign.Label(ci)] = post[ci]
+		}
+		used := map[int]bool{}
+		for _, p := range cls.Sign.POIs {
+			used[p] = true
+		}
+		var out []*sca.Templates
+		for _, side := range []struct {
+			tpl   *sca.Templates
+			label int
+		}{{cls.Pos, 1}, {cls.Neg, -1}} {
+			if pSign[side.label] == 0 {
+				out = append(out, side.tpl)
+				continue
+			}
+			for _, p := range side.tpl.POIs {
+				used[p] = true
+			}
+		}
+		for _, tpl := range out {
+			for _, p := range tpl.POIs {
+				if !used[p] {
+					sites[i] = append(sites[i], off+p)
+				}
+			}
+		}
+		if len(sites[i]) > 0 {
+			n++
+		}
+	}
+	return sites, n
+}
+
+// TestRuledOutSideIgnored pins what scoring only the live value templates
+// may change. On real low-noise and default segments it overwrites the
+// samples at the POIs that only a ruled-out value template reads with
+// NaN, +Inf and 1e300, which would make that template's conditional
+// posterior NaN (and 0·NaN a NaN row). Every row, value and sign must keep
+// the bits of the untouched segments, through the batch claim loop and
+// through the stream's per-segment classification.
+func TestRuledOutSideIgnored(t *testing.T) {
+	ctx := context.Background()
+	for _, fx := range []struct {
+		name string
+		load func(*testing.T, uint64) (*CoefficientClassifier, []trace.Segment)
+	}{{"default", smallSegments}, {"low-noise", highAccuracySegments}} {
+		cls, segs := fx.load(t, 12)
+		want, err := cls.AttackSegmentsParallel(ctx, segs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites, n := ruledOutSites(t, cls, segs)
+		if n < len(segs)/4 {
+			t.Fatalf("%s: only %d of %d segments have a POI only a ruled-out template reads", fx.name, n, len(segs))
+		}
+		t.Logf("%s: %d of %d segments poisoned", fx.name, n, len(segs))
+		for _, poison := range []float64{math.NaN(), math.Inf(1), 1e300} {
+			bad := make([]trace.Segment, len(segs))
+			for i, s := range segs {
+				bad[i] = s
+				if len(sites[i]) > 0 {
+					bad[i].Samples = s.Samples.Clone()
+					for _, k := range sites[i] {
+						bad[i].Samples[k] = poison
+					}
+				}
+			}
+			t.Run(fmt.Sprintf("%s/%v/batch", fx.name, poison), func(t *testing.T) {
+				got, err := cls.AttackSegmentsParallel(ctx, bad, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertResultsBitIdentical(t, want, got)
+			})
+			t.Run(fmt.Sprintf("%s/%v/stream", fx.name, poison), func(t *testing.T) {
+				sa, err := NewStreamAttack(cls, StreamAttackOptions{Coefficients: len(bad)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sa.Close()
+				// Past the segmenter: a +Inf or 1e300 sample would be a
+				// peak of its own.
+				if err := sa.onSegments(bad); err != nil {
+					t.Fatal(err)
+				}
+				assertResultsBitIdentical(t, want, sa.res)
+			})
+		}
+	}
 }

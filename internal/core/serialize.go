@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"reveal/internal/sca"
 )
@@ -73,6 +74,16 @@ func ReadClassifier(r io.Reader) (*CoefficientClassifier, error) {
 	}
 	if c.Neg, err = sca.ReadTemplates(br); err != nil {
 		return nil, fmt.Errorf("core: negative templates: %w", err)
+	}
+	// Every segment is aligned to Length samples, so a template reaching
+	// past them could score no coefficient.
+	for _, t := range []struct {
+		side string
+		tpl  *sca.Templates
+	}{{"sign", c.Sign}, {"positive", c.Pos}, {"negative", c.Neg}} {
+		if p := slices.Max(t.tpl.POIs); p >= c.Length {
+			return nil, fmt.Errorf("core: %s templates use sample %d of %d-sample segments", t.side, p, c.Length)
+		}
 	}
 	// Posterior rows hold the negative labels, 0, then the positive ones,
 	// ascending (see CoefficientClassifier.labels).

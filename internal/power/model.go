@@ -95,11 +95,20 @@ func (m *Model) Validate() error {
 	return nil
 }
 
+// noiseBlock is how many normals a synthesizer draws at a time. Normals
+// left over when a render ends are never used, so it stays small: a
+// profiling capture renders only about 750 samples.
+const noiseBlock = 32
+
 // Synthesizer renders the events of a CPU run into a power trace, one
 // sample per cycle.
 type Synthesizer struct {
 	model *Model
-	prng  sampler.PRNG
+	prng  *sampler.Xoshiro256
+	// noise holds the next block of standard normals, drawn with
+	// Xoshiro256.NormFloat64s; next indexes the first unused one.
+	noise [noiseBlock]float64
+	next  int
 	// base is Model.Base resolved per instruction class and uniform records
 	// an all-zero Model.BitWeights, both read once by NewSynthesizer: the
 	// model must not change while a synthesizer renders from it.
@@ -110,11 +119,13 @@ type Synthesizer struct {
 }
 
 // NewSynthesizer creates a trace synthesizer with the given noise PRNG.
-func NewSynthesizer(model *Model, prng sampler.PRNG) (*Synthesizer, error) {
+// The synthesizer draws from it in blocks and may leave drawn normals
+// unused, so nothing else should draw from it.
+func NewSynthesizer(model *Model, prng *sampler.Xoshiro256) (*Synthesizer, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Synthesizer{model: model, prng: prng, uniform: model.BitWeights == [32]float64{}}
+	s := &Synthesizer{model: model, prng: prng, next: noiseBlock, uniform: model.BitWeights == [32]float64{}}
 	for c := range s.base {
 		s.base[c] = model.Base[rv32.Class(c)]
 	}
@@ -167,7 +178,12 @@ func (s *Synthesizer) HandleEvent(e rv32.Event) {
 			// well below the access spike so peak detection stays clean.
 			p += m.PortSpike * 0.15
 		}
-		noise, _ := sampler.NormFloat64(s.prng)
+		if s.next == noiseBlock {
+			s.prng.NormFloat64s(s.noise[:])
+			s.next = 0
+		}
+		noise := s.noise[s.next]
+		s.next++
 		s.samples = append(s.samples, p+noise*m.NoiseSigma)
 	}
 }

@@ -5,6 +5,8 @@
 // RevEAL attack exploits. The tests hold it to a CDT sampler (the
 // technique of the prior work the paper distinguishes itself from) and
 // check AssignSigned against a SEAL v3.6-style branch-free assignment.
+// Xoshiro256.NormFloat64s draws the measurement noise of simulated
+// captures in blocks, bit-identical to NormFloat64.
 package sampler
 
 import "math"
@@ -100,5 +102,37 @@ func NormFloat64(p PRNG) (value float64, rejections int) {
 		}
 		f := math.Sqrt(-2 * math.Log(s) / s)
 		return u * f, rejections
+	}
+}
+
+// normBlock is how many accepted candidates NormFloat64s collects before
+// it runs their tail.
+const normBlock = 64
+
+// NormFloat64s fills dst with the values that len(dst) successive calls to
+// NormFloat64(x) return, and leaves x in the state those calls leave it
+// in. A scalar loop draws candidate pairs with NormFloat64's arithmetic and
+// rejection rule and keeps each accepted (u, s); the tail
+// u·√(−2·ln s / s) then runs over the whole block, two lanes per step on
+// amd64 (see polarTail). Every value is Float64bits-equal to
+// NormFloat64's.
+func (x *Xoshiro256) NormFloat64s(dst []float64) {
+	var s [normBlock]float64
+	for len(dst) > 0 {
+		n := min(len(dst), normBlock)
+		for i := range n {
+			for {
+				u := 2*Float64(x) - 1
+				v := 2*Float64(x) - 1
+				si := u*u + v*v
+				if si >= 1 || si == 0 {
+					continue
+				}
+				dst[i], s[i] = u, si
+				break
+			}
+		}
+		polarTail(dst[:n], s[:n])
+		dst = dst[n:]
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Coverage floor gate for the arithmetic core, the capture path (RV32
-# simulator and power model), the attack path (linear algebra, template
+# simulator, power model and noise sampler), the attack path (linear algebra, template
 # scoring, DBDD, segmentation and classification) and the campaign
 # service (job queue and lease protocol, WAL, the segmented log under it
 # and the quality history, executor): each
