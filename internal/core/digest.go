@@ -4,29 +4,81 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"hash"
+	"strconv"
 
 	"reveal/internal/trace"
 )
 
 // Digest returns the canonical SHA-256 fingerprint of the result: values,
-// signs, and the full posterior tables, marshaled as canonical JSON (each
-// table in its map form, keys sorted; floats in shortest round-trip form,
-// so two results digest equal iff every float is bit-identical up to the
-// -0/0 distinction JSON preserves). The streaming and batch attack paths
-// are held to digest equality by the determinism contract and the CI
-// stream-smoke job.
+// signs, and the full posterior tables, in the bytes encoding/json writes
+// for them (each table in its map form, keys sorted; floats in shortest
+// round-trip form, so two results digest equal iff every float is
+// bit-identical up to the -0/0 distinction JSON preserves). The bytes
+// stream into the hash through one reused buffer. The streaming and batch
+// attack paths are held to digest equality by the determinism contract
+// and the CI stream-smoke job.
 func (r *AttackResult) Digest() (string, error) {
-	data, err := json.Marshal(struct {
-		Values []int       `json:"values"`
-		Signs  []int       `json:"signs"`
-		Probs  []Posterior `json:"probs"`
-	}{r.Values, r.Signs, r.Probs})
-	if err != nil {
-		return "", err
+	d := digester{h: sha256.New(), buf: make([]byte, 0, 2*digestFlush)}
+	d.buf = append(d.buf, `{"values":`...)
+	d.ints(r.Values)
+	d.buf = append(d.buf, `,"signs":`...)
+	d.ints(r.Signs)
+	d.buf = append(d.buf, `,"probs":`...)
+	if r.Probs == nil {
+		d.buf = append(d.buf, "null"...)
+	} else {
+		var w posteriorWriter
+		d.buf = append(d.buf, '[')
+		for i, p := range r.Probs {
+			if i > 0 {
+				d.buf = append(d.buf, ',')
+			}
+			var err error
+			if d.buf, err = w.append(d.buf, p); err != nil {
+				return "", err
+			}
+			d.flush()
+		}
+		d.buf = append(d.buf, ']')
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	d.buf = append(d.buf, '}')
+	d.h.Write(d.buf)
+	return hex.EncodeToString(d.h.Sum(nil)), nil
+}
+
+// digestFlush is the buffered byte count at which a digester hashes its
+// buffer and starts it over.
+const digestFlush = 2048
+
+// digester feeds JSON bytes to a hash through a buffer it reuses.
+type digester struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (d *digester) flush() {
+	if len(d.buf) >= digestFlush {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
+	}
+}
+
+// ints writes s as a JSON array of integers (null when s is nil).
+func (d *digester) ints(s []int) {
+	if s == nil {
+		d.buf = append(d.buf, "null"...)
+		return
+	}
+	d.buf = append(d.buf, '[')
+	for i, v := range s {
+		if i > 0 {
+			d.buf = append(d.buf, ',')
+		}
+		d.buf = strconv.AppendInt(d.buf, int64(v), 10)
+		d.flush()
+	}
+	d.buf = append(d.buf, ']')
 }
 
 // Prefix returns the result truncated to its first n coefficients (views,

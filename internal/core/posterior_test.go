@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"slices"
@@ -33,6 +35,53 @@ func posteriorMap(p Posterior) map[int]float64 {
 		m[v] = p.P[k]
 	}
 	return m
+}
+
+// oracleDigest is the digest as encoding/json computed it before tables
+// had a direct writer: the result marshaled with every table in map form.
+func oracleDigest(r *AttackResult) (string, error) {
+	var probs []map[int]float64
+	if r.Probs != nil {
+		probs = make([]map[int]float64, len(r.Probs))
+		for i, p := range r.Probs {
+			probs[i] = posteriorMap(p)
+		}
+	}
+	data, err := json.Marshal(struct {
+		Values []int             `json:"values"`
+		Signs  []int             `json:"signs"`
+		Probs  []map[int]float64 `json:"probs"`
+	}{r.Values, r.Signs, probs})
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// digestInput decodes fuzz bytes into a result around post. The two low
+// base-3 digits of shape pick, for the values and signs and for the
+// tables, nil, empty or filled; filled tables repeat post, so its key
+// order is reused, around an empty table, which needs its own.
+func digestInput(data []byte, post Posterior, lo int64, shape uint64) *AttackResult {
+	r := &AttackResult{}
+	switch shape % 3 {
+	case 1:
+		r.Values, r.Signs = []int{}, []int{}
+	case 2:
+		r.Values, r.Signs = []int{int(lo)}, []int{int(lo % 2)}
+		for _, b := range data[:min(len(data), 32)] {
+			r.Values = append(r.Values, int(int8(b)))
+			r.Signs = append(r.Signs, int(b%3)-1)
+		}
+	}
+	switch shape / 3 % 3 {
+	case 1:
+		r.Probs = []Posterior{}
+	case 2:
+		r.Probs = []Posterior{post, post, {}, post}
+	}
+	return r
 }
 
 // The oracles below are the map-form posterior consumers that ran in
@@ -169,7 +218,8 @@ func oracleTopMargin(probs map[int]float64) (margin float64, ok bool) {
 // at lo and its probabilities: each byte pair is a label step of 1–256
 // (so tables often span more than the oracle's 128-label window) and a
 // probability drawn from zeros of both signs, subnormals, NaN, infinities,
-// negatives and ordinary values. Tables stop at 64 labels (the attack's
+// negatives, values at both bounds of JSON's exponent form and ordinary
+// values. Tables stop at 64 labels (the attack's
 // have 29): the oracle's wide-table walk is quadratic.
 func densePosterior(data []byte, lo int64) Posterior {
 	post := Posterior{Labels: []int{}, P: []float64{}}
@@ -197,6 +247,13 @@ func densePosterior(data []byte, lo int64) Posterior {
 			p = math.Inf(1 - 2*int(b>>7))
 		case 5:
 			p = -float64(b) / 255
+		case 6:
+			// Around JSON's exponent-form bounds: 1e-7 down to 4e-10
+			// (e-07 is written e-7), or 6.7e20 up to 1.27e21.
+			p = float64(b) / 255 * 1e-7
+			if b>>7 == 1 {
+				p = float64(b) * 5e18
+			}
 		default:
 			p = float64(b) / 255
 		}
@@ -218,6 +275,8 @@ func sameBits(a, b float64) bool {
 // oracle to the bit — hint mean and variance, journal margin, entropy and
 // rank, campaign margin — and a dense table's JSON is byte-identical to
 // its map's, alone, in a slice and indented, and decodes back to the bit.
+// A result's digest equals the SHA-256 of its encoding/json form with nil,
+// empty and filled values, signs and tables.
 func FuzzDensePosterior(f *testing.F) {
 	f.Add([]byte{0, 200, 0, 100, 0, 50}, int64(-1), int64(0), false)
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7}, int64(-3), int64(0), false)
@@ -225,6 +284,7 @@ func FuzzDensePosterior(f *testing.F) {
 	f.Add([]byte{255, 9, 255, 17, 0, 130}, int64(math.MaxInt64-300), int64(7), true)
 	f.Add([]byte{0, 254}, int64(math.MinInt64), int64(math.MinInt64), false)
 	f.Add([]byte{}, int64(0), int64(0), false)
+	f.Add([]byte{0, 6, 0, 14, 3, 126, 0, 198, 9, 254, 0, 7}, int64(-2), int64(3), true)
 	f.Fuzz(func(t *testing.T, data []byte, lo, sel int64, member bool) {
 		post := densePosterior(data, lo)
 		m := posteriorMap(post)
@@ -258,6 +318,14 @@ func FuzzDensePosterior(f *testing.F) {
 		wantJSON, wantErr := json.Marshal(m)
 		if (gotErr == nil) != (wantErr == nil) || string(gotJSON) != string(wantJSON) {
 			t.Fatalf("JSON %s (%v), map JSON %s (%v)", gotJSON, gotErr, wantJSON, wantErr)
+		}
+		for shape := uint64(0); shape < 9; shape++ {
+			res := digestInput(data, post, lo, shape)
+			got, gotErr := res.Digest()
+			want, wantErr := oracleDigest(res)
+			if (gotErr == nil) != (wantErr == nil) || got != want {
+				t.Fatalf("shape %d: digest %.12s (%v), encoding/json digest %.12s (%v)", shape, got, gotErr, want, wantErr)
+			}
 		}
 		if wantErr != nil {
 			return // NaN and infinities have no JSON form

@@ -254,7 +254,7 @@ func ruledOutSites(t *testing.T, cls *CoefficientClassifier, segs []trace.Segmen
 // NaN, +Inf and 1e300, which would make that template's conditional
 // posterior NaN (and 0·NaN a NaN row). Every row, value and sign must keep
 // the bits of the untouched segments, through the batch claim loop and
-// through the stream's per-segment classification.
+// through the stream's classification runs.
 func TestRuledOutSideIgnored(t *testing.T) {
 	ctx := context.Background()
 	for _, fx := range []struct {

@@ -230,52 +230,68 @@ func (sa *StreamAttack) Feed(chunk trace.Trace) error {
 	return sa.Commit(len(chunk))
 }
 
-// onSegments classifies newly closed segments in order, banking margins
-// and (with a target set) hints. The early-exit check runs after each
-// classification on a classified-count stride, and stops mid-batch: the
-// verdict for a given trace prefix never depends on chunk boundaries.
+// onSegments classifies newly closed segments in order, in runs of
+// segScorer.classify as the batch claim loop does, banking margins and
+// (with a target set) hints. A run holds at most classifyClaim segments,
+// whose rows are contiguous in the current arena block; the stream's
+// first coefficient runs alone, so the first hint is banked as early as
+// one classification allows. Hints are integrated one by one in
+// coefficient order, and with a target set a run ends exactly where the
+// next bikz check falls, so the early-exit point, the estimate and the
+// banked prefix of a trace prefix never depend on chunk boundaries, and no
+// coefficient past the exit is classified. An error stops the whole run:
+// none of its coefficients is banked.
 func (sa *StreamAttack) onSegments(segs []trace.Segment) error {
-	for k := range segs {
-		if len(sa.res.Values) >= sa.opts.Coefficients {
+	labels := sa.cls.labels()
+	width := len(labels)
+	for len(segs) > 0 && !sa.exited {
+		i := len(sa.res.Values)
+		if i >= sa.opts.Coefficients {
 			return nil // the sentinel segment is discarded unclassified
 		}
-		i := len(sa.res.Values)
-		labels := sa.cls.labels()
 		if len(sa.arena) == 0 {
-			sa.arena = make([]float64, streamArenaRows*len(labels))
+			sa.arena = make([]float64, streamArenaRows*width)
 		}
-		row := sa.arena[:len(labels):len(labels)]
-		sa.arena = sa.arena[len(labels):]
-		// One segment per run: each segment is classified as it closes,
-		// so the first hint and the early-exit point stay where they are.
-		var value, sign [1]int
-		if err := sa.ss.classify(i, segs[k:k+1], row, value[:], sign[:]); err != nil {
+		n := min(len(segs), sa.opts.Coefficients-i, classifyClaim, len(sa.arena)/width)
+		if i == 0 {
+			n = 1
+		}
+		if sa.inst != nil {
+			n = min(n, sa.opts.CheckEvery-sa.sinceCheck)
+		}
+		rows := sa.arena[:n*width]
+		// Values and Signs have capacity for every coefficient.
+		values, signs := sa.res.Values[i:i+n], sa.res.Signs[i:i+n]
+		if err := sa.ss.classify(i, segs[:n], rows, values, signs); err != nil {
 			return err
 		}
-		sa.res.Values = append(sa.res.Values, value[0])
-		sa.res.Signs = append(sa.res.Signs, sign[0])
-		sa.res.Probs = append(sa.res.Probs, Posterior{Labels: labels, P: row})
+		sa.arena = sa.arena[n*width:]
+		sa.res.Values, sa.res.Signs = sa.res.Values[:i+n], sa.res.Signs[:i+n]
+		for j := 0; j < n; j++ {
+			sa.res.Probs = append(sa.res.Probs, Posterior{Labels: labels, P: rows[j*width : (j+1)*width : (j+1)*width]})
+		}
 		if sa.firstHint == 0 {
 			sa.firstHint = time.Since(sa.started)
 		}
-		if sa.inst != nil {
-			h := dbdd.HintFromProbabilities(labels, row)
-			if err := sa.inst.IntegrateCoefficientHint(errorCoord(sa.opts.Params, i), h); err != nil {
-				return fmt.Errorf("core: integrating hint %d: %w", i, err)
+		segs = segs[n:]
+		if sa.inst == nil {
+			continue
+		}
+		for j, post := range sa.res.Probs[i:] {
+			h := dbdd.HintFromProbabilities(labels, post.P)
+			if err := sa.inst.IntegrateCoefficientHint(errorCoord(sa.opts.Params, i+j), h); err != nil {
+				return fmt.Errorf("core: integrating hint %d: %w", i+j, err)
 			}
-			sa.sinceCheck++
-			if sa.sinceCheck >= sa.opts.CheckEvery {
-				sa.sinceCheck = 0
-				bikz, err := sa.inst.EstimateBikz()
-				if err != nil {
-					return fmt.Errorf("core: estimating bikz at coefficient %d: %w", i, err)
-				}
-				sa.hintedBikz = bikz
-				if bikz <= sa.opts.TargetBikz {
-					sa.exited = true
-					return nil
-				}
+		}
+		sa.sinceCheck += n
+		if sa.sinceCheck >= sa.opts.CheckEvery {
+			sa.sinceCheck = 0
+			bikz, err := sa.inst.EstimateBikz()
+			if err != nil {
+				return fmt.Errorf("core: estimating bikz at coefficient %d: %w", i+n-1, err)
 			}
+			sa.hintedBikz = bikz
+			sa.exited = bikz <= sa.opts.TargetBikz
 		}
 	}
 	return nil

@@ -3,10 +3,13 @@ package core
 // Streaming attack engine: byte-equality with the batch path over complete
 // traces (the determinism contract), early exit on a target bikz before
 // the trace is fully consumed, and chunk-size independence of the banked
-// prefix (same prefix ⇒ same hints, whatever the chunking).
+// prefix (same prefix ⇒ same hints, whatever the chunking), which also
+// holds for any split of the closed segments into classification runs.
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -15,13 +18,17 @@ import (
 	"reveal/internal/trace"
 )
 
-var streamFixtureOnce sync.Once
-var streamFixture struct {
+// streamFixtureData is one profiled device and one captured encryption,
+// built once per test binary.
+type streamFixtureData struct {
+	once   sync.Once
 	params *bfv.Parameters
 	cls    *CoefficientClassifier
 	cap    *EncryptionCapture
 	err    error
 }
+
+var streamFixture, lowNoiseStreamFixture streamFixtureData
 
 // streamTestFixture profiles a small deterministic device once and
 // captures one encryption for every streaming test to attack. n = 128
@@ -29,23 +36,35 @@ var streamFixture struct {
 // above the estimator's floor and hints produce a measurable drop the
 // early-exit tests can aim between.
 func streamTestFixture(t *testing.T) (*bfv.Parameters, *CoefficientClassifier, *EncryptionCapture) {
+	return streamFixture.load(t, false)
+}
+
+// lowNoiseStreamTestFixture is streamTestFixture on the low-noise device
+// with the high-accuracy classifier (28 POIs per template).
+func lowNoiseStreamTestFixture(t *testing.T) (*bfv.Parameters, *CoefficientClassifier, *EncryptionCapture) {
+	return lowNoiseStreamFixture.load(t, true)
+}
+
+func (fx *streamFixtureData) load(t *testing.T, lowNoise bool) (*bfv.Parameters, *CoefficientClassifier, *EncryptionCapture) {
 	t.Helper()
-	streamFixtureOnce.Do(func() {
+	fx.once.Do(func() {
 		params, err := bfv.NewParameters(128, []uint64{12289}, 16,
 			sampler.DefaultSigma, sampler.DefaultMaxDeviation)
 		if err != nil {
-			streamFixture.err = err
+			fx.err = err
 			return
 		}
-		dev := NewDevice(7)
-		opts := DefaultProfileOptions()
-		opts.Q = params.Moduli[0]
+		dev, opts := NewDevice(7), DefaultProfileOptions()
 		opts.TracesPerValue = 60
 		opts.Templates.POICount = 24
 		opts.Templates.MinSpacing = 1
+		if lowNoise {
+			dev, opts = NewLowNoiseDevice(7), HighAccuracyProfileOptions()
+		}
+		opts.Q = params.Moduli[0]
 		cls, err := Profile(dev, opts)
 		if err != nil {
-			streamFixture.err = err
+			fx.err = err
 			return
 		}
 		prng := sampler.NewXoshiro256(7 ^ 0x9E3779B97F4A7C15)
@@ -59,15 +78,15 @@ func streamTestFixture(t *testing.T) (*bfv.Parameters, *CoefficientClassifier, *
 		}
 		cap, err := CaptureEncryption(dev, params, enc, pt)
 		if err != nil {
-			streamFixture.err = err
+			fx.err = err
 			return
 		}
-		streamFixture.params, streamFixture.cls, streamFixture.cap = params, cls, cap
+		fx.params, fx.cls, fx.cap = params, cls, cap
 	})
-	if streamFixture.err != nil {
-		t.Fatalf("stream fixture: %v", streamFixture.err)
+	if fx.err != nil {
+		t.Fatalf("stream fixture: %v", fx.err)
 	}
-	return streamFixture.params, streamFixture.cls, streamFixture.cap
+	return fx.params, fx.cls, fx.cap
 }
 
 // batchE2 runs the batch path on the capture's e2 trace: segment n+1 peaks
@@ -246,5 +265,54 @@ func TestStreamAttackValidation(t *testing.T) {
 	}
 	if _, err := NewStreamAttack(cls, StreamAttackOptions{Coefficients: params.N, TargetBikz: 1e9, Params: params}); err == nil {
 		t.Fatal("target bikz above baseline accepted")
+	}
+}
+
+// TestStreamAttackRunsMatchSingleSegmentRuns pins the classification runs
+// of StreamAttack.onSegments. Fed one sample per commit, a stream closes
+// at most one segment per commit, so every run is one segment; longer
+// chunks close many at once and classify them in runs of up to 16 that
+// end on the bikz-check stride. Both must reach the same verdict — the
+// exit coefficient, the early exit, the estimate and the margin sum, by
+// bits — and bank the same prefix, whatever the stride, with and without a
+// target.
+func TestStreamAttackRunsMatchSingleSegmentRuns(t *testing.T) {
+	for _, fx := range []struct {
+		name string
+		load func(*testing.T) (*bfv.Parameters, *CoefficientClassifier, *EncryptionCapture)
+	}{{"default", streamTestFixture}, {"low-noise", lowNoiseStreamTestFixture}} {
+		params, cls, cap := fx.load(t)
+		full := batchE2(t, params, cls, cap)
+		target := streamEarlyExitTarget(t, params, full)
+		for _, every := range []int{1, 3, 16, 17, 100} {
+			for _, target := range []float64{0, target} {
+				t.Run(fmt.Sprintf("%s/every=%d/target=%.2f", fx.name, every, target), func(t *testing.T) {
+					opts := StreamAttackOptions{Coefficients: params.N, TargetBikz: target, CheckEvery: every, Params: params}
+					ref, refVerdict := streamE2(t, cls, opts, cap.TraceE2, 1)
+					assertResultsBitIdentical(t, full.Prefix(refVerdict.Classified), ref)
+					refDigest, err := ref.Digest()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, chunk := range []int{37, 4096, len(cap.TraceE2)} {
+						got, verdict := streamE2(t, cls, opts, cap.TraceE2, chunk)
+						if verdict.Classified != refVerdict.Classified || verdict.EarlyExit != refVerdict.EarlyExit ||
+							math.Float64bits(verdict.HintedBikz) != math.Float64bits(refVerdict.HintedBikz) ||
+							math.Float64bits(verdict.MarginSum) != math.Float64bits(refVerdict.MarginSum) {
+							t.Fatalf("chunk %d: verdict (%d, %v, %v, %v), one-sample commits gave (%d, %v, %v, %v)",
+								chunk, verdict.Classified, verdict.EarlyExit, verdict.HintedBikz, verdict.MarginSum,
+								refVerdict.Classified, refVerdict.EarlyExit, refVerdict.HintedBikz, refVerdict.MarginSum)
+						}
+						digest, err := got.Digest()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if digest != refDigest {
+							t.Fatalf("chunk %d: banked digest %.12s, one-sample commits banked %.12s", chunk, digest, refDigest)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -19,6 +19,8 @@ func FuzzCampaignSpec(f *testing.F) {
 	f.Add([]byte(`{"workers": -1}`))
 	f.Add([]byte(`{"seed": 18446744073709551615}`))
 	f.Add([]byte(`{"timeout_ms": 2500, "keep_probs": true}`))
+	f.Add([]byte(`{"kind": "stream", "seed": 5}`))
+	f.Add([]byte(`{"kind": "stream", "target_bikz": 330, "verify_batch": true, "chunk_samples": 8589934592}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec CampaignSpec
 		if err := json.Unmarshal(data, &spec); err != nil {
@@ -29,18 +31,22 @@ func FuzzCampaignSpec(f *testing.F) {
 		}
 		// Post-conditions of a normalized spec.
 		switch spec.Kind {
-		case KindAttack, KindDiagnose, KindSleep:
+		case KindAttack, KindDiagnose, KindSleep, KindStream:
 		default:
 			t.Fatalf("normalized spec has kind %q", spec.Kind)
 		}
-		if spec.Kind == KindAttack && spec.Encryptions <= 0 {
-			t.Fatal("normalized attack spec has no encryptions")
+		if (spec.Kind == KindAttack || spec.Kind == KindStream) && spec.Encryptions <= 0 {
+			t.Fatalf("normalized %s spec has no encryptions", spec.Kind)
 		}
 		if spec.Encryptions > 1000 {
 			t.Fatalf("normalized spec exceeds encryption cap: %d", spec.Encryptions)
 		}
+		if spec.ChunkSamples > maxChunkSamples {
+			t.Fatalf("normalized spec exceeds the chunk cap: %d samples", spec.ChunkSamples)
+		}
 		if spec.ProfileTracesPerValue < 0 || spec.Workers < 0 || spec.MaxAttempts < 0 ||
-			spec.TimeoutMS < 0 || spec.SleepMS < 0 || spec.FailAttempts < 0 {
+			spec.TimeoutMS < 0 || spec.SleepMS < 0 || spec.FailAttempts < 0 ||
+			spec.ChunkSamples < 0 || spec.TargetBikz < 0 {
 			t.Fatal("normalized spec retains negative fields")
 		}
 		if spec.Timeout() < 0 {

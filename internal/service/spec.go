@@ -84,13 +84,20 @@ type CampaignSpec struct {
 	// TargetBikz > 0 arms early exit: the stream stops ingesting the moment
 	// the banked hints push the DBDD estimate to (or below) the target.
 	TargetBikz float64 `json:"target_bikz,omitempty"`
-	// ChunkSamples is the replay chunk size in samples (0 means 4096).
+	// ChunkSamples is the replay chunk size in samples (0 means 4096, at
+	// most maxChunkSamples).
 	ChunkSamples int `json:"chunk_samples,omitempty"`
 	// VerifyBatch additionally runs the batch attack on each full trace and
 	// records whether the stream digest matches the batch digest — the
 	// determinism contract, checked end to end.
 	VerifyBatch bool `json:"verify_batch,omitempty"`
 }
+
+// maxChunkSamples bounds a stream campaign's chunk_samples: the streaming
+// segmenter allocates a window of at least one chunk, and 1<<20 samples
+// (8 MiB) exceeds every ladder trace, so a larger chunk only asks for
+// memory no replay fills.
+const maxChunkSamples = 1 << 20
 
 // Normalize fills defaults and validates the spec.
 func (s *CampaignSpec) Normalize() error {
@@ -112,6 +119,9 @@ func (s *CampaignSpec) Normalize() error {
 		s.TimeoutMS < 0 || s.SleepMS < 0 || s.FailAttempts < 0 ||
 		s.ChunkSamples < 0 || s.TargetBikz < 0 {
 		return fmt.Errorf("service: negative values are not allowed in a campaign spec")
+	}
+	if s.ChunkSamples > maxChunkSamples {
+		return fmt.Errorf("service: chunk_samples %d exceeds the limit of %d", s.ChunkSamples, maxChunkSamples)
 	}
 	if s.Kind != KindStream && (s.TargetBikz != 0 || s.ChunkSamples != 0 || s.VerifyBatch) {
 		return fmt.Errorf("service: target_bikz/chunk_samples/verify_batch apply only to %q campaigns", KindStream)

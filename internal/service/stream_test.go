@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -117,9 +118,21 @@ func TestStreamSpecValidation(t *testing.T) {
 		{Kind: KindSleep, VerifyBatch: true},
 		{Kind: KindStream, TargetBikz: -1},
 		{Kind: KindStream, ChunkSamples: -1},
+		{Kind: KindStream, ChunkSamples: maxChunkSamples + 1},
 	} {
 		if err := bad.Normalize(); err == nil {
 			t.Errorf("spec %+v accepted, want error", bad)
+		}
+	}
+	if err := (&CampaignSpec{Kind: KindStream, ChunkSamples: maxChunkSamples}).Normalize(); err != nil {
+		t.Errorf("chunk_samples at the limit rejected: %v", err)
+	}
+	// A 1<<33-sample chunk would make the worker's first window a 64 GiB
+	// slice. On 32-bit platforms the decode itself refuses it.
+	var huge CampaignSpec
+	if err := json.Unmarshal([]byte(`{"kind": "stream", "chunk_samples": 8589934592}`), &huge); err == nil {
+		if err := huge.Normalize(); err == nil {
+			t.Errorf("chunk_samples 1<<33 accepted")
 		}
 	}
 }

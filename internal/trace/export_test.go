@@ -75,8 +75,12 @@ func (sg *StreamSegmenter) Feed(chunk Trace) ([]Segment, error) {
 	return sg.Commit(len(chunk))
 }
 
-// BufferedSamples returns how many samples have been committed so far.
-func (sg *StreamSegmenter) BufferedSamples() int { return len(sg.buf) }
+// BufferedSamples returns how many samples have been committed so far:
+// those slid out of the window and those still buffered.
+func (sg *StreamSegmenter) BufferedSamples() int { return sg.base + len(sg.buf) }
+
+// BufferCap returns the capacity of the segmenter's sample window.
+func (sg *StreamSegmenter) BufferCap() int { return cap(sg.buf) }
 
 // Traces returns the header's trace count.
 func (sr *StreamReader) Traces() int { return sr.count }

@@ -258,25 +258,34 @@ func FuzzSegmenter(f *testing.F) {
 			assertSegmentsEqual(t, ref, got)
 		}
 
-		var streamed []trace.Segment
-		sg, err := trace.NewStreamSegmenter(trace.StreamSegmenterConfig{
-			Want: want, MinDistance: minDistance, CalibrationSamples: len(tr),
-		})
-		for off := 0; err == nil && off < len(tr); off += chunk {
-			var out []trace.Segment
-			out, err = sg.Feed(tr[off:min(off+chunk, len(tr))])
-			streamed = append(streamed, out...)
-		}
-		if err == nil {
-			var out []trace.Segment
-			out, err = sg.Flush()
-			streamed = append(streamed, out...)
-		}
-		if (err == nil) != (ref != nil) {
-			t.Fatalf("chunked StreamSegmenter error %v, reference accepted: %v", err, ref != nil)
-		}
-		if err == nil {
-			assertSegmentsEqual(t, ref, streamed)
+		// Calibrated over the whole trace, the chunked feed only scans once
+		// the last chunk is in, so its window never slides. At the
+		// reference's threshold given explicitly, it scans every chunk and
+		// slides whenever a chunk finds no room. (A zero threshold means
+		// auto-calibration, over the whole trace here too.)
+		thr := trace.AutoThreshold(tr, 0.5)
+		for _, cfg := range []trace.StreamSegmenterConfig{
+			{Want: want, MinDistance: minDistance, CalibrationSamples: len(tr)},
+			{Want: want, MinDistance: minDistance, Threshold: thr, CalibrationSamples: len(tr)},
+		} {
+			var streamed []trace.Segment
+			sg, err := trace.NewStreamSegmenter(cfg)
+			for off := 0; err == nil && off < len(tr); off += chunk {
+				var out []trace.Segment
+				out, err = sg.Feed(tr[off:min(off+chunk, len(tr))])
+				streamed = cloneSegments(streamed, out)
+			}
+			if err == nil {
+				var out []trace.Segment
+				out, err = sg.Flush()
+				streamed = cloneSegments(streamed, out)
+			}
+			if (err == nil) != (ref != nil) {
+				t.Fatalf("chunked StreamSegmenter (threshold %v) error %v, reference accepted: %v", cfg.Threshold, err, ref != nil)
+			}
+			if err == nil {
+				assertSegmentsEqual(t, ref, streamed)
+			}
 		}
 	})
 }

@@ -183,17 +183,29 @@ type StreamSegmenterConfig struct {
 // samples were chunked; the tests hold them to a plain whole-trace
 // reference scan (oracle_test.go) at the same threshold.
 //
-// Emitted Segment.Samples are views into the segmenter's internal buffer,
-// with their capacity clipped at the segment end; already-written samples
-// are never mutated, so the views stay valid for the segmenter's lifetime
-// even as the buffer grows.
+// The buffer is a bounded window over the trace: once the threshold is
+// calibrated, a Window call that finds no room first slides out the
+// samples no pending work needs — everything before the first unemitted
+// peak and the scan's left neighbour — and grows only if that is not
+// enough, so it holds about one chunk plus the open segment instead of
+// the whole trace. Segment.Start and End and sample counts in errors stay
+// absolute trace indices.
+//
+// Emitted Segment.Samples are views into that buffer, with their capacity
+// clipped at the segment end, valid until the next Window call, which may
+// move the samples under them. The whole-trace path (segmentWhole) adopts
+// the caller's trace and never calls Window, so its segments stay valid as
+// long as the trace.
 type StreamSegmenter struct {
-	cfg     StreamSegmenterConfig
-	thr     float64
-	calib   bool
+	cfg   StreamSegmenterConfig
+	thr   float64
+	calib bool
+	// buf holds trace samples [base, base+len(buf)); peaks and next are
+	// absolute trace indices.
 	buf     Trace
+	base    int
 	peaks   []int
-	next    int // next candidate index to scan (requires buf[next+1])
+	next    int // next candidate index to scan (requires sample next+1)
 	emitted int // segments already emitted
 	flushed bool
 	out     []Segment // per-call emission scratch, reused
@@ -220,9 +232,14 @@ func NewStreamSegmenter(cfg StreamSegmenterConfig) (*StreamSegmenter, error) {
 // Window returns a writable slice of n samples at the tail of the internal
 // buffer for zero-copy ingest: decode directly into it, then Commit(m) for
 // the m ≤ n samples actually written. The slice is invalidated by any
-// other segmenter call.
+// other segmenter call, and the call invalidates the samples of every
+// segment emitted before it.
 func (sg *StreamSegmenter) Window(n int) Trace {
 	need := len(sg.buf) + n
+	if cap(sg.buf) < need && sg.calib {
+		sg.slide()
+		need = len(sg.buf) + n
+	}
 	if cap(sg.buf) < need {
 		grown := 2 * cap(sg.buf)
 		if grown < need {
@@ -233,6 +250,21 @@ func (sg *StreamSegmenter) Window(n int) Trace {
 		sg.buf = nb
 	}
 	return sg.buf[len(sg.buf):need]
+}
+
+// slide drops the buffered samples before the first one pending work
+// reads: the scan's left neighbour (sample next−1) and the start of the
+// first unemitted segment. Before calibration nothing slides, because the
+// threshold is picked over the buffer's head.
+func (sg *StreamSegmenter) slide() {
+	keep := sg.next - 1
+	if sg.emitted < len(sg.peaks) {
+		keep = min(keep, sg.peaks[sg.emitted])
+	}
+	if drop := keep - sg.base; drop > 0 {
+		sg.buf = sg.buf[:copy(sg.buf, sg.buf[drop:])]
+		sg.base = keep
+	}
 }
 
 // Commit appends the first n samples of the last Window to the trace and
@@ -262,7 +294,7 @@ func (sg *StreamSegmenter) Flush() ([]Segment, error) {
 		return nil, fmt.Errorf("trace: segmenter already flushed")
 	}
 	sg.flushed = true
-	if len(sg.buf) == 0 {
+	if sg.base+len(sg.buf) == 0 {
 		return nil, fmt.Errorf("trace: cannot segment an empty trace")
 	}
 	if err := sg.scan(true); err != nil {
@@ -294,9 +326,10 @@ func (sg *StreamSegmenter) scan(final bool) error {
 			return nil // not enough samples to pick a threshold yet
 		}
 	}
-	t := sg.buf
+	// t[i] is trace sample base+i.
+	t, base := sg.buf, sg.base
 	md := sg.cfg.MinDistance
-	for i := sg.next; i+1 < len(t); i++ {
+	for i := sg.next - base; i+1 < len(t); i++ {
 		if t[i] < sg.thr {
 			continue
 		}
@@ -306,19 +339,19 @@ func (sg *StreamSegmenter) scan(final bool) error {
 		if t[i] == t[i-1] {
 			continue
 		}
-		if len(sg.peaks) > 0 && i-sg.peaks[len(sg.peaks)-1] < md {
-			if t[i] > t[sg.peaks[len(sg.peaks)-1]] {
-				sg.peaks[len(sg.peaks)-1] = i
+		if len(sg.peaks) > 0 && base+i-sg.peaks[len(sg.peaks)-1] < md {
+			if t[i] > t[sg.peaks[len(sg.peaks)-1]-base] {
+				sg.peaks[len(sg.peaks)-1] = base + i
 			}
 			continue
 		}
-		sg.peaks = append(sg.peaks, i)
+		sg.peaks = append(sg.peaks, base+i)
 		if len(sg.peaks) > sg.cfg.Want {
 			return fmt.Errorf("trace: found %d sampling peaks after %d samples, want %d (threshold %.3f)",
-				len(sg.peaks), len(t), sg.cfg.Want, sg.thr)
+				len(sg.peaks), base+len(t), sg.cfg.Want, sg.thr)
 		}
 	}
-	if n := len(t) - 1; n > sg.next {
+	if n := base + len(t) - 1; n > sg.next {
 		sg.next = n
 	}
 	return nil
@@ -347,19 +380,21 @@ func (sg *StreamSegmenter) emit(final bool) []Segment {
 	out := sg.out[:0]
 	for sg.emitted+1 < confirmed {
 		k := sg.emitted
+		lo, hi := sg.peaks[k]-sg.base, sg.peaks[k+1]-sg.base
 		out = append(out, Segment{
 			Start:   sg.peaks[k],
 			End:     sg.peaks[k+1],
-			Samples: sg.buf[sg.peaks[k]:sg.peaks[k+1]:sg.peaks[k+1]],
+			Samples: sg.buf[lo:hi:hi],
 		})
 		sg.emitted++
 	}
 	if final && sg.emitted < len(sg.peaks) {
 		k := sg.emitted
+		lo, hi := sg.peaks[k]-sg.base, len(sg.buf)
 		out = append(out, Segment{
 			Start:   sg.peaks[k],
-			End:     len(sg.buf),
-			Samples: sg.buf[sg.peaks[k]:len(sg.buf):len(sg.buf)],
+			End:     sg.base + hi,
+			Samples: sg.buf[lo:hi:hi],
 		})
 		sg.emitted++
 	}

@@ -43,9 +43,20 @@ func batchSegments(tb testing.TB, t trace.Trace, thr float64, minDistance int) [
 	return segs
 }
 
+// cloneSegments appends copies of segs to dst. A chunked segmenter's
+// segments are valid only until its next Window call, so a caller that
+// keeps them across feeds copies them on receipt.
+func cloneSegments(dst, segs []trace.Segment) []trace.Segment {
+	for _, s := range segs {
+		s.Samples = s.Samples.Clone()
+		dst = append(dst, s)
+	}
+	return dst
+}
+
 // streamSegments runs the StreamSegmenter over t in fixed-size chunks and
-// returns all emitted segments plus the sample count buffered when the
-// first segment was emitted (the streaming-latency witness).
+// returns copies of all emitted segments plus the sample count committed
+// when the first segment was emitted (the streaming-latency witness).
 func streamSegments(tb testing.TB, t trace.Trace, cfg trace.StreamSegmenterConfig, chunk int) (segs []trace.Segment, firstAt int) {
 	tb.Helper()
 	sg, err := trace.NewStreamSegmenter(cfg)
@@ -64,13 +75,13 @@ func streamSegments(tb testing.TB, t trace.Trace, cfg trace.StreamSegmenterConfi
 		if len(out) > 0 && firstAt == 0 {
 			firstAt = sg.BufferedSamples()
 		}
-		segs = append(segs, out...)
+		segs = cloneSegments(segs, out)
 	}
 	out, err := sg.Flush()
 	if err != nil {
 		tb.Fatalf("Flush: %v", err)
 	}
-	segs = append(segs, out...)
+	segs = cloneSegments(segs, out)
 	return segs, firstAt
 }
 
@@ -153,6 +164,48 @@ func TestStreamSegmenterAutoCalibration(t *testing.T) {
 	cfg := trace.StreamSegmenterConfig{Want: 2, MinDistance: 8, CalibrationSamples: 4096}
 	got, _ := streamSegments(t, short, cfg, 7)
 	assertSegmentsEqual(t, batchSegments(t, short, trace.AutoThreshold(short, 0.5), 8), got)
+}
+
+// TestStreamSegmenterWindowStaysBounded streams a long trace in
+// 4096-sample chunks: the window must slide out the samples no pending
+// segment needs instead of holding the whole trace, so its capacity stays
+// within two chunks plus the longest segment, while the segments keep
+// their absolute boundaries and samples.
+func TestStreamSegmenterWindowStaysBounded(t *testing.T) {
+	var peaks []int
+	for p := 20; p < 1<<17-200; p += 40 + (p*7919)%101 {
+		peaks = append(peaks, p)
+	}
+	tr := synthTrace(1<<17, peaks)
+	want := batchSegments(t, tr, trace.AutoThreshold(tr, 0.5), 8)
+	longest := 0
+	for _, s := range want {
+		longest = max(longest, len(s.Samples))
+	}
+	const chunk = 4096
+	sg, err := trace.NewStreamSegmenter(trace.StreamSegmenterConfig{Want: len(peaks), MinDistance: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []trace.Segment
+	for off := 0; off < len(tr); off += chunk {
+		out, err := sg.Feed(tr[off:min(off+chunk, len(tr))])
+		if err != nil {
+			t.Fatalf("Feed at %d: %v", off, err)
+		}
+		got = cloneSegments(got, out)
+		if c := sg.BufferCap(); c > 2*chunk+longest {
+			t.Fatalf("after %d samples the window holds %d, want at most %d", sg.BufferedSamples(), c, 2*chunk+longest)
+		}
+	}
+	out, err := sg.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSegmentsEqual(t, want, cloneSegments(got, out))
+	if sg.BufferedSamples() != len(tr) {
+		t.Fatalf("committed %d samples, want %d", sg.BufferedSamples(), len(tr))
+	}
 }
 
 func TestStreamSegmenterCountErrors(t *testing.T) {
