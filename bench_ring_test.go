@@ -1,5 +1,5 @@
-// Ring-backend benchmarks gated by scripts/bench_gate.sh: the production
-// NTT and RNS pointwise multiply at a real ladder parameter set, and the
+// Ring benchmarks gated by scripts/bench_gate.sh: the NTT and RNS ring
+// product at a real ladder parameter set, and the
 // trace-generation path over a wide ladder modulus. Each snapshots into
 // bench_snapshots/ and is compared against its committed baseline in CI.
 package reveal
@@ -13,16 +13,16 @@ import (
 	"reveal/internal/testkit"
 )
 
-// benchLadderCtx builds the n=4096 ladder ring (three-prime chain) on the
-// named backend — large enough that lazy reduction and Barrett dominate,
-// small enough for a stable -benchtime 1x CI run.
-func benchLadderCtx(b *testing.B, backend string) *ring.Context {
+// benchLadderCtx builds the n=4096 ladder ring (three-prime chain) —
+// large enough that lazy reduction and Barrett dominate, small enough for
+// a stable -benchtime 1x CI run.
+func benchLadderCtx(b *testing.B) *ring.Context {
 	b.Helper()
 	params, err := ring.LadderParams(4096)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx, err := ring.NewContextFor(params, backend)
+	ctx, err := ring.NewContext(params.N, params.Moduli)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,27 +30,10 @@ func benchLadderCtx(b *testing.B, backend string) *ring.Context {
 }
 
 // BenchmarkNTT measures one forward+inverse transform of a full RNS poly
-// (n=4096, three primes) on the production backend, with the reference
-// backend's time reported alongside as a metric so the speedup is visible
-// in the snapshot.
+// (n=4096, three primes).
 func BenchmarkNTT(b *testing.B) {
 	br := snapshotBench(b)
-	ctx := benchLadderCtx(b, ring.RNSBackendName)
-	p := testkit.NewRNG(61).Poly(ctx)
-	coeffs := float64(ctx.N * ctx.Level())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.NTT(p)
-		ctx.INTT(p)
-	}
-	br.Metric(coeffs, "coeffs_per_op")
-}
-
-// BenchmarkNTTReference is the strict-reduction oracle on the same
-// workload — the committed baselines document the production speedup.
-func BenchmarkNTTReference(b *testing.B) {
-	br := snapshotBench(b)
-	ctx := benchLadderCtx(b, ring.ReferenceBackendName)
+	ctx := benchLadderCtx(b)
 	p := testkit.NewRNG(61).Poly(ctx)
 	coeffs := float64(ctx.N * ctx.Level())
 	b.ResetTimer()
@@ -62,10 +45,10 @@ func BenchmarkNTTReference(b *testing.B) {
 }
 
 // BenchmarkRNSMul measures a full ring product (two forward NTTs, Barrett
-// pointwise multiply, one inverse) at n=4096 on the production backend.
+// pointwise multiply, one inverse) at n=4096.
 func BenchmarkRNSMul(b *testing.B) {
 	br := snapshotBench(b)
-	ctx := benchLadderCtx(b, ring.RNSBackendName)
+	ctx := benchLadderCtx(b)
 	r := testkit.NewRNG(62)
 	x, y := r.Poly(ctx), r.Poly(ctx)
 	out := ctx.NewPoly()

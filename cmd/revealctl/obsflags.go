@@ -68,7 +68,7 @@ func (o *obsFlags) start(command string, args []string, seed uint64, config any)
 	obs.SetGlobal(rec)
 	c := &campaign{rec: rec}
 	if o.metricsAddr != "" {
-		srv, err := obs.ServeMetrics(rec, o.metricsAddr)
+		srv, err := obs.ServeMetricsCfg(rec, o.metricsAddr, obs.ServeConfig{})
 		if err != nil {
 			obs.SetGlobal(nil)
 			return nil, err

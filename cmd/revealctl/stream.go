@@ -10,7 +10,8 @@ import (
 
 // runAttackStream is the -stream variant of 'revealctl attack': each e2
 // trace is fed to the streaming engine in fixed-size chunks, every
-// coefficient is classified the moment its segment closes, and — unless
+// coefficient is classified the moment its segment closes and journaled
+// (coeffs.jsonl, as the batch attack journals e2), and — unless
 // the attack early-exited on -target-bikz — the streamed result's digest
 // is cross-checked against the batch attack over the same trace with
 // core's MatchesBatchPrefix (the determinism contract, verified on real
@@ -53,6 +54,7 @@ func runAttackStream(camp *campaign, s *experiments.Session, messages int, targe
 		if err != nil {
 			return err
 		}
+		core.EmitCoeffEvents(context.Background(), "e2", res, cap.Truth.E2)
 		classifiedTotal += verdict.Classified
 		if verdict.EarlyExit {
 			earlyExits++

@@ -39,20 +39,9 @@ type Parameters struct {
 	deltaJ []uint64 // delta mod q_j
 }
 
-// NewParameters validates and precomputes a parameter set on the default
-// ring backend.
+// NewParameters validates and precomputes a parameter set.
 func NewParameters(n int, moduli []uint64, t uint64, sigma, maxDev float64) (*Parameters, error) {
-	return NewParametersOn(ring.DefaultBackendName, n, moduli, t, sigma, maxDev)
-}
-
-// NewParametersOn is NewParameters bound to a named ring backend — the
-// entry point the cross-backend BFV differential matrix uses.
-func NewParametersOn(backend string, n int, moduli []uint64, t uint64, sigma, maxDev float64) (*Parameters, error) {
-	rp, err := ring.NewParameters(n, moduli)
-	if err != nil {
-		return nil, err
-	}
-	ctx, err := ring.NewContextFor(rp, backend)
+	ctx, err := ring.NewContext(n, moduli)
 	if err != nil {
 		return nil, err
 	}

@@ -49,26 +49,24 @@ type StreamAttackOptions struct {
 	// trace must contain n+1 sampling peaks (the capture appends one
 	// sentinel iteration, whose segment is discarded unclassified).
 	Coefficients int
-	// MinDistance is the peak spacing passed to the segmenter (0 means 8,
-	// the batch path's value).
-	MinDistance int
-	// Threshold and CalibrationSamples configure the segmenter threshold
-	// exactly as in trace.StreamSegmenterConfig.
-	Threshold          float64
-	CalibrationSamples int
 	// TargetBikz, when positive, enables early exit: after every
-	// CheckEvery classified coefficients the banked hints are integrated
-	// into a DBDD instance and the attack stops once the estimate is at or
-	// below the target. Requires Params.
+	// DefaultStreamCheckEvery classified coefficients the banked hints are
+	// integrated into a DBDD instance and the attack stops once the
+	// estimate is at or below the target. Requires Params.
 	TargetBikz float64
-	// CheckEvery is the bikz re-estimate stride in classified coefficients
-	// (0 means DefaultStreamCheckEvery).
-	CheckEvery int
 	// Params identifies the attacked LWE instance for the bikz estimate
 	// (required when TargetBikz > 0; Coefficients must not exceed
 	// Params.N).
 	Params *bfv.Parameters
+	// checkEvery overrides the bikz re-estimate stride (0 means
+	// DefaultStreamCheckEvery); tests vary it to move run boundaries.
+	checkEvery int
 }
+
+// streamMinDistance is the segmenter's peak spacing, the batch path's
+// value. The threshold is auto-calibrated over the first
+// trace.DefaultCalibrationSamples samples.
+const streamMinDistance = 8
 
 // StreamVerdict summarizes how a streaming attack ended.
 type StreamVerdict struct {
@@ -143,11 +141,8 @@ func NewStreamAttackCtx(ctx context.Context, cls *CoefficientClassifier, opts St
 	if opts.Coefficients < 1 {
 		return nil, fmt.Errorf("core: streaming attack needs at least 1 coefficient, got %d", opts.Coefficients)
 	}
-	if opts.MinDistance == 0 {
-		opts.MinDistance = 8
-	}
-	if opts.CheckEvery <= 0 {
-		opts.CheckEvery = DefaultStreamCheckEvery
+	if opts.checkEvery <= 0 {
+		opts.checkEvery = DefaultStreamCheckEvery
 	}
 	sa := &StreamAttack{cls: cls, opts: opts, started: time.Now()}
 	if opts.TargetBikz > 0 {
@@ -174,10 +169,8 @@ func NewStreamAttackCtx(ctx context.Context, cls *CoefficientClassifier, opts St
 	}
 	seg, err := trace.NewStreamSegmenter(trace.StreamSegmenterConfig{
 		// One sentinel iteration rides at the end of every capture.
-		Want:               opts.Coefficients + 1,
-		MinDistance:        opts.MinDistance,
-		Threshold:          opts.Threshold,
-		CalibrationSamples: opts.CalibrationSamples,
+		Want:        opts.Coefficients + 1,
+		MinDistance: streamMinDistance,
 	})
 	if err != nil {
 		return nil, err
@@ -257,7 +250,7 @@ func (sa *StreamAttack) onSegments(segs []trace.Segment) error {
 			n = 1
 		}
 		if sa.inst != nil {
-			n = min(n, sa.opts.CheckEvery-sa.sinceCheck)
+			n = min(n, sa.opts.checkEvery-sa.sinceCheck)
 		}
 		rows := sa.arena[:n*width]
 		// Values and Signs have capacity for every coefficient.
@@ -284,7 +277,7 @@ func (sa *StreamAttack) onSegments(segs []trace.Segment) error {
 			}
 		}
 		sa.sinceCheck += n
-		if sa.sinceCheck >= sa.opts.CheckEvery {
+		if sa.sinceCheck >= sa.opts.checkEvery {
 			sa.sinceCheck = 0
 			bikz, err := sa.inst.EstimateBikz()
 			if err != nil {

@@ -287,7 +287,7 @@ func TestStreamAttackRunsMatchSingleSegmentRuns(t *testing.T) {
 		for _, every := range []int{1, 3, 16, 17, 100} {
 			for _, target := range []float64{0, target} {
 				t.Run(fmt.Sprintf("%s/every=%d/target=%.2f", fx.name, every, target), func(t *testing.T) {
-					opts := StreamAttackOptions{Coefficients: params.N, TargetBikz: target, CheckEvery: every, Params: params}
+					opts := StreamAttackOptions{Coefficients: params.N, TargetBikz: target, checkEvery: every, Params: params}
 					ref, refVerdict := streamE2(t, cls, opts, cap.TraceE2, 1)
 					assertResultsBitIdentical(t, full.Prefix(refVerdict.Classified), ref)
 					refDigest, err := ref.Digest()

@@ -142,9 +142,10 @@ func (in *FullInstance) ApproximateHintVec(v []float64, value, epsVar float64) e
 	if norm == 0 {
 		return fmt.Errorf("dbdd: zero hint direction")
 	}
-	sv, err := in.Sigma.MulVec(cur)
-	if err != nil {
-		return err
+	// Σ·v, one row dot product at a time.
+	sv := make([]float64, d)
+	for i := range sv {
+		sv[i] = linalg.Dot(in.Sigma.Data[i*d:(i+1)*d], cur)
 	}
 	vsv := linalg.Dot(cur, sv)
 	denom := vsv + epsVar

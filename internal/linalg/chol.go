@@ -46,48 +46,6 @@ func CholFactorOf(l *Matrix) *CholFactor {
 // LogDet returns log(det(m)) of the factored matrix.
 func (f *CholFactor) LogDet() float64 { return f.logDet }
 
-// SolveManyInto solves m X = B for k right-hand sides stored interleaved:
-// element i of right-hand side c is b[i·k+c], and its solution lands in
-// x[i·k+c]; y is forward-substitution scratch of the same shape. x, y and b
-// must all have length n·k (x and y may not alias b).
-//
-// Right-hand sides go through one leaf kernel per row in blocks of four
-// columns, then one at a time, so their independent subtraction chains
-// overlap instead of each waiting on its own latency. Each right-hand side
-// still sees exactly the floating-point operations of SolveCholesky in the
-// same order: every column is bitwise identical to solving it alone.
-func (f *CholFactor) SolveManyInto(x, y, b []float64, k int) error {
-	n := f.n
-	if k < 1 {
-		return fmt.Errorf("linalg: %d right-hand sides, want at least 1", k)
-	}
-	if len(b) != n*k {
-		return fmt.Errorf("linalg: rhs length %d, want %d×%d", len(b), n, k)
-	}
-	if len(x) != n*k || len(y) != n*k {
-		return fmt.Errorf("linalg: solve buffers %d/%d, want %d×%d", len(x), len(y), n, k)
-	}
-	f.solveMany(x, y, b, k)
-	return nil
-}
-
-// QuadFormsInto solves m X = R for k interleaved right-hand sides, as
-// SolveManyInto(x, y, r, k), and sets q[c] = r_c·x_c, the quadratic form
-// r_cᵀ m⁻¹ r_c, for every column c < len(q) ≤ k. Each sum runs over i in
-// ascending order from +0, exactly as Dot over the column's residual and
-// solution; columns from len(q) on are solved but not summed, which lets a
-// caller pad k. It allocates nothing.
-func (f *CholFactor) QuadFormsInto(q, x, y, r []float64, k int) error {
-	if len(q) > k {
-		return fmt.Errorf("linalg: %d quadratic forms from %d right-hand sides", len(q), k)
-	}
-	if err := f.SolveManyInto(x, y, r, k); err != nil {
-		return err
-	}
-	columnDots(q, r, x, k)
-	return nil
-}
-
 // BlockLanes is the width of one QuadBlockInto call: sixteen quadratic
 // forms in four groups of four lanes.
 const BlockLanes = 16
@@ -232,17 +190,4 @@ func sub1(row, v []float64, stride int, s float64) float64 {
 		j += stride
 	}
 	return s
-}
-
-// Inverse returns m^-1: one SolveManyInto call whose n interleaved
-// right-hand sides are the columns of the identity, so the row-major
-// solution is the inverse itself and each column equals its own
-// SolveInto. Intended for train-time precomputation (the inverse
-// covariance a template serializes), not for per-classification use.
-func (f *CholFactor) Inverse() *Matrix {
-	n := f.n
-	inv := NewMatrix(n, n)
-	// The factor is known-good, buffers are sized: the solve cannot fail.
-	_ = f.SolveManyInto(inv.Data, make([]float64, n*n), Identity(n).Data, n)
-	return inv
 }

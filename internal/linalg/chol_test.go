@@ -125,53 +125,6 @@ func TestSolveManyIntoBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestQuadFormsInto: each quadratic form must equal Dot of the column's
-// residual with its own SolveCholesky solution, to the bit, with one
-// right-hand side and with padded ones (len(q) < k).
-func TestQuadFormsInto(t *testing.T) {
-	for _, n := range []int{1, 3, 12, 28} {
-		m := seededSPD(n, uint64(n)*7)
-		l, err := Cholesky(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := CholFactorOf(l)
-		for _, shape := range [][2]int{{1, 1}, {3, 4}, {13, 16}, {16, 16}, {21, 24}, {33, 33}} {
-			nq, k := shape[0], shape[1]
-			r := seededVec(n*k, uint64(n*100+k))
-			want := make([]float64, nq)
-			col := make([]float64, n)
-			for c := range want {
-				for i := range col {
-					col[i] = r[i*k+c]
-				}
-				sol, err := SolveCholesky(l, col)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[c] = Dot(col, sol)
-			}
-			x := make([]float64, n*k)
-			y := make([]float64, n*k)
-			q := make([]float64, nq)
-			if err := f.QuadFormsInto(q, x, y, r, k); err != nil {
-				t.Fatal(err)
-			}
-			assertBitwise(t, fmt.Sprintf("QuadFormsInto n=%d q=%d k=%d", n, nq, k), q, want)
-		}
-	}
-	f, err := NewCholFactor(seededSPD(3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.QuadFormsInto(make([]float64, 5), make([]float64, 12), make([]float64, 12), make([]float64, 12), 4); err == nil {
-		t.Fatal("want an error for more forms than right-hand sides")
-	}
-	if err := f.QuadFormsInto(make([]float64, 2), make([]float64, 12), make([]float64, 12), make([]float64, 11), 4); err == nil {
-		t.Fatal("want the solve's length error")
-	}
-}
-
 // assertBitwise fails unless got and want agree element for element in
 // their bits, except that any NaN matches any NaN.
 func assertBitwise(t *testing.T, what string, got, want []float64) {
@@ -206,49 +159,6 @@ func TestCholFactorSolveShapeErrors(t *testing.T) {
 	}
 	if _, err := NewCholFactor(NewMatrix(3, 3)); err == nil {
 		t.Fatal("want not-positive-definite error for the zero matrix")
-	}
-}
-
-func TestCholFactorInverse(t *testing.T) {
-	for _, n := range []int{1, 4, 5, 12} {
-		m := seededSPD(n, uint64(n)+5)
-		f, err := NewCholFactor(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inv := f.Inverse()
-		// The one-call inverse must equal solving each identity column on
-		// its own, bit for bit.
-		e := make([]float64, n)
-		for j := 0; j < n; j++ {
-			e[j] = 1
-			col, err := f.Solve(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e[j] = 0
-			for i, w := range col {
-				if math.Float64bits(inv.At(i, j)) != math.Float64bits(w) {
-					t.Fatalf("n=%d: inverse(%d,%d) = %x, want %x", n, i, j,
-						math.Float64bits(inv.At(i, j)), math.Float64bits(w))
-				}
-			}
-		}
-		prod, err := m.Mul(inv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := MaxAbsDiff(prod, Identity(n)); d > 1e-9 {
-			t.Fatalf("n=%d: |m·inv − I| = %g", n, d)
-		}
-		// Against the LU-based general inverse.
-		luInv, err := Inverse(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := MaxAbsDiff(inv, luInv); d > 1e-9 {
-			t.Fatalf("n=%d: Cholesky inverse deviates from LU inverse by %g", n, d)
-		}
 	}
 }
 

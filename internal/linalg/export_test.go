@@ -6,9 +6,11 @@ import (
 	"math"
 )
 
-// Test oracles and helpers: the one-vector Cholesky solves and the LU
-// routines the blocked and AVX2 kernels are checked against, and the small
-// matrix helpers the tests build and compare matrices with.
+// Test oracles and helpers: the checked entry to the interleaved solve
+// kernels (SolveManyInto) and its one-vector forms, the LU routines the
+// blocked and AVX2 kernels are checked against, and the small matrix
+// helpers (products, sums, comparisons) the tests build and compare
+// matrices with.
 
 // NewCholFactor factors m (symmetric positive definite) and prepares the
 // cached solve structures.
@@ -25,6 +27,31 @@ func (f *CholFactor) Lower() *Matrix {
 	m := NewMatrix(f.n, f.n)
 	copy(m.Data, f.lower)
 	return m
+}
+
+// SolveManyInto solves m X = B for k right-hand sides stored interleaved:
+// element i of right-hand side c is b[i·k+c], and its solution lands in
+// x[i·k+c]; y is forward-substitution scratch of the same shape. x, y and b
+// must all have length n·k (x and y may not alias b).
+//
+// Right-hand sides go through one leaf kernel per row in blocks of four
+// columns, then one at a time, so their independent subtraction chains
+// overlap instead of each waiting on its own latency. Each right-hand side
+// still sees exactly the floating-point operations of SolveCholesky in the
+// same order: every column is bitwise identical to solving it alone.
+func (f *CholFactor) SolveManyInto(x, y, b []float64, k int) error {
+	n := f.n
+	if k < 1 {
+		return fmt.Errorf("linalg: %d right-hand sides, want at least 1", k)
+	}
+	if len(b) != n*k {
+		return fmt.Errorf("linalg: rhs length %d, want %d×%d", len(b), n, k)
+	}
+	if len(x) != n*k || len(y) != n*k {
+		return fmt.Errorf("linalg: solve buffers %d/%d, want %d×%d", len(x), len(y), n, k)
+	}
+	f.solveMany(x, y, b, k)
+	return nil
 }
 
 // SolveInto solves m x = b into caller-owned buffers: x receives the
@@ -44,6 +71,45 @@ func (f *CholFactor) Solve(b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return x, nil
+}
+
+// MulVec returns the matrix-vector product m * v.
+func (m *Matrix) MulVec(v []float64) ([]float64, error) {
+	out := make([]float64, m.Rows)
+	if err := m.MulVecInto(out, v); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// MulVecInto computes m * v into dst without allocating. dst must have
+// length m.Rows. The row dot products are unrolled but keep a single
+// accumulator in index order, so results are bitwise identical to MulVec's
+// historical loop.
+func (m *Matrix) MulVecInto(dst, v []float64) error {
+	if m.Cols != len(v) {
+		return fmt.Errorf("linalg: cannot multiply %dx%d by vector of length %d", m.Rows, m.Cols, len(v))
+	}
+	if len(dst) != m.Rows {
+		return fmt.Errorf("linalg: destination length %d, want %d", len(dst), m.Rows)
+	}
+	n := m.Cols
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*n : (i+1)*n]
+		sum := 0.0
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			sum += row[j] * v[j]
+			sum += row[j+1] * v[j+1]
+			sum += row[j+2] * v[j+2]
+			sum += row[j+3] * v[j+3]
+		}
+		for ; j < n; j++ {
+			sum += row[j] * v[j]
+		}
+		dst[i] = sum
+	}
+	return nil
 }
 
 // LU holds an LU factorization with partial pivoting: P m = L U.

@@ -116,45 +116,6 @@ func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec returns the matrix-vector product m * v.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	out := make([]float64, m.Rows)
-	if err := m.MulVecInto(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MulVecInto computes m * v into dst without allocating. dst must have
-// length m.Rows. The row dot products are unrolled but keep a single
-// accumulator in index order, so results are bitwise identical to MulVec's
-// historical loop.
-func (m *Matrix) MulVecInto(dst, v []float64) error {
-	if m.Cols != len(v) {
-		return fmt.Errorf("linalg: cannot multiply %dx%d by vector of length %d", m.Rows, m.Cols, len(v))
-	}
-	if len(dst) != m.Rows {
-		return fmt.Errorf("linalg: destination length %d, want %d", len(dst), m.Rows)
-	}
-	n := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*n : (i+1)*n]
-		sum := 0.0
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			sum += row[j] * v[j]
-			sum += row[j+1] * v[j+1]
-			sum += row[j+2] * v[j+2]
-			sum += row[j+3] * v[j+3]
-		}
-		for ; j < n; j++ {
-			sum += row[j] * v[j]
-		}
-		dst[i] = sum
-	}
-	return nil
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -1,8 +1,9 @@
 package modular
 
-// Property tests for the production reduction kernels the RNS backend is
-// built on: Barrett exactness at the classic boundary values and the lazy
-// Shoup product's range/congruence contract, over random large primes.
+// Property tests for the reduction kernels the ring package's lazy NTT and
+// pointwise product are built on: Barrett exactness at the classic boundary
+// values and the lazy Shoup product's range/congruence contract, over
+// random large primes.
 
 import (
 	"math/big"

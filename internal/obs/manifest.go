@@ -162,7 +162,7 @@ func StartRun(dir string, opts RunOptions) (*Run, error) {
 	}
 	SetGlobal(rec)
 	if opts.MetricsAddr != "" {
-		srv, err := ServeMetrics(rec, opts.MetricsAddr)
+		srv, err := ServeMetricsCfg(rec, opts.MetricsAddr, ServeConfig{})
 		if err != nil {
 			rec.Logger().Warn("metrics server failed to start",
 				"addr", opts.MetricsAddr, "err", err)

@@ -182,7 +182,7 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	sp := rec.StartSpan("template")
 	sp.AddItems(3)
 	sp.End()
-	srv, err := ServeMetrics(rec, "127.0.0.1:0")
+	srv, err := ServeMetricsCfg(rec, "127.0.0.1:0", ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 //	/events       service event journal (long-poll, ?since=SEQ&wait=DUR)
 //	/debug/pprof  the standard Go profiling endpoints
 //
-// ServeMetricsWith additionally mounts an application handler under /api/
+// ServeConfig.API additionally mounts an application handler under /api/
 // on the same listener (used by reveald) without displacing the built-in
 // endpoints above.
 type MetricsServer struct {
@@ -29,9 +29,13 @@ type MetricsServer struct {
 	done chan struct{}
 }
 
-// ServeConfig extends ServeMetrics with the service-grade options.
+// ServeConfig holds ServeMetricsCfg's optional, service-grade settings;
+// the zero value serves the observability endpoints alone.
 type ServeConfig struct {
-	// API, when non-nil, is mounted under /api/ (unstripped paths).
+	// API, when non-nil, is mounted under /api/. The handler sees
+	// unstripped paths (it should route /api/... itself); the
+	// observability endpoints stay owned by the metrics mux, so mounting an
+	// API cannot clobber the liveness probe.
 	API http.Handler
 	// APIRoute maps an API request to its bounded route template for the
 	// per-route HTTP metrics; nil labels API requests with the raw path.
@@ -54,27 +58,13 @@ type progressReport struct {
 // maxProgressWait bounds the /progress?wait= delay parameter.
 const maxProgressWait = 30 * time.Second
 
-// ServeMetrics starts the live endpoints on addr (e.g. ":9090" or
-// "127.0.0.1:0") backed by the given recorder. It returns once the
-// listener is bound; serving continues in the background until Close.
-func ServeMetrics(rec *Recorder, addr string) (*MetricsServer, error) {
-	return ServeMetricsWith(rec, addr, nil)
-}
-
-// ServeMetricsWith is ServeMetrics with an optional application handler
-// mounted under /api/. The handler sees unstripped paths (it should route
-// /api/... itself); the observability endpoints — /metrics, /progress,
-// /healthz, /readyz, /events, /debug/pprof — stay owned by the metrics
-// mux, so mounting an API cannot clobber the liveness probe.
-func ServeMetricsWith(rec *Recorder, addr string, api http.Handler) (*MetricsServer, error) {
-	return ServeMetricsCfg(rec, addr, ServeConfig{API: api})
-}
-
 // maxEventWait bounds the /events?wait= long-poll parameter.
 const maxEventWait = 60 * time.Second
 
-// ServeMetricsCfg is the full-configuration form of ServeMetrics: API
-// mounting, readiness probing, and HTTP instrumentation.
+// ServeMetricsCfg starts the live endpoints on addr (e.g. ":9090" or
+// "127.0.0.1:0") backed by the given recorder, with the optional API
+// mount, readiness probe and HTTP instrumentation of cfg. It returns once
+// the listener is bound; serving continues in the background until Close.
 func ServeMetricsCfg(rec *Recorder, addr string, cfg ServeConfig) (*MetricsServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

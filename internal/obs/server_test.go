@@ -10,16 +10,17 @@ import (
 )
 
 // TestServeMetricsWithMountsAPI checks an application handler mounted
-// under /api/ coexists with the built-in endpoints — in particular that
-// /healthz keeps answering (the regression ServeMetricsWith exists to
-// prevent: an API handler registered at "/" would shadow every probe).
+// under /api/ through ServeConfig.API coexists with the built-in endpoints
+// — in particular that /healthz keeps answering (the regression the
+// separate mount exists to prevent: an API handler registered at "/" would
+// shadow every probe).
 func TestServeMetricsWithMountsAPI(t *testing.T) {
 	rec := New(Options{})
 	api := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 		_, _ = io.WriteString(w, r.URL.Path)
 	})
-	srv, err := ServeMetricsWith(rec, "127.0.0.1:0", api)
+	srv, err := ServeMetricsCfg(rec, "127.0.0.1:0", ServeConfig{API: api})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestServeMetricsWithMountsAPI(t *testing.T) {
 // must let the in-flight response complete.
 func TestShutdownWaitsForInflightRequest(t *testing.T) {
 	rec := New(Options{})
-	srv, err := ServeMetricsWith(rec, "127.0.0.1:0", nil)
+	srv, err := ServeMetricsCfg(rec, "127.0.0.1:0", ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestShutdownWaitsForInflightRequest(t *testing.T) {
 // TestProgressWaitValidation rejects malformed wait parameters.
 func TestProgressWaitValidation(t *testing.T) {
 	rec := New(Options{})
-	srv, err := ServeMetrics(rec, "127.0.0.1:0")
+	srv, err := ServeMetricsCfg(rec, "127.0.0.1:0", ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,11 @@
 // decryptor and evaluator need. The coefficient layout follows SEAL:
 // coefficient i of residue j lives at Coeffs[j][i].
 //
-// The arithmetic kernels live behind the Backend interface: the "reference"
-// backend is the original strict-reduction implementation kept as the
-// differential oracle, the "rns" backend is the production lazy-reduction
-// kernel. A Context binds validated Parameters to one backend instance plus
-// the CRT reconstruction constants.
+// The kernels reduce lazily — a Harvey NTT whose butterflies keep residues
+// in [0, 4q), Barrett pointwise products — and every value visible through
+// a Poly is canonically reduced. The package tests compare each operation
+// byte for byte against a strict-reduction oracle kept in its _test.go
+// files, the implementation every golden vector was pinned on.
 package ring
 
 import (
@@ -19,49 +19,44 @@ import (
 )
 
 // Context holds precomputed state for R_q with a fixed degree n and a fixed
-// chain of NTT-friendly prime moduli, bound to one arithmetic backend.
+// chain of NTT-friendly prime moduli: per-modulus twiddle tables and
+// Barrett constants, and the CRT reconstruction constants.
 type Context struct {
 	N       int      // polynomial degree, a power of two
 	Moduli  []uint64 // coefficient modulus chain q_0 ... q_{k-1}
-	params  *Parameters
-	backend Backend
+	tables  []nttTable
+	barrett []modular.Barrett
 	bigQ    *big.Int   // product of all moduli
 	qiHat   []*big.Int // Q / q_i
 	qiHatIn []uint64   // (Q/q_i)^-1 mod q_i
 }
 
-// NewContext validates the degree and moduli and builds a context on the
-// default backend. Each modulus must be prime, distinct, and ≡ 1 (mod 2n).
+// NewContext validates the degree and moduli (see NewParameters) and builds
+// a context. Each modulus must be prime, distinct, and ≡ 1 (mod 2n).
 func NewContext(n int, moduli []uint64) (*Context, error) {
 	params, err := NewParameters(n, moduli)
 	if err != nil {
 		return nil, err
 	}
-	return NewContextFor(params, DefaultBackendName)
-}
-
-// NewContextFor builds a context for already-validated parameters on the
-// named backend — the entry point the cross-backend differential matrix
-// uses to run identical workloads through every registered kernel.
-func NewContextFor(params *Parameters, backendName string) (*Context, error) {
-	if params == nil {
-		return nil, fmt.Errorf("ring: nil parameters")
-	}
-	backend, err := NewBackend(backendName, params)
-	if err != nil {
-		return nil, err
-	}
 	ctx := &Context{
-		N:       params.N,
-		Moduli:  append([]uint64(nil), params.Moduli...),
-		params:  params,
-		backend: backend,
+		N:      params.N,
+		Moduli: params.Moduli,
+		bigQ:   big.NewInt(1),
 	}
-	// CRT constants.
-	ctx.bigQ = big.NewInt(1)
 	for _, q := range params.Moduli {
+		tbl, err := newNTTTable(params.N, q)
+		if err != nil {
+			return nil, err
+		}
+		br, err := modular.NewBarrett(q)
+		if err != nil {
+			return nil, err
+		}
+		ctx.tables = append(ctx.tables, tbl)
+		ctx.barrett = append(ctx.barrett, br)
 		ctx.bigQ.Mul(ctx.bigQ, new(big.Int).SetUint64(q))
 	}
+	// CRT constants.
 	for _, q := range params.Moduli {
 		qi := new(big.Int).SetUint64(q)
 		hat := new(big.Int).Quo(ctx.bigQ, qi)
@@ -98,7 +93,7 @@ func (c *Context) NTT(p *Poly) {
 		return
 	}
 	for j := range p.Coeffs {
-		c.backend.NTT(j, p.Coeffs[j])
+		c.tables[j].forward(p.Coeffs[j])
 	}
 	p.InNTT = true
 }
@@ -109,7 +104,7 @@ func (c *Context) INTT(p *Poly) {
 		return
 	}
 	for j := range p.Coeffs {
-		c.backend.INTT(j, p.Coeffs[j])
+		c.tables[j].inverse(p.Coeffs[j])
 	}
 	p.InNTT = false
 }

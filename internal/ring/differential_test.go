@@ -3,9 +3,9 @@ package ring_test
 // Differential tests: NTT-based ring arithmetic against the schoolbook
 // math/big negacyclic convolution, CRT composition against the direct CRT
 // formula, plus committed golden vectors for the NTT butterfly output
-// (regenerate with -update). Every suite runs once per registered backend
-// via forEachBackend — the golden files are shared, which forces byte
-// equality between the reference and production kernels.
+// (regenerate with -update). The arithmetic suites run once on Context and
+// once on the strict-reduction oracle via forEachBackend — the golden files
+// are shared, which forces byte equality between the two.
 
 import (
 	"math/big"
@@ -28,11 +28,11 @@ func TestMulPolyDifferential(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
 		r := testkit.NewRNG(31337)
 		for _, tc := range cases {
-			ctx := newCtxOn(t, be, tc.n, tc.moduli)
+			ctx, ar := newCtxOn(t, be, tc.n, tc.moduli)
 			for iter := 0; iter < 8; iter++ {
 				a, b := r.Poly(ctx), r.Poly(ctx)
 				out := ctx.NewPoly()
-				ctx.MulPoly(a, b, out)
+				ar.MulPoly(a, b, out)
 				for j, q := range tc.moduli {
 					want, err := testkit.RefNegacyclicMul(a.Coeffs[j], b.Coeffs[j], q)
 					if err != nil {
@@ -56,16 +56,16 @@ func TestMulPolyDifferential(t *testing.T) {
 
 func TestNTTRoundTripDifferential(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
-		ctx := newCtxOn(t, be, 64, []uint64{12289, 257})
+		ctx, ar := newCtxOn(t, be, 64, []uint64{12289, 257})
 		r := testkit.NewRNG(11)
 		for iter := 0; iter < 20; iter++ {
 			p := r.Poly(ctx)
 			orig := p.Clone()
-			ctx.NTT(p)
+			ar.NTT(p)
 			if !p.InNTT {
 				t.Fatal("NTT did not mark the poly")
 			}
-			ctx.INTT(p)
+			ar.INTT(p)
 			if !p.Equal(orig) {
 				t.Fatalf("iter %d: NTT/INTT round trip is not the identity", iter)
 			}
@@ -79,19 +79,19 @@ func TestNTTRoundTripDifferential(t *testing.T) {
 func TestNTTIsNegacyclicEvaluation(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
 		const q = uint64(12289)
-		ctx := newCtxOn(t, be, 32, []uint64{q})
+		ctx, ar := newCtxOn(t, be, 32, []uint64{q})
 		r := testkit.NewRNG(12)
 		a, b := r.Poly(ctx), r.Poly(ctx)
 		want, err := testkit.RefNegacyclicMul(a.Coeffs[0], b.Coeffs[0], q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx.NTT(a)
-		ctx.NTT(b)
+		ar.NTT(a)
+		ar.NTT(b)
 		out := ctx.NewPoly()
 		out.InNTT = true
-		ctx.MulCoeffwise(a, b, out)
-		ctx.INTT(out)
+		ar.MulCoeffwise(a, b, out)
+		ar.INTT(out)
 		for i := range want {
 			if out.Coeffs[0][i] != want[i] {
 				t.Fatalf("coeff %d: NTT pointwise product %d, schoolbook %d", i, out.Coeffs[0][i], want[i])
@@ -103,7 +103,7 @@ func TestNTTIsNegacyclicEvaluation(t *testing.T) {
 func TestComposeCRTDifferential(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
 		moduli := []uint64{12289, 257}
-		ctx := newCtxOn(t, be, 32, moduli)
+		ctx, _ := newCtxOn(t, be, 32, moduli)
 		r := testkit.NewRNG(21)
 		p := r.Poly(ctx)
 		for i := 0; i < ctx.N; i++ {
@@ -121,7 +121,7 @@ func TestComposeCRTDifferential(t *testing.T) {
 
 func TestSetCoeffBigRoundTrip(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
-		ctx := newCtxOn(t, be, 32, []uint64{12289, 257})
+		ctx, _ := newCtxOn(t, be, 32, []uint64{12289, 257})
 		r := testkit.NewRNG(22)
 		bigQ := ctx.BigQ()
 		p := ctx.NewPoly()
@@ -152,20 +152,20 @@ func TestGoldenNTT(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
 		const seed = 0x5EA1
 		moduli := []uint64{12289, 257}
-		ctx := newCtxOn(t, be, 64, moduli)
+		ctx, ar := newCtxOn(t, be, 64, moduli)
 		r := testkit.NewRNG(seed)
 		p := r.Poly(ctx)
 		g := goldenNTT{N: ctx.N, Moduli: moduli, Seed: seed}
 		for j := range moduli {
 			g.Input = append(g.Input, append([]uint64(nil), p.Coeffs[j]...))
 		}
-		ctx.NTT(p)
+		ar.NTT(p)
 		for j := range moduli {
 			g.Output = append(g.Output, append([]uint64(nil), p.Coeffs[j]...))
 		}
 		// The pinned transform must still invert back to the pinned input —
 		// the golden file can never capture a non-invertible (wrong) NTT.
-		ctx.INTT(p)
+		ar.INTT(p)
 		for j := range moduli {
 			for i, v := range g.Input[j] {
 				if p.Coeffs[j][i] != v {
@@ -181,11 +181,11 @@ func TestGoldenNTT(t *testing.T) {
 // over every layer (NTT, Shoup twiddles, pointwise product, inverse).
 func TestGoldenMulPoly(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
-		ctx := newCtxOn(t, be, 128, []uint64{132120577})
+		ctx, ar := newCtxOn(t, be, 128, []uint64{132120577})
 		r := testkit.NewRNG(0xB0B)
 		a, b := r.Poly(ctx), r.Poly(ctx)
 		out := ctx.NewPoly()
-		ctx.MulPoly(a, b, out)
+		ar.MulPoly(a, b, out)
 		testkit.Golden(t, "testdata/golden_mulpoly.json", map[string]any{
 			"n":      ctx.N,
 			"q":      uint64(132120577),

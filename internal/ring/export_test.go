@@ -17,9 +17,6 @@ func (c *Context) AddScalar(a *Poly, s uint64, out *Poly) {
 	}
 }
 
-// Backend returns the arithmetic backend bound to this context.
-func (c *Context) Backend() Backend { return c.backend }
-
 // InfNormCentered returns the infinity norm of p using the centered
 // representation with respect to the full modulus Q. Only meaningful in
 // coefficient representation; for multi-prime chains the coefficient is
@@ -62,13 +59,13 @@ func (c *Context) InfNormCentered(p *Poly) uint64 {
 // MulScalar sets out = s * a for a scalar s (reduced per modulus).
 func (c *Context) MulScalar(a *Poly, s uint64, out *Poly) {
 	for j, q := range c.Moduli {
-		c.backend.MulScalarVec(j, a.Coeffs[j], s%q, out.Coeffs[j])
+		sj := s % q
+		for i, x := range a.Coeffs[j] {
+			out.Coeffs[j][i] = modular.Mul(x, sj, q)
+		}
 	}
 	out.InNTT = a.InNTT
 }
-
-// Params returns the validated parameters this context was built from.
-func (c *Context) Params() *Parameters { return c.params }
 
 // Copy overwrites p with the contents of src (same context required).
 func (p *Poly) Copy(src *Poly) {

@@ -1,11 +1,11 @@
 package ring_test
 
 // Fuzz targets for the ring layer, wired into the CI fuzz-smoke step:
-// FuzzNTTRoundTrip checks forward+inverse identity over every ladder prime
-// on both backends (and cross-backend byte equality of the forward
-// transform); FuzzCRTReconstruct checks RNS decompose→reconstruct identity
-// and that non-coprime bases (duplicate or composite moduli) are rejected
-// at construction.
+// FuzzNTTRoundTrip checks, over every ladder prime, that Context's forward
+// and inverse transforms equal the strict-reduction oracle's byte for byte
+// and compose to the identity; FuzzCRTReconstruct checks RNS
+// decompose→reconstruct identity and that non-coprime bases (duplicate or
+// composite moduli) are rejected at construction.
 
 import (
 	"encoding/binary"
@@ -44,38 +44,31 @@ func FuzzNTTRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 32
 		for _, q := range pool {
-			params, err := ring.NewParameters(n, []uint64{q})
+			ctx, err := ring.NewContext(n, []uint64{q})
 			if err != nil {
 				t.Fatalf("ladder prime %d rejected at n=%d: %v", q, n, err)
 			}
-			var polys []*ring.Poly
-			for _, be := range ring.BackendNames() {
-				ctx, err := ring.NewContextFor(params, be)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p := ctx.NewPoly()
-				for i := 0; i < n; i++ {
-					var w [8]byte
-					copy(w[:], data[(8*i)%max(len(data), 1):])
-					p.Coeffs[0][i] = binary.LittleEndian.Uint64(w[:]) % q
-				}
-				orig := p.Clone()
-				ctx.NTT(p)
-				fwd := p.Clone()
-				ctx.INTT(p)
-				if !p.Equal(orig) {
-					t.Fatalf("backend=%s q=%d: NTT round trip not identity", be, q)
-				}
-				polys = append(polys, fwd)
+			oracle := ring.NewOracle(ctx)
+			p := ctx.NewPoly()
+			for i := 0; i < n; i++ {
+				var w [8]byte
+				copy(w[:], data[(8*i)%max(len(data), 1):])
+				p.Coeffs[0][i] = binary.LittleEndian.Uint64(w[:]) % q
 			}
-			// Cross-backend: forward transforms must agree byte-for-byte.
-			for i := 1; i < len(polys); i++ {
-				for c := range polys[0].Coeffs[0] {
-					if polys[0].Coeffs[0][c] != polys[i].Coeffs[0][c] {
-						t.Fatalf("q=%d: forward NTT diverges between backends at coeff %d", q, c)
-					}
-				}
+			orig := p.Clone()
+			want := p.Clone()
+			ctx.NTT(p)
+			oracle.NTT(want)
+			if !p.Equal(want) {
+				t.Fatalf("q=%d: forward NTT differs from the oracle", q)
+			}
+			oracle.INTT(want)
+			ctx.INTT(p)
+			if !p.Equal(want) {
+				t.Fatalf("q=%d: inverse NTT differs from the oracle", q)
+			}
+			if !p.Equal(orig) {
+				t.Fatalf("q=%d: NTT round trip not identity", q)
 			}
 		}
 	})

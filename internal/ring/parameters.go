@@ -11,9 +11,8 @@ import (
 
 // Parameters is a validated ring configuration: a power-of-two degree and a
 // chain of distinct NTT-friendly primes. It is the single place degree and
-// modulus-chain invariants are checked; every backend and every Context is
-// built from an already-validated Parameters value, so the kernels
-// themselves never re-validate.
+// modulus-chain invariants are checked; NewContext validates through it, so
+// the kernels themselves never re-validate.
 type Parameters struct {
 	// N is the polynomial degree, a power of two >= 2.
 	N int

@@ -48,8 +48,11 @@ func (c *Context) checkSameDomain(op string, ps ...*Poly) {
 // Add sets out = a + b (component-wise, any domain, but both the same).
 func (c *Context) Add(a, b, out *Poly) {
 	c.checkSameDomain("Add", a, b)
-	for j := range c.Moduli {
-		c.backend.AddVec(j, a.Coeffs[j], b.Coeffs[j], out.Coeffs[j])
+	for j, q := range c.Moduli {
+		aj, bj, oj := a.Coeffs[j], b.Coeffs[j], out.Coeffs[j]
+		for i := range oj {
+			oj[i] = modular.Add(aj[i], bj[i], q)
+		}
 	}
 	out.InNTT = a.InNTT
 }
@@ -57,26 +60,38 @@ func (c *Context) Add(a, b, out *Poly) {
 // Sub sets out = a - b.
 func (c *Context) Sub(a, b, out *Poly) {
 	c.checkSameDomain("Sub", a, b)
-	for j := range c.Moduli {
-		c.backend.SubVec(j, a.Coeffs[j], b.Coeffs[j], out.Coeffs[j])
+	for j, q := range c.Moduli {
+		aj, bj, oj := a.Coeffs[j], b.Coeffs[j], out.Coeffs[j]
+		for i := range oj {
+			oj[i] = modular.Sub(aj[i], bj[i], q)
+		}
 	}
 	out.InNTT = a.InNTT
 }
 
 // Neg sets out = -a.
 func (c *Context) Neg(a, out *Poly) {
-	for j := range c.Moduli {
-		c.backend.NegVec(j, a.Coeffs[j], out.Coeffs[j])
+	for j, q := range c.Moduli {
+		aj, oj := a.Coeffs[j], out.Coeffs[j]
+		for i := range oj {
+			oj[i] = modular.Neg(aj[i], q)
+		}
 	}
 	out.InNTT = a.InNTT
 }
 
 // MulCoeffwise sets out = a ⊙ b (component-wise product). For ring
-// multiplication both operands must be in the NTT domain.
+// multiplication both operands must be in the NTT domain. The products go
+// through each modulus's precomputed Barrett state, so the hot path has no
+// hardware divide.
 func (c *Context) MulCoeffwise(a, b, out *Poly) {
 	c.checkSameDomain("MulCoeffwise", a, b)
 	for j := range c.Moduli {
-		c.backend.MulVec(j, a.Coeffs[j], b.Coeffs[j], out.Coeffs[j])
+		br := &c.barrett[j]
+		aj, bj, oj := a.Coeffs[j], b.Coeffs[j], out.Coeffs[j]
+		for i := range oj {
+			oj[i] = br.MulMod(aj[i], bj[i])
+		}
 	}
 	out.InNTT = a.InNTT
 }

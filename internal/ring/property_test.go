@@ -2,7 +2,8 @@ package ring_test
 
 // Property-based invariant tests: the ring axioms of R_q = Z_q[x]/(x^n+1)
 // must hold for every seeded random triple, and the Galois automorphisms
-// must be ring homomorphisms. Each suite runs once per registered backend.
+// must be ring homomorphisms. Each suite runs once on Context and once on
+// the strict-reduction oracle.
 
 import (
 	"testing"
@@ -11,42 +12,42 @@ import (
 	"reveal/internal/testkit"
 )
 
-func propCtx(t *testing.T, backend string) *ring.Context {
+func propCtx(t *testing.T, be string) (*ring.Context, arith) {
 	t.Helper()
-	return newCtxOn(t, backend, 64, []uint64{12289, 257})
+	return newCtxOn(t, be, 64, []uint64{12289, 257})
 }
 
 func TestRingAdditiveLaws(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
-		ctx := propCtx(t, be)
+		ctx, ar := propCtx(t, be)
 		r := testkit.NewRNG(101)
 		for iter := 0; iter < 10; iter++ {
 			a, b, c := r.Poly(ctx), r.Poly(ctx), r.Poly(ctx)
 			ab, ba := ctx.NewPoly(), ctx.NewPoly()
-			ctx.Add(a, b, ab)
-			ctx.Add(b, a, ba)
+			ar.Add(a, b, ab)
+			ar.Add(b, a, ba)
 			if !ab.Equal(ba) {
 				t.Fatal("a+b != b+a")
 			}
 			abc1, abc2, tmp := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
-			ctx.Add(a, b, tmp)
-			ctx.Add(tmp, c, abc1)
-			ctx.Add(b, c, tmp)
-			ctx.Add(a, tmp, abc2)
+			ar.Add(a, b, tmp)
+			ar.Add(tmp, c, abc1)
+			ar.Add(b, c, tmp)
+			ar.Add(a, tmp, abc2)
 			if !abc1.Equal(abc2) {
 				t.Fatal("(a+b)+c != a+(b+c)")
 			}
 			neg, sum := ctx.NewPoly(), ctx.NewPoly()
-			ctx.Neg(a, neg)
-			ctx.Add(a, neg, sum)
+			ar.Neg(a, neg)
+			ar.Add(a, neg, sum)
 			zero := ctx.NewPoly()
 			if !sum.Equal(zero) {
 				t.Fatal("a + (-a) != 0")
 			}
 			diff, viaNeg := ctx.NewPoly(), ctx.NewPoly()
-			ctx.Sub(a, b, diff)
-			ctx.Neg(b, tmp)
-			ctx.Add(a, tmp, viaNeg)
+			ar.Sub(a, b, diff)
+			ar.Neg(b, tmp)
+			ar.Add(a, tmp, viaNeg)
 			if !diff.Equal(viaNeg) {
 				t.Fatal("a-b != a+(-b)")
 			}
@@ -56,30 +57,30 @@ func TestRingAdditiveLaws(t *testing.T) {
 
 func TestRingMultiplicativeLaws(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
-		ctx := propCtx(t, be)
+		ctx, ar := propCtx(t, be)
 		r := testkit.NewRNG(102)
 		for iter := 0; iter < 6; iter++ {
 			a, b, c := r.Poly(ctx), r.Poly(ctx), r.Poly(ctx)
 			ab, ba := ctx.NewPoly(), ctx.NewPoly()
-			ctx.MulPoly(a, b, ab)
-			ctx.MulPoly(b, a, ba)
+			ar.MulPoly(a, b, ab)
+			ar.MulPoly(b, a, ba)
 			if !ab.Equal(ba) {
 				t.Fatal("a*b != b*a")
 			}
 			// Associativity: (a*b)*c == a*(b*c).
 			l, rr, tmp := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
-			ctx.MulPoly(ab, c, l)
-			ctx.MulPoly(b, c, tmp)
-			ctx.MulPoly(a, tmp, rr)
+			ar.MulPoly(ab, c, l)
+			ar.MulPoly(b, c, tmp)
+			ar.MulPoly(a, tmp, rr)
 			if !l.Equal(rr) {
 				t.Fatal("(a*b)*c != a*(b*c)")
 			}
 			// Distributivity: a*(b+c) == a*b + a*c.
 			bc, abc, abac, ac := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
-			ctx.Add(b, c, bc)
-			ctx.MulPoly(a, bc, abc)
-			ctx.MulPoly(a, c, ac)
-			ctx.Add(ab, ac, abac)
+			ar.Add(b, c, bc)
+			ar.MulPoly(a, bc, abc)
+			ar.MulPoly(a, c, ac)
+			ar.Add(ab, ac, abac)
 			if !abc.Equal(abac) {
 				t.Fatal("a*(b+c) != a*b + a*c")
 			}
@@ -89,7 +90,7 @@ func TestRingMultiplicativeLaws(t *testing.T) {
 				one.Coeffs[j][0] = 1
 			}
 			aOne := ctx.NewPoly()
-			ctx.MulPoly(a, one, aOne)
+			ar.MulPoly(a, one, aOne)
 			if !aOne.Equal(a) {
 				t.Fatal("a*1 != a")
 			}
@@ -99,13 +100,13 @@ func TestRingMultiplicativeLaws(t *testing.T) {
 
 func TestScalarMulMatchesRepeatedAdd(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
-		ctx := propCtx(t, be)
+		ctx, ar := propCtx(t, be)
 		r := testkit.NewRNG(103)
 		a := r.Poly(ctx)
 		acc := ctx.NewPoly()
 		byScalar := ctx.NewPoly()
 		for s := uint64(1); s <= 8; s++ {
-			ctx.Add(acc, a, acc)
+			ar.Add(acc, a, acc)
 			ctx.MulScalar(a, s, byScalar)
 			if !byScalar.Equal(acc) {
 				t.Fatalf("%d*a != a added %d times", s, s)
@@ -119,13 +120,13 @@ func TestScalarMulMatchesRepeatedAdd(t *testing.T) {
 // depend on.
 func TestAutomorphismIsRingHomomorphism(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
-		ctx := propCtx(t, be)
+		ctx, ar := propCtx(t, be)
 		r := testkit.NewRNG(104)
 		for _, g := range []uint64{3, 5, 2*64 - 1} {
 			a, b := r.Poly(ctx), r.Poly(ctx)
 			sum, prod := ctx.NewPoly(), ctx.NewPoly()
-			ctx.Add(a, b, sum)
-			ctx.MulPoly(a, b, prod)
+			ar.Add(a, b, sum)
+			ar.MulPoly(a, b, prod)
 			autA, autB, autSum, autProd := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
 			for dst, src := range map[*ring.Poly]*ring.Poly{autA: a, autB: b, autSum: sum, autProd: prod} {
 				if err := ctx.Automorphism(src, g, dst); err != nil {
@@ -133,11 +134,11 @@ func TestAutomorphismIsRingHomomorphism(t *testing.T) {
 				}
 			}
 			check := ctx.NewPoly()
-			ctx.Add(autA, autB, check)
+			ar.Add(autA, autB, check)
 			if !check.Equal(autSum) {
 				t.Fatalf("g=%d: aut(a+b) != aut(a)+aut(b)", g)
 			}
-			ctx.MulPoly(autA, autB, check)
+			ar.MulPoly(autA, autB, check)
 			if !check.Equal(autProd) {
 				t.Fatalf("g=%d: aut(a*b) != aut(a)*aut(b)", g)
 			}
@@ -152,7 +153,7 @@ func TestAutomorphismIsRingHomomorphism(t *testing.T) {
 
 func TestSetSignedInfNorm(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
-		ctx := propCtx(t, be)
+		ctx, _ := propCtx(t, be)
 		r := testkit.NewRNG(105)
 		for iter := 0; iter < 10; iter++ {
 			vals := r.SignedCoeffs(ctx.N, 40)

@@ -183,14 +183,13 @@ const (
 // covariance spectrum, the per-class trace counts, and the structured
 // warnings a campaign should act on before trusting the classifier.
 type TemplateHealth struct {
-	Classes       int  `json:"classes"`
-	POICount      int  `json:"poi_count"`
-	Pooled        bool `json:"pooled"`
-	TotalCount    int  `json:"total_count"`
-	MinClassCount int  `json:"min_class_count"`
-	MinClassLabel int  `json:"min_class_label"`
-	// ConditionNumber is the worst covariance eigenvalue ratio λmax/λmin
-	// across classes (one shared value for pooled covariance).
+	Classes       int `json:"classes"`
+	POICount      int `json:"poi_count"`
+	TotalCount    int `json:"total_count"`
+	MinClassCount int `json:"min_class_count"`
+	MinClassLabel int `json:"min_class_label"`
+	// ConditionNumber is the pooled covariance's eigenvalue ratio
+	// λmax/λmin.
 	ConditionNumber float64 `json:"condition_number"`
 	MinEigenvalue   float64 `json:"min_eigenvalue"`
 	MaxEigenvalue   float64 `json:"max_eigenvalue"`
@@ -199,11 +198,11 @@ type TemplateHealth struct {
 	Warnings      []string    `json:"warnings,omitempty"`
 }
 
-// Health checks the conditioning of a trained template set: covariance
-// condition number and minimum eigenvalue (worst class for per-class
-// covariances), per-class trace counts against the feature dimension, and
-// emits structured warnings — also mirrored to the observability log — when
-// the templates are ill-conditioned.
+// Health checks the conditioning of a trained template set: the pooled
+// covariance's condition number and minimum eigenvalue, per-class trace
+// counts against the feature dimension, and emits structured warnings —
+// also mirrored to the observability log — when the templates are
+// ill-conditioned.
 func (t *Templates) Health() (*TemplateHealth, error) {
 	if len(t.classes) == 0 {
 		return nil, fmt.Errorf("sca: health check on empty template set")
@@ -212,8 +211,6 @@ func (t *Templates) Health() (*TemplateHealth, error) {
 	h := &TemplateHealth{
 		Classes:       len(t.classes),
 		POICount:      d,
-		Pooled:        t.pooled,
-		MinEigenvalue: math.Inf(1),
 		PerClassCount: make(map[int]int, len(t.classes)),
 	}
 	first := true
@@ -225,42 +222,18 @@ func (t *Templates) Health() (*TemplateHealth, error) {
 		}
 		first = false
 	}
-	spectrum := func(c classTemplate) error {
-		cov, err := c.chol.Mul(c.chol.Transpose())
-		if err != nil {
-			return err
-		}
-		vals, _, err := linalg.EigSym(cov, 0, 0)
-		if err != nil {
-			return fmt.Errorf("sca: covariance spectrum of class %d: %w", c.label, err)
-		}
-		maxEig, minEig := vals[0], vals[len(vals)-1]
-		if maxEig > h.MaxEigenvalue {
-			h.MaxEigenvalue = maxEig
-		}
-		if minEig < h.MinEigenvalue {
-			h.MinEigenvalue = minEig
-		}
-		cond := math.Inf(1)
-		if minEig > 0 {
-			cond = maxEig / minEig
-		}
-		if cond > h.ConditionNumber {
-			h.ConditionNumber = cond
-		}
-		return nil
+	cov, err := t.chol.Mul(t.chol.Transpose())
+	if err != nil {
+		return nil, err
 	}
-	if t.pooled {
-		// All classes share one covariance; one spectrum suffices.
-		if err := spectrum(t.classes[0]); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, c := range t.classes {
-			if err := spectrum(c); err != nil {
-				return nil, err
-			}
-		}
+	vals, _, err := linalg.EigSym(cov, 0, 0)
+	if err != nil {
+		return nil, fmt.Errorf("sca: covariance spectrum: %w", err)
+	}
+	h.MaxEigenvalue, h.MinEigenvalue = vals[0], vals[len(vals)-1]
+	h.ConditionNumber = math.Inf(1)
+	if h.MinEigenvalue > 0 {
+		h.ConditionNumber = h.MaxEigenvalue / h.MinEigenvalue
 	}
 
 	if h.Classes < 2 {

@@ -155,7 +155,7 @@ func TestComparePOISelectors(t *testing.T) {
 func TestTemplateHealthWellConditioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	set := syntheticSet(400, 24, 7, 3.0, 0.4, rng)
-	tpl, err := BuildTemplates(set, TemplateOptions{POICount: 3, MinSpacing: 2, Ridge: 1e-3, Pooled: true})
+	tpl, err := BuildTemplates(set, TemplateOptions{POICount: 3, MinSpacing: 2, Ridge: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestTemplateHealthWellConditioned(t *testing.T) {
 	if len(h.Warnings) != 0 {
 		t.Fatalf("well-conditioned templates flagged: %+v", h)
 	}
-	if h.Classes != 2 || !h.Pooled || h.POICount != 3 {
+	if h.Classes != 2 || h.POICount != 3 {
 		t.Fatalf("health shape = %+v", h)
 	}
 	if h.TotalCount != 400 || h.MinClassCount != 200 {
@@ -184,7 +184,7 @@ func TestTemplateHealthFlagsStarvedClasses(t *testing.T) {
 	// 4 traces per class for 3 POIs: count ≤ d+1 boundary → rank warning.
 	rng := rand.New(rand.NewSource(11))
 	set := syntheticSet(6, 24, 7, 3.0, 0.4, rng)
-	tpl, err := BuildTemplates(set, TemplateOptions{POICount: 3, MinSpacing: 2, Ridge: 1e-3, Pooled: true})
+	tpl, err := BuildTemplates(set, TemplateOptions{POICount: 3, MinSpacing: 2, Ridge: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestTemplateHealthFlagsIllConditioned(t *testing.T) {
 		tr := trace.Trace{base, base + 1e-9*rng.NormFloat64(), rng.NormFloat64()}
 		set.Append(tr, label)
 	}
-	tpl, err := BuildTemplatesAtPOIs(set, []int{0, 1}, TemplateOptions{POICount: 2, Ridge: 1e-15, Pooled: true})
+	tpl, err := BuildTemplatesAtPOIs(set, []int{0, 1}, TemplateOptions{POICount: 2, Ridge: 1e-15})
 	if err != nil {
 		t.Fatal(err)
 	}

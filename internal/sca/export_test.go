@@ -5,12 +5,11 @@ import (
 	"math"
 	"sort"
 
-	"reveal/internal/linalg"
 	"reveal/internal/trace"
 )
 
 // The map-returning template API: the per-call scoring path that the
-// pooled Scorer replaced, kept here as the map-form oracle the tests
+// block Scorer replaced, kept here as the map-form oracle the tests
 // compare Scorer, ScoreVector and PosteriorValues against, and the
 // one-vector cases of ScoreTraces.
 
@@ -41,30 +40,6 @@ func (s *Scorer) ScoreVector(f []float64) ([]float64, error) {
 // Extract gathers the POI samples of a trace into a feature vector.
 func Extract(tr trace.Trace, pois []int) []float64 {
 	return ExtractInto(make([]float64, len(pois)), tr, pois)
-}
-
-// InverseCovariance returns the precomputed inverse covariance Σ⁻¹ of the
-// class with the given label, or nil if the label is unknown. The matrix is
-// shared with the template (and, for pooled templates, across all classes):
-// treat it as read-only.
-func (t *Templates) InverseCovariance(label int) *linalg.Matrix {
-	for i := range t.classes {
-		if t.classes[i].label == label {
-			return t.classes[i].invCov
-		}
-	}
-	return nil
-}
-
-// ClassLogDet returns the precomputed covariance log-determinant of the
-// class with the given label (NaN if the label is unknown).
-func (t *Templates) ClassLogDet(label int) float64 {
-	for i := range t.classes {
-		if t.classes[i].label == label {
-			return t.classes[i].logDet
-		}
-	}
-	return math.NaN()
 }
 
 // LogLikelihoods returns the Gaussian log-density of the trace under each

@@ -1,7 +1,7 @@
 // Package sca implements the template-attack statistics of the paper:
 // point-of-interest selection via the sum-of-squared-differences method
-// (SOSD, [30] in the paper) and its normalized variant SOST, multivariate
-// Gaussian templates with pooled covariance (Chari et al., [28]),
+// (SOSD, [30] in the paper), multivariate Gaussian templates with pooled
+// covariance (Chari et al., [28]),
 // maximum-likelihood classification, score calibration into the per-value
 // probabilities the DBDD hint integration consumes, and confusion-matrix
 // bookkeeping for Table I.
@@ -81,31 +81,6 @@ func SOSD(set *trace.Set) ([]float64, error) {
 			for t := 0; t < n; t++ {
 				d := stats[a].mean[t] - stats[b].mean[t]
 				scores[t] += d * d
-			}
-		}
-	}
-	return scores, nil
-}
-
-// SOST returns the normalized variant: Σ_{a<b} (μ_a−μ_b)² / (σ²_a/n_a + σ²_b/n_b).
-func SOST(set *trace.Set) ([]float64, error) {
-	stats, err := computeClassStats(set)
-	if err != nil {
-		return nil, err
-	}
-	if len(stats) < 2 {
-		return nil, fmt.Errorf("sca: SOST needs at least 2 classes, got %d", len(stats))
-	}
-	n := len(stats[0].mean)
-	scores := make([]float64, n)
-	const eps = 1e-12
-	for a := 0; a < len(stats); a++ {
-		for b := a + 1; b < len(stats); b++ {
-			for t := 0; t < n; t++ {
-				d := stats[a].mean[t] - stats[b].mean[t]
-				denom := stats[a].variance(t)/float64(stats[a].count) +
-					stats[b].variance(t)/float64(stats[b].count) + eps
-				scores[t] += d * d / denom
 			}
 		}
 	}

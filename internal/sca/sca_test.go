@@ -44,15 +44,8 @@ func TestSOSDFindsInformativeSamples(t *testing.T) {
 	}
 }
 
-func TestSOSTAndTTest(t *testing.T) {
+func TestTTest(t *testing.T) {
 	set := synthSet(2, []int{0, 1}, 80, 12, 0.05)
-	scores, err := SOST(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SelectPOIs(scores, 1, 1)[0] != 3 {
-		t.Errorf("SOST best POI %v", SelectPOIs(scores, 1, 1))
-	}
 	tt, err := TTest(set, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -150,30 +143,6 @@ func TestTemplateProbabilitiesSumToOne(t *testing.T) {
 	}
 }
 
-func TestPerClassCovariance(t *testing.T) {
-	opts := DefaultTemplateOptions()
-	opts.Pooled = false
-	train := synthSet(7, []int{0, 3}, 80, 12, 0.1)
-	tmpl, err := BuildTemplates(train, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	test := synthSet(8, []int{0, 3}, 10, 12, 0.1)
-	correct := 0
-	for i, tr := range test.Traces {
-		pred, err := tmpl.Classify(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred == test.Labels[i] {
-			correct++
-		}
-	}
-	if correct < 18 {
-		t.Errorf("per-class covariance classified %d/20", correct)
-	}
-}
-
 func TestBuildTemplatesErrors(t *testing.T) {
 	if _, err := BuildTemplates(&trace.Set{}, DefaultTemplateOptions()); err == nil {
 		t.Error("empty set should fail")
@@ -183,11 +152,6 @@ func TestBuildTemplatesErrors(t *testing.T) {
 	bad.POICount = 0
 	if _, err := BuildTemplates(set, bad); err == nil {
 		t.Error("POICount 0 should fail")
-	}
-	bad = DefaultTemplateOptions()
-	bad.Selector = "magic"
-	if _, err := BuildTemplates(set, bad); err == nil {
-		t.Error("unknown selector should fail")
 	}
 	if _, err := BuildTemplatesAtPOIs(set, []int{999}, DefaultTemplateOptions()); err == nil {
 		t.Error("out-of-range POI should fail")

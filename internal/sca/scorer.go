@@ -9,22 +9,22 @@ import (
 )
 
 // Scorer is a reusable scoring context over one trained template set: all
-// scratch buffers (POI feature vectors, triangular-solve workspace,
-// per-block quadratic forms) are allocated once and reused across every
-// scored sub-trace. One Scorer serves one goroutine; create one per worker
-// for parallel classification.
+// scratch buffers (POI feature vectors, block workspace, per-block
+// quadratic forms) are allocated once and reused across every scored
+// sub-trace. One Scorer serves one goroutine; create one per worker for
+// parallel classification.
 //
-// When every class shares one Cholesky factor (a pooled template), the
-// classes are lanes of linalg.CholFactor.QuadBlockInto blocks, sixteen
-// lanes per call: a template with at most four classes takes four lanes
-// per feature vector and scores four vectors per block, a wider one takes
-// one vector per block and as many blocks as its classes need, and lanes
-// past the last class are scored but never read. Otherwise each class is
-// solved on its own. Either way every score is computed with exactly the
-// floating-point operations of a per-class residual, linalg.SolveCholesky
-// and dot product in the same order, so classifications and posteriors
-// derived from a Scorer are bitwise identical to the per-vector path — the
-// property the replay-determinism selftest enforces.
+// Every class shares the template's Cholesky factor, so the classes are
+// lanes of linalg.CholFactor.QuadBlockInto blocks, sixteen lanes per call:
+// a template with at most four classes takes four lanes per feature vector
+// and scores four vectors per block, a wider one takes one vector per
+// block and as many blocks as its classes need, and lanes past the last
+// class are scored but never read. Every score is computed with exactly
+// the floating-point operations of a per-class residual,
+// linalg.SolveCholesky and dot product in the same order, so
+// classifications and posteriors derived from a Scorer are bitwise
+// identical to the per-vector path — the property the replay-determinism
+// selftest enforces.
 type Scorer struct {
 	t        *Templates
 	logTwoPi float64 // d·log(2π), shared additive constant of every score
@@ -33,17 +33,13 @@ type Scorer struct {
 	span int
 	// feat holds the feature vectors of one block, vector g at g·d.
 	feat []float64
-	// shared is the factor common to every class, or nil when classes
-	// carry their own. group is how many feature vectors one block scores
-	// (4 or 1), lanes how many lanes each takes (4 or 16); means holds the
-	// blocks' d×16 lane means back to back: class ci of vector g is lane
+	// group is how many feature vectors one block scores (4 or 1), lanes
+	// how many lanes each takes (4 or 16); means holds the blocks' d×16
+	// lane means back to back: class ci of vector g is lane
 	// g·lanes + ci%lanes of block ci/lanes.
-	shared       *linalg.CholFactor
 	group, lanes int
 	means        []float64
 	work, q      []float64
-	// resid, y and x are the per-class path's d-entry solve buffers.
-	resid, y, x []float64
 }
 
 // NewScorer prepares a reusable scoring context for the template set.
@@ -52,21 +48,12 @@ func (t *Templates) NewScorer() *Scorer {
 	s := &Scorer{
 		t:        t,
 		logTwoPi: float64(d) * math.Log(2*math.Pi),
-		shared:   sharedFactor(t.classes),
 		group:    1,
+		lanes:    linalg.BlockLanes,
 	}
 	for _, p := range t.POIs {
 		s.span = max(s.span, p+1)
 	}
-	if s.shared == nil {
-		s.feat = make([]float64, d)
-		s.resid = make([]float64, d)
-		s.y = make([]float64, d)
-		s.x = make([]float64, d)
-		s.q = make([]float64, 1)
-		return s
-	}
-	s.lanes = linalg.BlockLanes
 	if len(t.classes) <= linalg.BlockLanes/4 {
 		s.group, s.lanes = 4, linalg.BlockLanes/4
 	}
@@ -81,23 +68,9 @@ func (t *Templates) NewScorer() *Scorer {
 		}
 	}
 	s.feat = make([]float64, s.group*d)
-	s.work = make([]float64, s.shared.BlockWork())
+	s.work = make([]float64, t.fact.BlockWork())
 	s.q = make([]float64, linalg.BlockLanes)
 	return s
-}
-
-// sharedFactor returns the Cholesky factor every class uses, or nil when
-// the classes carry their own.
-func sharedFactor(cs []classTemplate) *linalg.CholFactor {
-	if len(cs) == 0 {
-		return nil
-	}
-	for _, c := range cs[1:] {
-		if c.fact != cs[0].fact {
-			return nil
-		}
-	}
-	return cs[0].fact
 }
 
 // Classes returns the number of trained classes.
@@ -141,31 +114,18 @@ func (s *Scorer) ScoreTraces(ll []float64, trs []trace.Trace) error {
 // into the nv rows of ll.
 func (s *Scorer) scoreFeatures(ll []float64, nv int) error {
 	d, nc := len(s.t.POIs), len(s.t.classes)
-	if s.shared == nil {
-		for ci := range s.t.classes {
-			c := &s.t.classes[ci]
-			for i, fi := range s.feat {
-				s.resid[i] = fi - c.mean[i]
-			}
-			if err := c.fact.QuadFormsInto(s.q, s.x, s.y, s.resid, 1); err != nil {
-				return err
-			}
-			ll[ci] = -0.5 * (s.q[0] + c.logDet + s.logTwoPi)
-		}
-		return nil
-	}
 	fstride := 0
 	if s.group > 1 {
 		fstride = d
 	}
 	for ci0 := 0; ci0 < nc; ci0 += s.lanes {
 		block := s.means[ci0/s.lanes*d*linalg.BlockLanes:][:d*linalg.BlockLanes]
-		if err := s.shared.QuadBlockInto(s.q, s.feat, fstride, block, s.work); err != nil {
+		if err := s.t.fact.QuadBlockInto(s.q, s.feat, fstride, block, s.work); err != nil {
 			return err
 		}
 		for g := 0; g < nv; g++ {
 			for ci := ci0; ci < min(ci0+s.lanes, nc); ci++ {
-				ll[g*nc+ci] = -0.5 * (s.q[g*s.lanes+ci-ci0] + s.t.classes[ci].logDet + s.logTwoPi)
+				ll[g*nc+ci] = -0.5 * (s.q[g*s.lanes+ci-ci0] + s.t.logDet + s.logTwoPi)
 			}
 		}
 	}

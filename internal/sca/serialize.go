@@ -17,20 +17,20 @@ import (
 
 const (
 	templatesMagic = "SCTM"
-	// templatesVersion 2 adds the precomputed inverse covariance and keeps
-	// the log-determinant, so loading a template never re-inverts a matrix.
-	// Version-1 streams lack those fields and are rejected with
+	// templatesVersion 3 stores the pooled covariance's Cholesky factor and
+	// log-determinant once per template set, then each class's label,
+	// count and mean. Older streams are rejected with
 	// ErrStaleTemplateVersion.
-	templatesVersion = 2
+	templatesVersion = 3
 )
 
 // ErrStaleTemplateVersion marks a template stream written by an older
-// format that predates the precomputed scoring structures. Re-run
-// profiling to regenerate the templates.
-var ErrStaleTemplateVersion = errors.New("sca: stale template version (re-run profiling to regenerate with precomputed inverse covariance)")
+// format. Re-run profiling to regenerate the templates.
+var ErrStaleTemplateVersion = errors.New("sca: stale template version (re-run profiling to regenerate the templates)")
 
-// WriteTemplates serializes a trained template set, including the
-// precomputed inverse covariance and log-determinant of each class.
+// WriteTemplates serializes a trained template set: header, POIs, the
+// pooled Cholesky factor and log-determinant, then each class's label,
+// trace count and mean.
 func WriteTemplates(w io.Writer, t *Templates) error {
 	if t == nil || len(t.classes) == 0 {
 		return fmt.Errorf("sca: cannot serialize empty templates")
@@ -39,12 +39,8 @@ func WriteTemplates(w io.Writer, t *Templates) error {
 	if _, err := bw.WriteString(templatesMagic); err != nil {
 		return err
 	}
-	pooled := uint32(0)
-	if t.pooled {
-		pooled = 1
-	}
 	d := len(t.POIs)
-	header := []uint32{templatesVersion, pooled, uint32(d), uint32(len(t.classes))}
+	header := []uint32{templatesVersion, uint32(d), uint32(len(t.classes))}
 	for _, v := range header {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
@@ -55,13 +51,19 @@ func WriteTemplates(w io.Writer, t *Templates) error {
 			return err
 		}
 	}
-	writeFloats := func(fs []float64) error {
+	writeFloats := func(fs ...float64) error {
 		for _, f := range fs {
 			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(f)); err != nil {
 				return err
 			}
 		}
 		return nil
+	}
+	if err := writeFloats(t.chol.Data...); err != nil {
+		return err
+	}
+	if err := writeFloats(t.logDet); err != nil {
+		return err
 	}
 	for _, c := range t.classes {
 		if err := binary.Write(bw, binary.LittleEndian, int32(c.label)); err != nil {
@@ -70,16 +72,7 @@ func WriteTemplates(w io.Writer, t *Templates) error {
 		if err := binary.Write(bw, binary.LittleEndian, uint32(c.count)); err != nil {
 			return err
 		}
-		if err := writeFloats(c.mean); err != nil {
-			return err
-		}
-		if err := writeFloats(c.chol.Data); err != nil {
-			return err
-		}
-		if err := writeFloats(c.invCov.Data); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(c.logDet)); err != nil {
+		if err := writeFloats(c.mean...); err != nil {
 			return err
 		}
 	}
@@ -94,13 +87,9 @@ const readChunk = 4096
 
 // ReadTemplates deserializes a template set written by WriteTemplates. The
 // cached triangular-solve structures are rebuilt from the stored Cholesky
-// factor; the inverse covariance and log-determinant are loaded as written,
-// so a round-tripped template scores bitwise identically to the original.
-//
-// A pooled stream repeats the shared covariance for every class. Each copy
-// must be bit-equal to the first class's, and all classes then share one
-// factor, inverse and log-determinant — as after training, so the Scorer
-// solves all classes in one call. A stream whose copies differ is rejected.
+// factor and the log-determinant is loaded as written, so a round-tripped
+// template scores bitwise identically to the original. A pooled covariance
+// record that contradicts itself (see checkFactor) is rejected.
 func ReadTemplates(r io.Reader) (*Templates, error) {
 	br := bufio.NewReader(r)
 	read := func(field string, v any) error {
@@ -116,14 +105,9 @@ func ReadTemplates(r io.Reader) (*Templates, error) {
 	if string(magic) != templatesMagic {
 		return nil, fmt.Errorf("sca: bad magic %q", magic)
 	}
-	var version, pooled, d, nClasses uint32
-	for _, h := range []struct {
-		field string
-		v     *uint32
-	}{{"version", &version}, {"pooled flag", &pooled}, {"dimension", &d}, {"class count", &nClasses}} {
-		if err := read(h.field, h.v); err != nil {
-			return nil, err
-		}
+	var version, d, nClasses uint32
+	if err := read("version", &version); err != nil {
+		return nil, err
 	}
 	if version != templatesVersion {
 		if version < templatesVersion {
@@ -131,10 +115,16 @@ func ReadTemplates(r io.Reader) (*Templates, error) {
 		}
 		return nil, fmt.Errorf("sca: unsupported version %d", version)
 	}
-	if pooled > 1 || d == 0 || d > 4096 || nClasses == 0 || nClasses > 4096 {
-		return nil, fmt.Errorf("sca: implausible header pooled=%d d=%d classes=%d", pooled, d, nClasses)
+	if err := read("dimension", &d); err != nil {
+		return nil, err
 	}
-	t := &Templates{POIs: make([]int, d), pooled: pooled == 1}
+	if err := read("class count", &nClasses); err != nil {
+		return nil, err
+	}
+	if d == 0 || d > 4096 || nClasses == 0 || nClasses > 4096 {
+		return nil, fmt.Errorf("sca: implausible header d=%d classes=%d", d, nClasses)
+	}
+	t := &Templates{POIs: make([]int, d)}
 	for i := range t.POIs {
 		var p int32
 		if err := read("POI", &p); err != nil {
@@ -145,16 +135,30 @@ func ReadTemplates(r io.Reader) (*Templates, error) {
 		}
 		t.POIs[i] = int(p)
 	}
-	readFloats := func(n int, field string, c uint32) ([]float64, error) {
+	readFloats := func(n int, field string) ([]float64, error) {
 		out := make([]float64, 0, min(n, readChunk))
 		var b [8]byte
 		for len(out) < n {
 			if _, err := io.ReadFull(br, b[:]); err != nil {
-				return nil, fmt.Errorf("sca: reading class %d %s: %w", c, field, err)
+				return nil, fmt.Errorf("sca: reading %s: %w", field, err)
 			}
 			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
 		}
 		return out, nil
+	}
+	cholData, err := readFloats(int(d*d), "Cholesky factor")
+	if err != nil {
+		return nil, err
+	}
+	var ldBits uint64
+	if err := read("log-determinant", &ldBits); err != nil {
+		return nil, err
+	}
+	t.chol = &linalg.Matrix{Rows: int(d), Cols: int(d), Data: cholData}
+	t.fact = linalg.CholFactorOf(t.chol)
+	t.logDet = math.Float64frombits(ldBits)
+	if err := t.checkFactor(); err != nil {
+		return nil, err
 	}
 	for c := uint32(0); c < nClasses; c++ {
 		var label int32
@@ -165,47 +169,33 @@ func ReadTemplates(r io.Reader) (*Templates, error) {
 		if err := read("class count", &count); err != nil {
 			return nil, err
 		}
-		mean, err := readFloats(int(d), "mean", c)
+		mean, err := readFloats(int(d), fmt.Sprintf("class %d mean", c))
 		if err != nil {
 			return nil, err
 		}
-		cholData, err := readFloats(int(d*d), "Cholesky factor", c)
-		if err != nil {
-			return nil, err
-		}
-		invData, err := readFloats(int(d*d), "inverse covariance", c)
-		if err != nil {
-			return nil, err
-		}
-		var ldBits uint64
-		if err := read("log-determinant", &ldBits); err != nil {
-			return nil, err
-		}
-		ct := classTemplate{label: int(label), count: int(count), mean: mean}
-		if t.pooled && c > 0 {
-			f := &t.classes[0]
-			if !sameBits(cholData, f.chol.Data) || !sameBits(invData, f.invCov.Data) || ldBits != math.Float64bits(f.logDet) {
-				return nil, fmt.Errorf("sca: pooled template class %d carries a covariance that differs from class 0's", c)
-			}
-			ct.chol, ct.fact, ct.invCov, ct.logDet = f.chol, f.fact, f.invCov, f.logDet
-		} else {
-			ct.chol = &linalg.Matrix{Rows: int(d), Cols: int(d), Data: cholData}
-			ct.fact = linalg.CholFactorOf(ct.chol)
-			ct.invCov = &linalg.Matrix{Rows: int(d), Cols: int(d), Data: invData}
-			ct.logDet = math.Float64frombits(ldBits)
-		}
-		t.classes = append(t.classes, ct)
+		t.classes = append(t.classes, classTemplate{label: int(label), count: int(count), mean: mean})
 	}
 	return t, nil
 }
 
-// sameBits reports whether two equal-length float slices hold the same bit
-// patterns.
-func sameBits(a, b []float64) bool {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
+// checkFactor rejects a pooled covariance record that no training run
+// writes: a factor that is not lower-triangular with a positive diagonal,
+// or a log-determinant other than the factor's own, bit for bit.
+func (t *Templates) checkFactor() error {
+	d := t.chol.Rows
+	for i := 0; i < d; i++ {
+		row := t.chol.Data[i*d : (i+1)*d]
+		if !(row[i] > 0) {
+			return fmt.Errorf("sca: inconsistent pooled covariance: factor diagonal %d is %v", i, row[i])
+		}
+		for j := i + 1; j < d; j++ {
+			if row[j] != 0 {
+				return fmt.Errorf("sca: inconsistent pooled covariance: factor entry (%d,%d) above the diagonal", i, j)
+			}
 		}
 	}
-	return true
+	if math.Float64bits(t.logDet) != math.Float64bits(t.fact.LogDet()) {
+		return fmt.Errorf("sca: inconsistent pooled covariance: log-determinant %v, factor's %v", t.logDet, t.fact.LogDet())
+	}
+	return nil
 }

@@ -18,34 +18,28 @@ func sameScore(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// pooledClassOffset returns the byte offset of class ci's record in a
-// template stream with d POIs.
-func pooledClassOffset(d, ci int) int {
-	header := 4 + 4*4 + 4*d
-	record := 4 + 4 + 8*d + 8*d*d + 8*d*d + 8
-	return header + ci*record
-}
-
-// TestReadTemplatesRejectsInconsistentPooled: a pooled stream whose classes
-// disagree on the shared covariance — here one Cholesky entry, one inverse
-// entry or one log-determinant of the last class — is rejected.
+// TestReadTemplatesRejectsInconsistentPooled: a stream whose pooled
+// covariance record contradicts itself — a log-determinant off by one
+// mantissa bit, an entry above the factor's diagonal, a non-positive
+// diagonal entry — is rejected.
 func TestReadTemplatesRejectsInconsistentPooled(t *testing.T) {
-	tmpl, _ := trainedScorerFixture(t, true)
+	tmpl, _ := trainedScorerFixture(t)
 	var buf bytes.Buffer
 	if err := WriteTemplates(&buf, tmpl); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	d, last := len(tmpl.POIs), len(tmpl.classes)-1
-	rec := pooledClassOffset(d, last) + 4 + 4 + 8*d
-	for name, off := range map[string]int{
-		"cholesky": rec + 8*(d+1),
-		"inverse":  rec + 8*d*d + 8*3,
-		"logdet":   rec + 16*d*d,
+	d := len(tmpl.POIs)
+	chol := len(templatesMagic) + 3*4 + 4*d // the factor follows the POIs
+	entry := func(i, j int) int { return chol + 8*(i*d+j) }
+	for name, perturb := range map[string]func(b []byte){
+		"logdet":   func(b []byte) { b[chol+8*d*d] ^= 1 },
+		"upper":    func(b []byte) { binary.LittleEndian.PutUint64(b[entry(0, 1):], math.Float64bits(0.5)) },
+		"diagonal": func(b []byte) { binary.LittleEndian.PutUint64(b[entry(2, 2):], math.Float64bits(-1)) },
 	} {
 		bad := append([]byte(nil), good...)
-		bad[off] ^= 1 // flip the lowest mantissa bit
-		if _, err := ReadTemplates(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "differs") {
+		perturb(bad)
+		if _, err := ReadTemplates(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "inconsistent pooled covariance") {
 			t.Errorf("%s perturbed: want an inconsistent-pooled error, got %v", name, err)
 		}
 	}
@@ -54,27 +48,22 @@ func TestReadTemplatesRejectsInconsistentPooled(t *testing.T) {
 	}
 }
 
-// TestReadTemplatesLyingHeader: a 49 KB stream whose header claims d = 4096
+// TestReadTemplatesLyingHeader: a 17 KB stream whose header claims d = 4096
 // must fail on its missing bytes, naming the field, without first
 // allocating the 134 MB the header promises.
 func TestReadTemplatesLyingHeader(t *testing.T) {
 	const d = 4096
 	var buf bytes.Buffer
 	buf.WriteString(templatesMagic)
-	for _, v := range []uint32{templatesVersion, 1, d, 2} {
+	for _, v := range []uint32{templatesVersion, d, 2} {
 		binary.Write(&buf, binary.LittleEndian, v)
 	}
 	for i := 0; i < d; i++ {
 		binary.Write(&buf, binary.LittleEndian, int32(i))
 	}
-	binary.Write(&buf, binary.LittleEndian, int32(-1)) // label
-	binary.Write(&buf, binary.LittleEndian, uint32(9)) // count
-	for i := 0; i < d; i++ {
-		binary.Write(&buf, binary.LittleEndian, math.Float64bits(0.5)) // mean
-	}
 	buf.Write(make([]byte, 800)) // a sliver of the Cholesky factor
-	if n := buf.Len(); n > 50<<10 {
-		t.Fatalf("fixture is %d bytes, want under 50 KiB", n)
+	if n := buf.Len(); n > 18<<10 {
+		t.Fatalf("fixture is %d bytes, want under 18 KiB", n)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -90,7 +79,7 @@ func TestReadTemplatesLyingHeader(t *testing.T) {
 		t.Fatalf("error should name the field being read: %v", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
-		t.Fatalf("reading a 49 KB stream allocated %d MB", grew>>20)
+		t.Fatalf("reading a 17 KB stream allocated %d MB", grew>>20)
 	}
 }
 
@@ -98,11 +87,16 @@ func TestReadTemplatesLyingHeader(t *testing.T) {
 // and any stream it accepts must survive WriteTemplates/ReadTemplates with
 // bit-equal scores on a few fixed feature vectors.
 func FuzzReadTemplates(f *testing.F) {
-	for _, pooled := range []bool{true, false} {
-		train := synthSet(3, []int{-1, 0, 2}, 20, 12, 0.1)
+	// Whole and half streams of a sign-shaped (3 classes, 3 POIs) and a
+	// wider (6 classes, 5 POIs) template, the bare magic, and a v3 header
+	// that claims d = 4096 over no data.
+	for _, shape := range []struct {
+		labels []int
+		pois   int
+	}{{[]int{-1, 0, 2}, 3}, {[]int{-3, -2, -1, 1, 2, 3}, 5}} {
 		opts := DefaultTemplateOptions()
-		opts.POICount, opts.Pooled = 3, pooled
-		tmpl, err := BuildTemplates(train, opts)
+		opts.POICount = shape.pois
+		tmpl, err := BuildTemplates(synthSet(3, shape.labels, 20, 12, 0.1), opts)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -114,7 +108,7 @@ func FuzzReadTemplates(f *testing.F) {
 		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
 	f.Add([]byte(templatesMagic))
-	f.Add([]byte("SCTM\x02\x00\x00\x00\x01\x00\x00\x00\x00\x10\x00\x00\x01\x00\x00\x00"))
+	f.Add([]byte("SCTM\x03\x00\x00\x00\x00\x10\x00\x00\x01\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tmpl, err := ReadTemplates(bytes.NewReader(data))
 		if err != nil {

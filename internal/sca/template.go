@@ -9,7 +9,9 @@ import (
 	"reveal/internal/trace"
 )
 
-// TemplateOptions configures template construction.
+// TemplateOptions configures template construction. POIs are always
+// selected by SOSD (the paper's method) and every class shares one pooled
+// covariance.
 type TemplateOptions struct {
 	// POICount is how many points of interest to keep.
 	POICount int
@@ -17,40 +19,31 @@ type TemplateOptions struct {
 	MinSpacing int
 	// Ridge is added to the covariance diagonal for numerical stability.
 	Ridge float64
-	// Pooled uses one covariance matrix shared by all classes (the usual
-	// practical choice); otherwise each class estimates its own.
-	Pooled bool
-	// Selector chooses the POI score ("sosd" — the paper's method — or
-	// "sost"). Empty means "sosd".
-	Selector string
 }
 
-// DefaultTemplateOptions mirror the paper's setup: SOSD-selected POIs,
-// pooled covariance.
+// DefaultTemplateOptions mirror the paper's setup.
 func DefaultTemplateOptions() TemplateOptions {
-	return TemplateOptions{POICount: 12, MinSpacing: 2, Ridge: 1e-6, Pooled: true, Selector: "sosd"}
+	return TemplateOptions{POICount: 12, MinSpacing: 2, Ridge: 1e-6}
 }
 
-// classTemplate is the per-label multivariate Gaussian. Everything needed
-// to score a sub-trace — the cached triangular-solve structures, the
-// inverse covariance, and the log-determinant — is precomputed once at
-// training time (and carried through serialization), so classification
-// never re-factors or re-inverts a covariance.
+// classTemplate is one label's profile: its trace count and POI mean.
 type classTemplate struct {
-	label  int
-	count  int
-	mean   []float64
-	chol   *linalg.Matrix     // Cholesky factor of the covariance
-	fact   *linalg.CholFactor // cached solve structures over chol
-	invCov *linalg.Matrix     // precomputed inverse covariance Σ⁻¹
-	logDet float64
+	label int
+	count int
+	mean  []float64
 }
 
-// Templates is a trained template attack.
+// Templates is a trained template attack: multivariate Gaussians with one
+// pooled covariance (Chari et al.). Everything scoring needs — the
+// Cholesky factor with its cached solve structures and the
+// log-determinant — is computed once at training time and carried through
+// serialization, so classification never re-factors a covariance.
 type Templates struct {
 	POIs    []int
 	classes []classTemplate
-	pooled  bool
+	chol    *linalg.Matrix     // Cholesky factor of the pooled covariance
+	fact    *linalg.CholFactor // cached solve structures over chol
+	logDet  float64
 }
 
 // BuildTemplates trains templates from a labeled profiling set (the
@@ -66,16 +59,7 @@ func BuildTemplates(set *trace.Set, opts TemplateOptions) (*Templates, error) {
 		return nil, fmt.Errorf("sca: POICount must be positive")
 	}
 	psp := obs.StartSpan("poi")
-	var scores []float64
-	var err error
-	switch opts.Selector {
-	case "", "sosd":
-		scores, err = SOSD(set)
-	case "sost":
-		scores, err = SOST(set)
-	default:
-		err = fmt.Errorf("sca: unknown POI selector %q", opts.Selector)
-	}
+	scores, err := SOSD(set)
 	if err != nil {
 		psp.End()
 		return nil, err
@@ -115,8 +99,8 @@ func BuildTemplatesAtPOIs(set *trace.Set, pois []int, opts TemplateOptions) (*Te
 
 	// Per-class means, over one reusable feature buffer.
 	f := make([]float64, d)
-	means := map[int][]float64{}
-	for _, l := range labels {
+	means := make([][]float64, len(labels))
+	for li, l := range labels {
 		mean := make([]float64, d)
 		for _, idx := range groups[l] {
 			ExtractInto(f, set.Traces[idx], pois)
@@ -127,17 +111,19 @@ func BuildTemplatesAtPOIs(set *trace.Set, pois []int, opts TemplateOptions) (*Te
 		for i := range mean {
 			mean[i] /= float64(len(groups[l]))
 		}
-		means[l] = mean
+		means[li] = mean
 	}
 
-	// Covariances: pooled or per class. The scatter update works on row
-	// slices with the centered features computed once per trace — the same
-	// f[j]−mean[j] and di·diff[j] operations, in the same order, as the
-	// historical element-wise At/Set loop.
-	newCov := func() *linalg.Matrix { return linalg.NewMatrix(d, d) }
+	// The pooled covariance. The scatter update works on row slices with
+	// the centered features computed once per trace — the same f[j]−mean[j]
+	// and di·diff[j] operations, in the same order, as the historical
+	// element-wise At/Set loop.
+	cov := linalg.NewMatrix(d, d)
 	diff := make([]float64, d)
-	accumulate := func(cov *linalg.Matrix, idxs []int, mean []float64) int {
-		for _, idx := range idxs {
+	total := 0
+	for li, l := range labels {
+		mean := means[li]
+		for _, idx := range groups[l] {
 			ExtractInto(f, set.Traces[idx], pois)
 			for j := 0; j < d; j++ {
 				diff[j] = f[j] - mean[j]
@@ -150,56 +136,18 @@ func BuildTemplatesAtPOIs(set *trace.Set, pois []int, opts TemplateOptions) (*Te
 				}
 			}
 		}
-		return len(idxs)
+		total += len(groups[l])
 	}
-	// finalize turns an accumulated scatter matrix into the scoring
-	// structures: Cholesky factor, cached solver, inverse covariance and
-	// log-determinant — all computed once here, at training time.
-	finalize := func(cov *linalg.Matrix, n int) (*linalg.Matrix, *linalg.CholFactor, *linalg.Matrix, error) {
-		if n < 2 {
-			n = 2
-		}
-		cov = cov.Scale(1 / float64(n-1))
-		linalg.RegularizeSPD(cov, opts.Ridge)
-		chol, err := linalg.Cholesky(cov)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("sca: covariance not PD (add ridge): %w", err)
-		}
-		fact := linalg.CholFactorOf(chol)
-		return chol, fact, fact.Inverse(), nil
+	cov = cov.Scale(1 / float64(total-1))
+	linalg.RegularizeSPD(cov, opts.Ridge)
+	chol, err := linalg.Cholesky(cov)
+	if err != nil {
+		return nil, fmt.Errorf("sca: covariance not PD (add ridge): %w", err)
 	}
-
-	t := &Templates{POIs: append([]int(nil), pois...), pooled: opts.Pooled}
-	if opts.Pooled {
-		cov := newCov()
-		total := 0
-		for _, l := range labels {
-			total += accumulate(cov, groups[l], means[l])
-		}
-		// One covariance shared by every class: factor and invert once.
-		chol, fact, invCov, err := finalize(cov, total)
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range labels {
-			t.classes = append(t.classes, classTemplate{
-				label: l, count: len(groups[l]), mean: means[l],
-				chol: chol, fact: fact, invCov: invCov, logDet: fact.LogDet(),
-			})
-		}
-	} else {
-		for _, l := range labels {
-			cov := newCov()
-			n := accumulate(cov, groups[l], means[l])
-			chol, fact, invCov, err := finalize(cov, n)
-			if err != nil {
-				return nil, fmt.Errorf("sca: class %d: %w", l, err)
-			}
-			t.classes = append(t.classes, classTemplate{
-				label: l, count: n, mean: means[l],
-				chol: chol, fact: fact, invCov: invCov, logDet: fact.LogDet(),
-			})
-		}
+	fact := linalg.CholFactorOf(chol)
+	t := &Templates{POIs: append([]int(nil), pois...), chol: chol, fact: fact, logDet: fact.LogDet()}
+	for li, l := range labels {
+		t.classes = append(t.classes, classTemplate{label: l, count: len(groups[l]), mean: means[li]})
 	}
 	return t, nil
 }

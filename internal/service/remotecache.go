@@ -23,15 +23,18 @@ type RemoteTemplateCache struct {
 	Client *Client
 	// Worker names this node in registry claims.
 	Worker string
-	// PollInterval floors the wait between registry polls while another
-	// node trains (default 250 ms).
-	PollInterval time.Duration
-	// ClaimTimeout bounds how long to wait on another node's training
-	// before giving up and training locally anyway (default 5 min) — a
-	// dead trainer must not wedge the fleet even if its claim somehow
-	// never expires.
-	ClaimTimeout time.Duration
 }
+
+const (
+	// remotePollInterval caps the wait between registry polls while
+	// another node trains.
+	remotePollInterval = 250 * time.Millisecond
+	// remoteClaimTimeout bounds how long to wait on another node's
+	// training before giving up and training locally anyway — a dead
+	// trainer must not wedge the fleet even if its claim somehow never
+	// expires.
+	remoteClaimTimeout = 5 * time.Minute
+)
 
 // GetOrTrain implements TemplateSource. hit reports whether the
 // classifier came from a cache (local or registry) rather than a fresh
@@ -55,15 +58,7 @@ func (rc *RemoteTemplateCache) GetOrTrain(ctx context.Context, key string,
 // registry download (a fleet-level cache hit).
 func (rc *RemoteTemplateCache) resolve(ctx context.Context, key string,
 	train func(context.Context) (*core.CoefficientClassifier, error)) (cls *core.CoefficientClassifier, fromRegistry bool, err error) {
-	poll := rc.PollInterval
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	timeout := rc.ClaimTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Minute
-	}
-	giveUp := time.Now().Add(timeout)
+	giveUp := time.Now().Add(remoteClaimTimeout)
 	for {
 		if blob, ok, gerr := rc.Client.TemplateGet(ctx, key); gerr == nil && ok {
 			cls, rerr := core.ReadClassifier(bytes.NewReader(blob))
@@ -90,8 +85,8 @@ func (rc *RemoteTemplateCache) resolve(ctx context.Context, key string,
 			break
 		}
 		pause := retryAfter
-		if pause <= 0 || pause > poll {
-			pause = poll
+		if pause <= 0 || pause > remotePollInterval {
+			pause = remotePollInterval
 		}
 		select {
 		case <-ctx.Done():

@@ -142,7 +142,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Handler returns the API handler (routes under /api/v1/). It is mounted
-// by obs.ServeMetricsWith next to /metrics and /healthz.
+// through obs.ServeConfig.API next to /metrics and /healthz.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Queue exposes the underlying queue (used by tests and revealctl-adjacent

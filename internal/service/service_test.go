@@ -354,7 +354,7 @@ func TestShutdownDrainsRunningJob(t *testing.T) {
 }
 
 // TestAPIMountedNextToObservability mounts the service API through
-// obs.ServeMetricsWith and checks /healthz, /metrics, and /api/v1/stats all
+// obs.ServeMetricsCfg and checks /healthz, /metrics, and /api/v1/stats all
 // answer on one listener.
 func TestAPIMountedNextToObservability(t *testing.T) {
 	rec := obs.New(obs.Options{})
@@ -365,7 +365,7 @@ func TestAPIMountedNextToObservability(t *testing.T) {
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	}()
-	srv, err := obs.ServeMetricsWith(rec, "127.0.0.1:0", svc.Handler())
+	srv, err := obs.ServeMetricsCfg(rec, "127.0.0.1:0", obs.ServeConfig{API: svc.Handler()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,6 +137,7 @@ func (r *Runner) runStream(ctx context.Context, spec *CampaignSpec) (*StreamCamp
 		if err != nil {
 			return nil, fmt.Errorf("service: streaming encryption %d: %w", run, err)
 		}
+		core.EmitCoeffEvents(ctx, "e2", streamRes, cap.Truth.E2)
 		rs := StreamRunSummary{
 			Run: run, Classified: verdict.Classified, EarlyExit: verdict.EarlyExit,
 			HintedBikz: verdict.HintedBikz, IngestBytes: ingested,

@@ -9,6 +9,7 @@ import (
 	"reveal/internal/bfv"
 	"reveal/internal/core"
 	"reveal/internal/jobs"
+	"reveal/internal/obs"
 )
 
 // TestEndToEndStreamCampaign drives the stream kind through the full
@@ -100,6 +101,57 @@ func TestEndToEndStreamCampaign(t *testing.T) {
 	if early.IngestBytes >= full.IngestBytes {
 		t.Errorf("early exit ingested %d bytes, full run only %d",
 			early.IngestBytes, full.IngestBytes)
+	}
+}
+
+// TestStreamCampaignJournalsE2: a stream campaign journals one coefficient
+// event per e2 coefficient, stamped with the campaign's trace ID, and with
+// no target bikz those events equal the e2 events an attack campaign of
+// the same seed journals.
+func TestStreamCampaignJournalsE2(t *testing.T) {
+	rec := obs.New(obs.Options{CoeffCapacity: 4096})
+	prev := obs.Global()
+	obs.SetGlobal(rec)
+	t.Cleanup(func() { obs.SetGlobal(prev) })
+	const traceID = "00000000000000e2"
+	ctx := obs.WithTraceContext(context.Background(), obs.TraceContext{TraceID: traceID})
+	r := &Runner{Cache: core.NewTemplateCache(1), Workers: 1}
+	journal := func(spec *CampaignSpec, run func(context.Context, *CampaignSpec) error) []obs.CoeffEvent {
+		t.Helper()
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := rec.CoeffEvents()
+		if err := run(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+		events, dropped := rec.CoeffEvents()
+		if dropped != 0 {
+			t.Fatalf("journal dropped %d events", dropped)
+		}
+		var e2 []obs.CoeffEvent
+		for _, ev := range events[len(before):] {
+			if ev.Poly == "e2" {
+				e2 = append(e2, ev)
+			}
+		}
+		return e2
+	}
+	streamed := journal(&CampaignSpec{Kind: KindStream, Seed: 21, ProfileTracesPerValue: 8},
+		func(ctx context.Context, spec *CampaignSpec) error { _, err := r.runStream(ctx, spec); return err })
+	batch := journal(&CampaignSpec{Kind: KindAttack, Seed: 21, ProfileTracesPerValue: 8},
+		func(ctx context.Context, spec *CampaignSpec) error { _, err := r.runAttack(ctx, spec); return err })
+	const n = 1024
+	if len(streamed) != n || len(batch) != n {
+		t.Fatalf("journaled %d stream and %d batch e2 events, want %d each", len(streamed), len(batch), n)
+	}
+	for i, ev := range streamed {
+		if ev.TraceID != traceID || ev.Index != i {
+			t.Fatalf("event %d: trace %q index %d", i, ev.TraceID, ev.Index)
+		}
+		if ev != batch[i] {
+			t.Fatalf("event %d: stream %+v, batch %+v", i, ev, batch[i])
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ set -eu
 
 snap_dir="${1:-bench_snapshots/current}"
 base_dir="${2:-bench_snapshots}"
-pattern="${BENCH_PATTERN:-BenchmarkTable1TemplateAttack|BenchmarkClassifyStage|BenchmarkSegmentStage|BenchmarkDeviceCapture|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkNTT\$|BenchmarkNTTReference\$|BenchmarkRNSMul\$|BenchmarkTracegen\$|BenchmarkStream\$}"
+pattern="${BENCH_PATTERN:-BenchmarkTable1TemplateAttack|BenchmarkClassifyStage|BenchmarkSegmentStage|BenchmarkDeviceCapture|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkNTT\$|BenchmarkRNSMul\$|BenchmarkTracegen\$|BenchmarkStream\$}"
 bench_time="${BENCH_TIME:-1x}"
 bench_count="${BENCH_COUNT:-3}"
 tol="${BENCH_TOL:-0.05}"

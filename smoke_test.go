@@ -3,11 +3,13 @@
 // attack demo at its -quick toy scale) are built and executed, asserting
 // zero exit status and non-empty, sane output. The compiled revealctl
 // selftest is additionally run twice in fresh processes and its digest
-// lines diffed — the cross-process half of the replay-determinism gate.
+// lines diffed — the cross-process half of the replay-determinism gate —
+// and the batch and streaming attacks' coefficient journals are compared.
 package reveal
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -80,5 +82,43 @@ func TestSelftestFreshProcesses(t *testing.T) {
 	}
 	if len(first) != 64 {
 		t.Fatalf("malformed digest %q", first)
+	}
+}
+
+// TestStreamJournalMatchesBatch: `revealctl attack -stream` journals one
+// coeffs.jsonl line per e2 coefficient, and with no target bikz those
+// lines are byte-equal to the batch attack's e2 lines for the same seed.
+func TestStreamJournalMatchesBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("journal comparison builds and runs revealctl")
+	}
+	dir := t.TempDir()
+	journal := func(runDir string, stream bool) []string {
+		args := []string{"attack", "-seed", "1", "-messages", "1", "-run-dir", runDir}
+		if stream {
+			args = append(args, "-stream")
+		}
+		buildAndRun(t, dir, "./cmd/revealctl", args...)
+		data, err := os.ReadFile(filepath.Join(runDir, "coeffs.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	}
+	var batchE2 []string
+	for _, line := range journal(filepath.Join(dir, "batch"), false) {
+		if strings.Contains(line, `"poly":"e2"`) {
+			batchE2 = append(batchE2, line)
+		}
+	}
+	streamed := journal(filepath.Join(dir, "stream"), true)
+	const n = 1024
+	if len(batchE2) != n || len(streamed) != n {
+		t.Fatalf("journals hold %d batch e2 lines and %d stream lines, want %d each", len(batchE2), len(streamed), n)
+	}
+	for i := range streamed {
+		if streamed[i] != batchE2[i] {
+			t.Fatalf("line %d differs:\nstream: %s\nbatch:  %s", i, streamed[i], batchE2[i])
+		}
 	}
 }
