@@ -64,10 +64,12 @@ var exportAllowlist = []struct {
 //   - roots are every declaration of those programs, every init func,
 //     every package-level var initializer, and the allowlist;
 //   - a declaration reaches every object its identifiers use;
-//   - a method is reached when it is used directly, or when its receiver
-//     type is reached and some reached interface, or the standard
-//     library's by-name protocols (String, Error, MarshalJSON, ...), has
-//     a method of that name.
+//   - a method is reached when it is used directly; when a reached type
+//     whose method set holds it (its receiver type, or a type that embeds
+//     that type) implements, as T or *T, a reached interface that has a
+//     method of that name; or when a reached type's method set holds it
+//     under one of the standard library's by-name protocols (String,
+//     Error, MarshalJSON, ...).
 //
 // Unexported dead code is left to staticcheck's U1000.
 func TestExportsReachable(t *testing.T) {
@@ -286,7 +288,11 @@ func (s *exportScan) load(path, dir string, module bool) (*scannedPkg, error) {
 		},
 	}
 	if module {
-		p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		p.info = &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
 	}
 	p.types, _ = conf.Check(path, s.fset, p.files, p.info)
 	if firstErr != nil && module {
@@ -395,15 +401,28 @@ func origin(o types.Object) types.Object {
 // reach returns every object reached from roots.
 func (s *exportScan) reach(units []*declUnit, roots []*declUnit) map[types.Object]bool {
 	unitOf := map[types.Object]*declUnit{}
-	methods := map[*types.TypeName][]*declUnit{}
 	for _, u := range units {
 		unitOf[u.obj] = u
-		if u.recv != nil {
-			methods[u.recv] = append(methods[u.recv], u)
-		}
+	}
+	stdNames := map[string]bool{}
+	for _, n := range stdlibByName {
+		stdNames[n] = true
+	}
+	// A reached interface method is a name and the interface declaring it;
+	// a reached type's method is a name and the method its pointer's method
+	// set selects, its own or one promoted from an embedded field.
+	type ifaceMethod struct {
+		name string
+		it   *types.Interface
+	}
+	type typeMethod struct {
+		t  types.Type
+		fn types.Object
 	}
 	reached := map[types.Object]bool{}
-	names := map[string]bool{}
+	ifaceMethods := map[ifaceMethod]bool{}
+	ifacesByName := map[string][]*types.Interface{}
+	typeMethodsByName := map[string][]typeMethod{}
 	visited := map[*declUnit]bool{}
 	var queue []*declUnit
 	var markObj func(types.Object)
@@ -413,18 +432,15 @@ func (s *exportScan) reach(units []*declUnit, roots []*declUnit) map[types.Objec
 			queue = append(queue, u)
 		}
 	}
-	addName := func(n string) {
-		if names[n] {
+	addMethod := func(name string, it *types.Interface) {
+		if ifaceMethods[ifaceMethod{name, it}] {
 			return
 		}
-		names[n] = true
-		for recv, ms := range methods {
-			if reached[recv] {
-				for _, m := range ms {
-					if m.obj.Name() == n {
-						markObj(m.obj)
-					}
-				}
+		ifaceMethods[ifaceMethod{name, it}] = true
+		ifacesByName[name] = append(ifacesByName[name], it)
+		for _, m := range typeMethodsByName[name] {
+			if implements(m.t, it) {
+				markObj(m.fn)
 			}
 		}
 	}
@@ -434,7 +450,28 @@ func (s *exportScan) reach(units []*declUnit, roots []*declUnit) map[types.Objec
 		}
 		if it, ok := t.Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
-				addName(it.Method(i).Name())
+				addMethod(it.Method(i).Name(), it)
+			}
+		}
+	}
+	addType := func(t types.Type) {
+		if types.IsInterface(t) {
+			return
+		}
+		ms := types.NewMethodSet(types.NewPointer(t))
+		for i := 0; i < ms.Len(); i++ {
+			fn := ms.At(i).Obj()
+			name := fn.Name()
+			typeMethodsByName[name] = append(typeMethodsByName[name], typeMethod{t, fn})
+			if stdNames[name] {
+				markObj(fn)
+				continue
+			}
+			for _, it := range ifacesByName[name] {
+				if implements(t, it) {
+					markObj(fn)
+					break
+				}
 			}
 		}
 	}
@@ -450,17 +487,17 @@ func (s *exportScan) reach(units []*declUnit, roots []*declUnit) map[types.Objec
 		switch o := o.(type) {
 		case *types.TypeName:
 			addIface(o.Type())
-			for _, m := range methods[o] {
-				if names[m.obj.Name()] {
-					markObj(m.obj)
-				}
+			if unitOf[o] != nil {
+				addType(o.Type())
 			}
 		case *types.Var:
 			addIface(o.Type())
 		case *types.Func:
 			sig := o.Type().(*types.Signature)
 			if r := sig.Recv(); r != nil && types.IsInterface(r.Type()) {
-				addName(o.Name())
+				if it, ok := r.Type().Underlying().(*types.Interface); ok {
+					addMethod(o.Name(), it)
+				}
 			}
 			for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
 				for i := 0; i < tuple.Len(); i++ {
@@ -472,9 +509,6 @@ func (s *exportScan) reach(units []*declUnit, roots []*declUnit) map[types.Objec
 				}
 			}
 		}
-	}
-	for _, n := range stdlibByName {
-		names[n] = true
 	}
 	for _, u := range roots {
 		markObj(u.obj)
@@ -490,14 +524,20 @@ func (s *exportScan) reach(units []*declUnit, roots []*declUnit) map[types.Objec
 					markObj(o)
 				}
 			case *ast.InterfaceType:
-				for _, f := range n.Methods.List {
-					for _, name := range f.Names {
-						addName(name.Name)
-					}
-				}
+				addIface(info.Types[n].Type)
 			}
 			return true
 		})
 	}
 	return reached
+}
+
+// implements reports whether t or *t implements it. Implements leaves an
+// uninstantiated generic type unspecified, so such a type is taken to
+// implement every interface: its methods are then reached by name.
+func implements(t types.Type, it *types.Interface) bool {
+	if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > 0 {
+		return true
+	}
+	return types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
 }

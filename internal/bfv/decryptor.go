@@ -41,24 +41,28 @@ func (d *Decryptor) Decrypt(ct *Ciphertext) (*Plaintext, error) {
 	if ct == nil || len(ct.C) < 2 {
 		return nil, fmt.Errorf("bfv: ciphertext must have at least 2 components")
 	}
-	ctx := d.params.Context()
-	phase := d.dotWithSecret(ct)
+	return d.params.RoundPhase(d.dotWithSecret(ct)), nil
+}
 
-	pt := d.params.NewPlaintext()
+// RoundPhase returns the plaintext [round(t/Q · x)]_t of a phase
+// x = Δ·m + e in coefficient representation, rounding half up: the last
+// step of decryption, which removes any error with ‖e‖∞ < Δ/2.
+func (p *Parameters) RoundPhase(phase *ring.Poly) *Plaintext {
+	ctx := p.Context()
+	pt := p.NewPlaintext()
 	bigQ := ctx.BigQ()
-	bigT := new(big.Int).SetUint64(d.params.T)
+	bigT := new(big.Int).SetUint64(p.T)
 	halfQ := new(big.Int).Rsh(bigQ, 1)
-	num := new(big.Int)
-	for i := 0; i < d.params.N; i++ {
-		x := ctx.ComposeCRT(phase, i)
-		// round(t·x / Q) mod t, with round-half-up.
-		num.Mul(x, bigT)
-		num.Add(num, halfQ)
-		num.Quo(num, bigQ)
-		num.Mod(num, bigT)
-		pt.Coeffs[i] = num.Uint64()
+	var x, num, rem big.Int
+	for i := range pt.Coeffs {
+		ctx.ComposeCRT(&x, phase, i)
+		num.Mul(&x, bigT)
+		num.Add(&num, halfQ)
+		num.QuoRem(&num, bigQ, &rem)
+		num.QuoRem(&num, bigT, &rem)
+		pt.Coeffs[i] = rem.Uint64()
 	}
-	return pt, nil
+	return pt
 }
 
 // NoiseBudget returns the remaining noise budget in bits: log2(Δ / (2·‖v‖∞))
@@ -78,8 +82,9 @@ func (d *Decryptor) NoiseBudget(ct *Ciphertext) (float64, error) {
 	maxNoise := new(big.Int)
 	v := new(big.Int)
 	dm := new(big.Int)
+	x := new(big.Int)
 	for i := 0; i < d.params.N; i++ {
-		x := ctx.ComposeCRT(phase, i)
+		ctx.ComposeCRT(x, phase, i)
 		dm.SetUint64(pt.Coeffs[i])
 		dm.Mul(dm, delta)
 		v.Sub(x, dm)

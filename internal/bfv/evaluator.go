@@ -98,9 +98,9 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 func (ev *Evaluator) liftToExt(p *ring.Poly) *ring.Poly {
 	ctx := ev.params.Context()
 	out := ev.extCtx.NewPoly()
+	v := new(big.Int)
 	for i := 0; i < ctx.N; i++ {
-		v := ctx.ComposeCRT(p, i)
-		ev.extCtx.SetCoeffBig(out, i, v)
+		ev.extCtx.SetCoeffBig(out, i, ctx.ComposeCRT(v, p, i))
 	}
 	return out
 }
@@ -117,8 +117,9 @@ func (ev *Evaluator) scaleDownToBase(p *ring.Poly) *ring.Poly {
 	halfQ := new(big.Int).Rsh(bigQ, 1)
 	bigT := new(big.Int).SetUint64(ev.params.T)
 	num := new(big.Int)
+	x := new(big.Int)
 	for i := 0; i < ctx.N; i++ {
-		x := ext.ComposeCRT(p, i)
+		ext.ComposeCRT(x, p, i)
 		if x.Cmp(halfExt) > 0 {
 			x.Sub(x, bigExtQ) // centered representative
 		}

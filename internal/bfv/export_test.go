@@ -59,8 +59,9 @@ func CheckKeyPair(params *Parameters, sk *SecretKey, pk *PublicKey) error {
 	bigQ := ctx.BigQ()
 	half := new(big.Int).Rsh(bigQ, 1)
 	bound := big.NewInt(int64(params.MaxDeviation) + 1)
+	v := new(big.Int)
 	for i := 0; i < params.N; i++ {
-		v := ctx.ComposeCRT(t, i)
+		ctx.ComposeCRT(v, t, i)
 		if v.Cmp(half) > 0 {
 			v.Sub(bigQ, v)
 		}
@@ -129,8 +130,9 @@ func (d *Decryptor) MeasureNoise(ct *Ciphertext) (*big.Int, error) {
 	max := new(big.Int)
 	v := new(big.Int)
 	dm := new(big.Int)
+	x := new(big.Int)
 	for i := 0; i < d.params.N; i++ {
-		x := ctx.ComposeCRT(phase, i)
+		ctx.ComposeCRT(x, phase, i)
 		dm.SetUint64(pt.Coeffs[i])
 		dm.Mul(dm, delta)
 		v.Sub(x, dm)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"reveal/internal/bfv"
 	"reveal/internal/obs"
@@ -34,6 +35,12 @@ func CaptureEncryption(dev *Device, params *bfv.Parameters, enc *bfv.Encryptor, 
 // CaptureEncryptionCtx is CaptureEncryption carrying the caller's trace
 // identity: the capture span is stamped with the request trace ID from ctx
 // (service path), so per-job trace exports include the capture stage.
+//
+// It reserves the device's next two run numbers, e1's then e2's, before
+// either run starts, then renders e1 on a second goroutine while e2
+// renders on the caller's. Each trace's noise depends only on its number,
+// so both traces equal those of two Capture calls, e1 first. When either
+// run fails, both numbers are spent, and e1's error is reported first.
 func CaptureEncryptionCtx(ctx context.Context, dev *Device, params *bfv.Parameters, enc *bfv.Encryptor, pt *bfv.Plaintext) (*EncryptionCapture, error) {
 	sp := obs.StartSpanCtx(ctx, "capture_encryption")
 	sp.AddItems(2) // two sampling traces per encryption (e1, e2)
@@ -59,14 +66,25 @@ func CaptureEncryptionCtx(ctx context.Context, dev *Device, params *bfv.Paramete
 		return v, m
 	}
 	v1, m1 := withSentinel(tr.E1, tr.Meta1)
-	t1, err := dev.Capture(fw, v1, m1)
-	if err != nil {
-		return nil, fmt.Errorf("core: capturing e1 sampling: %w", err)
-	}
 	v2, m2 := withSentinel(tr.E2, tr.Meta2)
-	t2, err := dev.Capture(fw, v2, m2)
-	if err != nil {
-		return nil, fmt.Errorf("core: capturing e2 sampling: %w", err)
+	run1, run2 := dev.nextRun(), dev.nextRun()
+	var (
+		t1   trace.Trace
+		err1 error
+		wg   sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t1, err1 = dev.captureRun(run1, fw, v1, m1)
+	}()
+	t2, err2 := dev.captureRun(run2, fw, v2, m2)
+	wg.Wait()
+	if err1 != nil {
+		return nil, fmt.Errorf("core: capturing e1 sampling: %w", err1)
+	}
+	if err2 != nil {
+		return nil, fmt.Errorf("core: capturing e2 sampling: %w", err2)
 	}
 	return &EncryptionCapture{Ciphertext: ct, TraceE1: t1, TraceE2: t2, Truth: tr}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -142,6 +143,84 @@ func TestCaptureConcurrentDevices(t *testing.T) {
 		for run := range want[g] {
 			if traceSHA256(got[g][run]) != traceSHA256(want[g][run]) {
 				t.Errorf("goroutine %d run %d: concurrent capture differs from its serial capture", g, run)
+			}
+		}
+	}
+}
+
+// TestCaptureEncryptionMatchesSerialRuns: CaptureEncryption reserves e1's
+// and e2's run numbers before either run starts and renders both at once,
+// yet its traces equal, by Float64bits, two Capture calls on a twin device
+// with the same seed, e1 first. Two successive encryptions with a plain
+// capture between them check that the device's later runs are numbered
+// as in a serial capture too. Run under -race in CI.
+func TestCaptureEncryptionMatchesSerialRuns(t *testing.T) {
+	params := smallParams(t)
+	kg := bfv.NewKeyGenerator(params, sampler.NewXoshiro256(110))
+	pk := kg.GenPublicKey(kg.GenSecretKey())
+	src, err := FirmwareSource(params.N+1, FirmwareModulus(params.Moduli[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	encFW, err := AssembleFirmware(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainFW, plainValues, plainMetas := captureInputs(t, 24, 111)
+	withSentinel := func(vals []int64, metas []sampler.SampleMeta) ([]int64, []sampler.SampleMeta) {
+		return append(slices.Clone(vals), 0), append(slices.Clone(metas), sampler.SampleMeta{})
+	}
+	sameTrace := func(a, b trace.Trace) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	cases := []struct {
+		name   string
+		newDev func() *Device
+	}{
+		{"default", func() *Device { return NewDevice(112) }},
+		{"low-noise", func() *Device { return NewLowNoiseDevice(112) }},
+		{"trigger-jitter", func() *Device {
+			d := NewDevice(112)
+			d.TriggerJitter = 40
+			return d
+		}},
+	}
+	for _, tc := range cases {
+		dev, twin := tc.newDev(), tc.newDev()
+		enc := bfv.NewEncryptor(params, pk, sampler.NewXoshiro256(113))
+		for round := 0; round < 2; round++ {
+			cap, err := CaptureEncryption(dev, params, enc, params.NewPlaintext())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range []struct {
+				poly   string
+				got    trace.Trace
+				values []int64
+				metas  []sampler.SampleMeta
+			}{
+				{"e1", cap.TraceE1, cap.Truth.E1, cap.Truth.Meta1},
+				{"e2", cap.TraceE2, cap.Truth.E2, cap.Truth.Meta2},
+			} {
+				values, metas := withSentinel(run.values, run.metas)
+				want, err := twin.Capture(encFW, values, metas)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameTrace(run.got, want) {
+					t.Errorf("%s: encryption %d: %s trace differs from its serial capture", tc.name, round, run.poly)
+				}
+			}
+			got, err := dev.Capture(plainFW, plainValues, plainMetas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.Capture(plainFW, plainValues, plainMetas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameTrace(got, want) {
+				t.Errorf("%s: capture after encryption %d differs from its serial capture", tc.name, round)
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func CaptureDecryption(dev *Device, firmware []byte, skResidues []uint32, c1 []u
 	}
 	// Plant the key before running: Capture loads firmware at 0 and resets
 	// RAM, so we wrap its internals here with a pre-run hook.
-	return dev.captureWithSetup(firmware, values, metas, func(write func(addr, v uint32) error) error {
+	return dev.captureWithSetup(dev.nextRun(), firmware, values, metas, func(write func(addr, v uint32) error) error {
 		for i, r := range skResidues {
 			if err := write(SecretKeyBase+uint32(4*i), r); err != nil {
 				return err

@@ -39,6 +39,15 @@ func (p *samplerPort) Write(uint32, uint32) int { return 0 }
 
 // Device bundles the simulated measurement target: the RV32 core, the
 // leakage model, and the port timing behaviour.
+//
+// Every capture reserves the next run number when it starts, and its
+// measurement noise and trigger jitter depend only on NoiseSeed and that
+// number. Capture and the other single-run captures reserve one number;
+// CaptureEncryption reserves two (e1, then e2) before either run starts and
+// renders both at once, so its traces equal two Capture calls in that
+// order. A failed capture still spends what it reserved. Reserving is
+// unsynchronized: a Device is not for concurrent callers (give each
+// goroutine its own device; the model and the pooled buffers may be shared).
 type Device struct {
 	// Model is the power model; the port spike location is overridden to
 	// the sampler port region automatically.
@@ -48,8 +57,9 @@ type Device struct {
 	WaitBase, WaitPerRejection int
 	// MemSize is the RAM size of the core.
 	MemSize int
-	// NoiseSeed seeds the measurement-noise PRNG; successive runs advance
-	// an internal counter so repeated captures differ like real traces.
+	// NoiseSeed seeds the measurement-noise PRNG; each capture draws from
+	// a stream fixed by this seed and its run number, so repeated captures
+	// differ like real traces.
 	NoiseSeed uint64
 	// TriggerJitter prepends up to this many noise-floor samples per
 	// capture, modeling oscilloscope trigger uncertainty. The paper's
@@ -57,6 +67,7 @@ type Device struct {
 	// fixed-offset windowing is not.
 	TriggerJitter int
 
+	// runCounter is the last run number reserved; see nextRun.
 	runCounter uint64
 }
 
@@ -95,17 +106,30 @@ func NewLowNoiseDevice(seed uint64) *Device {
 }
 
 // Capture runs the given firmware with the given queued noise values and
-// returns the power trace. Each call uses fresh measurement noise.
+// returns the power trace. Each call reserves the next run number, so it
+// uses fresh measurement noise.
 func (d *Device) Capture(firmware []byte, values []int64, metas []sampler.SampleMeta) (trace.Trace, error) {
+	return d.captureRun(d.nextRun(), firmware, values, metas)
+}
+
+// nextRun reserves and returns the next run number.
+func (d *Device) nextRun() uint64 {
+	d.runCounter++
+	return d.runCounter
+}
+
+// captureRun is Capture under a run number the caller reserved. It touches
+// no device state, so runs with distinct numbers may render concurrently.
+func (d *Device) captureRun(run uint64, firmware []byte, values []int64, metas []sampler.SampleMeta) (trace.Trace, error) {
 	sp := obs.StartSpan("capture")
 	sp.AddItems(len(values))
 	defer sp.End()
-	return d.captureWithSetup(firmware, values, metas, nil)
+	return d.captureWithSetup(run, firmware, values, metas, nil)
 }
 
 // captureWithSetup additionally lets the caller plant device state (e.g. a
 // secret key in RAM) before execution starts, via a word-writer callback.
-func (d *Device) captureWithSetup(firmware []byte, values []int64, metas []sampler.SampleMeta,
+func (d *Device) captureWithSetup(run uint64, firmware []byte, values []int64, metas []sampler.SampleMeta,
 	setup func(write func(addr, v uint32) error) error) (trace.Trace, error) {
 	if len(values) != len(metas) {
 		return nil, fmt.Errorf("core: %d values but %d metas", len(values), len(metas))
@@ -126,7 +150,7 @@ func (d *Device) captureWithSetup(firmware []byte, values []int64, metas []sampl
 		}
 	}
 	// Budget: each coefficient costs ~10 instructions; 64 is generous slack.
-	samples, err := d.render(cpu, 64*(len(values)+4))
+	samples, err := d.render(cpu, 64*(len(values)+4), run)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +159,7 @@ func (d *Device) captureWithSetup(firmware []byte, values []int64, metas []sampl
 			port.reads, len(port.values))
 	}
 	if d.TriggerJitter > 0 {
-		jitterPRNG := sampler.NewXoshiro256(d.NoiseSeed ^ d.runCounter ^ 0x5151)
+		jitterPRNG := sampler.NewXoshiro256(d.NoiseSeed ^ run ^ 0x5151)
 		shift := int(sampler.Uint64Below(jitterPRNG, uint64(d.TriggerJitter+1)))
 		if shift > 0 {
 			floor := samples.Mean()
@@ -174,11 +198,10 @@ func (d *Device) newCPU() (cpu *rv32.CPU, ram *[]byte) {
 var renderBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // render runs the loaded firmware on cpu for at most budget instructions
-// under this run's measurement noise and returns its power trace, copied
-// out of a pooled render buffer into an exact-size trace.
-func (d *Device) render(cpu *rv32.CPU, budget int) (trace.Trace, error) {
-	d.runCounter++
-	syn, err := power.NewSynthesizer(d.Model, sampler.NewXoshiro256(d.NoiseSeed^(d.runCounter*0x9e3779b97f4a7c15)))
+// under run's measurement noise and returns its power trace, copied out of
+// a pooled render buffer into an exact-size trace.
+func (d *Device) render(cpu *rv32.CPU, budget int, run uint64) (trace.Trace, error) {
+	syn, err := power.NewSynthesizer(d.Model, sampler.NewXoshiro256(d.NoiseSeed^(run*0x9e3779b97f4a7c15)))
 	if err != nil {
 		return nil, err
 	}
@@ -221,6 +244,7 @@ type mmioRegionSpec struct {
 // kernels with custom port layouts, e.g. the masked variant); the caller
 // is responsible for consumption checks.
 func (d *Device) captureRegions(firmware []byte, regions []mmioRegionSpec, coeffs int) (trace.Trace, error) {
+	run := d.nextRun()
 	cpu, ram := d.newCPU()
 	defer ramBufs.Put(ram)
 	for _, r := range regions {
@@ -229,7 +253,7 @@ func (d *Device) captureRegions(firmware []byte, regions []mmioRegionSpec, coeff
 	if err := cpu.Load(firmware, 0); err != nil {
 		return nil, err
 	}
-	return d.render(cpu, 96*(coeffs+4))
+	return d.render(cpu, 96*(coeffs+4), run)
 }
 
 // SyntheticMetas draws realistic rejection-count metadata (the timing side

@@ -78,6 +78,39 @@ func (d *Device) runMaskedForTest(firmware []byte, values []int64, q uint64, mas
 	return cpu, nil
 }
 
+// RecoverU inverts Eq. 2 of the paper for one e2 guess, u = (c1 − e2) ·
+// p1^−1 in R_q, and reports whether u is ternary: one trial of
+// RepairAndRecover's search.
+func RecoverU(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, e2 []int64) (*ring.Poly, bool, error) {
+	s, err := newUSolver(params, pk, ct)
+	if err != nil {
+		return nil, false, err
+	}
+	ternary, err := s.solve(e2)
+	if err != nil {
+		return nil, false, err
+	}
+	return s.u, ternary, nil
+}
+
+// RecoverMessage completes Eq. 3 for a known u.
+func RecoverMessage(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, u *ring.Poly) (*bfv.Plaintext, error) {
+	return recoverMessage(params, pk, ct, u), nil
+}
+
+// RecoverMessageFromE2 chains RecoverU and RecoverMessage, failing when the
+// ternary verification rejects the e2 candidate.
+func RecoverMessageFromE2(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, e2 []int64) (*bfv.Plaintext, error) {
+	u, ternary, err := RecoverU(params, pk, ct, e2)
+	if err != nil {
+		return nil, err
+	}
+	if !ternary {
+		return nil, fmt.Errorf("core: recovered u is not ternary: e2 candidate rejected")
+	}
+	return RecoverMessage(params, pk, ct, u)
+}
+
 // readWord reads a little-endian word of the CPU's RAM.
 func readWord(cpu *rv32.CPU, addr uint32) uint32 {
 	return binary.LittleEndian.Uint32(cpu.Mem[addr:])

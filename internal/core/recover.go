@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 
 	"reveal/internal/bfv"
@@ -10,42 +9,47 @@ import (
 	"reveal/internal/ring"
 )
 
-// RecoverU inverts Eq. 2 of the paper: u = (c1 − e2) · p1^−1 in R_q. It
-// also reports whether the recovered u is ternary — the verification oracle
-// that tells the attacker whether the e2 guess was exactly right (u is
-// sampled from R_2, so a wrong e2 yields a non-ternary u with overwhelming
-// probability).
-func RecoverU(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, e2 []int64) (*ring.Poly, bool, error) {
-	ctx := params.Context()
-	if len(e2) != ctx.N {
-		return nil, false, fmt.Errorf("core: e2 has %d coefficients, want %d", len(e2), ctx.N)
-	}
-	e2Poly := ctx.NewPoly()
-	if err := ctx.SetSigned(e2Poly, e2); err != nil {
-		return nil, false, err
-	}
-	// diff = c1 - e2 (coefficient domain).
-	diff := ctx.NewPoly()
-	ctx.Sub(ct.C[1], e2Poly, diff)
+// uSolver inverts Eq. 2 of the paper, u = (c1 − e2) · p1^−1 in R_q, for
+// one ciphertext under one public key. p1^−1 is computed once, in the NTT
+// domain, and every e2 candidate reuses one polynomial, so a candidate
+// costs one NTT, a pointwise product and one inverse NTT.
+type uSolver struct {
+	ctx   *ring.Context
+	c1    *ring.Poly
+	p1Inv *ring.Poly // NTT domain
+	u     *ring.Poly // the last candidate's u
+}
 
-	// Divide by p1 pointwise in the NTT domain.
-	p1 := pk.P1.Clone()
-	ctx.NTT(p1)
-	ctx.NTT(diff)
-	u := ctx.NewPoly()
+func newUSolver(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext) (*uSolver, error) {
+	ctx := params.Context()
+	p1Inv := pk.P1.Clone()
+	ctx.NTT(p1Inv)
 	for j, q := range params.Moduli {
-		for i := 0; i < ctx.N; i++ {
-			inv, ok := modular.Inverse(p1.Coeffs[j][i], q)
+		for i, c := range p1Inv.Coeffs[j] {
+			inv, ok := modular.Inverse(c, q)
 			if !ok {
-				return nil, false, fmt.Errorf("core: p1 not invertible at slot (%d,%d)", j, i)
+				return nil, fmt.Errorf("core: p1 not invertible at slot (%d,%d)", j, i)
 			}
-			u.Coeffs[j][i] = modular.Mul(diff.Coeffs[j][i], inv, q)
+			p1Inv.Coeffs[j][i] = inv
 		}
 	}
-	u.InNTT = true
-	ctx.INTT(u)
+	return &uSolver{ctx: ctx, c1: ct.C[1], p1Inv: p1Inv, u: ctx.NewPoly()}, nil
+}
 
-	return u, isTernary(ctx, u), nil
+// solve sets s.u to the u of the e2 candidate and reports whether it is
+// ternary — the verification oracle that tells the attacker whether the e2
+// guess was exactly right (u is sampled from R_2, so a wrong e2 yields a
+// non-ternary u with overwhelming probability).
+func (s *uSolver) solve(e2 []int64) (bool, error) {
+	ctx, u := s.ctx, s.u
+	if err := ctx.SetSigned(u, e2); err != nil {
+		return false, err
+	}
+	ctx.Sub(s.c1, u, u)
+	ctx.NTT(u)
+	ctx.MulCoeffwise(u, s.p1Inv, u)
+	ctx.INTT(u)
+	return isTernary(ctx, u), nil
 }
 
 // isTernary reports whether every centered coefficient of p is in {-1,0,1}.
@@ -91,41 +95,15 @@ func isTernary(ctx *ring.Context, p *ring.Poly) bool {
 	return true
 }
 
-// RecoverMessage completes Eq. 3: with u known, c0 − p0·u = Δ·m + e1, and
-// rounding by t/Q removes e1 exactly (‖e1‖∞ < Δ/2).
-func RecoverMessage(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, u *ring.Poly) (*bfv.Plaintext, error) {
+// recoverMessage completes Eq. 3: with u known, c0 − p0·u = Δ·m + e1, and
+// rounding by t/Q removes e1 exactly (‖e1‖∞ < Δ/2), as decryption rounds
+// its phase.
+func recoverMessage(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, u *ring.Poly) *bfv.Plaintext {
 	ctx := params.Context()
 	phase := ctx.NewPoly()
 	ctx.MulPoly(pk.P0, u, phase)
 	ctx.Sub(ct.C[0], phase, phase)
-
-	pt := params.NewPlaintext()
-	bigQ := ctx.BigQ()
-	bigT := new(big.Int).SetUint64(params.T)
-	halfQ := new(big.Int).Rsh(bigQ, 1)
-	num := new(big.Int)
-	for i := 0; i < ctx.N; i++ {
-		x := ctx.ComposeCRT(phase, i)
-		num.Mul(x, bigT)
-		num.Add(num, halfQ)
-		num.Quo(num, bigQ)
-		num.Mod(num, bigT)
-		pt.Coeffs[i] = num.Uint64()
-	}
-	return pt, nil
-}
-
-// RecoverMessageFromE2 chains RecoverU and RecoverMessage, failing when the
-// ternary verification rejects the e2 candidate.
-func RecoverMessageFromE2(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, e2 []int64) (*bfv.Plaintext, error) {
-	u, ternary, err := RecoverU(params, pk, ct, e2)
-	if err != nil {
-		return nil, err
-	}
-	if !ternary {
-		return nil, fmt.Errorf("core: recovered u is not ternary: e2 candidate rejected")
-	}
-	return RecoverMessage(params, pk, ct, u)
+	return params.RoundPhase(phase)
 }
 
 // RepairAndRecover searches the residual space the template attack leaves:
@@ -134,10 +112,15 @@ func RecoverMessageFromE2(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Cip
 // coordinate, depth-first with a trial budget), each candidate verified via
 // the ternary-u oracle. This plays the role of the paper's BKZ exploration
 // of the remaining search space, using the exact verification available in
-// the single-modulus setting.
+// the single-modulus setting. p1 is inverted once per search; a p1 that is
+// not invertible fails before the first trial.
 func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext,
 	attack *AttackResult, maxDepth, maxTrials int) (*bfv.Plaintext, []int64, int, error) {
 
+	solver, err := newUSolver(params, pk, ct)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	e2 := make([]int64, len(attack.Values))
 	for i, v := range attack.Values {
 		e2[i] = int64(v)
@@ -145,11 +128,10 @@ func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphert
 	trials := 0
 	try := func(cand []int64) *bfv.Plaintext {
 		trials++
-		pt, err := RecoverMessageFromE2(params, pk, ct, cand)
-		if err != nil {
+		if ternary, err := solver.solve(cand); err != nil || !ternary {
 			return nil
 		}
-		return pt
+		return recoverMessage(params, pk, ct, solver.u)
 	}
 	if pt := try(e2); pt != nil {
 		return pt, e2, trials, nil

@@ -254,7 +254,7 @@ func TestHintFromProbabilitiesDeterministic(t *testing.T) {
 	for v := -14; v <= 14; v++ {
 		dense[v] = math.Exp(-float64(v*v)/20) * (1 + float64(v&3)/7)
 	}
-	sparse := map[int]float64{-1 << 40: 0.1, -3: 0.2, 0: 0.3, 5: 0.15, 1 << 40: 0.25}
+	sparse := map[int]float64{-1 << 30: 0.1, -3: 0.2, 0: 0.3, 5: 0.15, 1 << 30: 0.25}
 	extreme := map[int]float64{math.MinInt: 0.5, 0: 0.25, math.MaxInt: 0.25}
 	for name, probs := range map[string]map[int]float64{"dense": dense, "sparse": sparse, "extreme": extreme} {
 		labels := make([]int, 0, len(probs))

@@ -133,17 +133,15 @@ func NewSynthesizer(model *Model, prng *sampler.Xoshiro256) (*Synthesizer, error
 }
 
 // weightedHW returns the bit-weighted Hamming weight of v (the plain
-// Hamming weight under uniform weights).
+// Hamming weight under uniform weights). It visits only the set bits, in
+// ascending order, so the weights are added in bit order.
 func (s *Synthesizer) weightedHW(v uint32) float64 {
 	if s.uniform {
 		return float64(bits.OnesCount32(v))
 	}
 	sum := 0.0
-	for b := 0; v != 0; b++ {
-		if v&1 == 1 {
-			sum += s.model.BitWeights[b]
-		}
-		v >>= 1
+	for ; v != 0; v &= v - 1 {
+		sum += s.model.BitWeights[bits.TrailingZeros32(v)]
 	}
 	return sum
 }
@@ -196,6 +194,3 @@ func (s *Synthesizer) RenderInto(buf []float64) { s.samples = buf[:0] }
 // Samples returns the rendered power trace (one sample per cycle). The
 // slice aliases the render buffer: copy it before the buffer is reused.
 func (s *Synthesizer) Samples() []float64 { return s.samples }
-
-// Reset drops the rendered samples, keeping the buffer for reuse.
-func (s *Synthesizer) Reset() { s.samples = s.samples[:0] }

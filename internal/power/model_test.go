@@ -198,17 +198,6 @@ func TestControlFlowDistinguishable(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	syn := runProgram(t, "ebreak", DefaultModel(), 5)
-	if len(syn.Samples()) == 0 {
-		t.Fatal("expected samples")
-	}
-	syn.Reset()
-	if len(syn.Samples()) != 0 {
-		t.Error("reset did not clear state")
-	}
-}
-
 // RenderInto renders into the caller's buffer, growing it when it is too
 // short, and the samples equal those of a synthesizer rendering alone.
 func TestRenderInto(t *testing.T) {
@@ -319,5 +308,55 @@ func TestBitWeightedLeakageSeparatesEqualHW(t *testing.T) {
 	v1, v2, v4 := storeSample("1"), storeSample("2"), storeSample("4")
 	if v1 == v2 || v2 == v4 || v1 == v4 {
 		t.Errorf("equal-HW values not separated: %v %v %v", v1, v2, v4)
+	}
+}
+
+// TestWeightedHWMatchesBitLoop: weightedHW visits only the set bits, in
+// ascending order, so it adds the same weights in the same order as a loop
+// that tests every bit up to the highest set one, and every sum is
+// Float64bits-equal to that loop's — for random words and the edge words,
+// under the default and the low-noise bit weights.
+func TestWeightedHWMatchesBitLoop(t *testing.T) {
+	bitLoop := func(w *[32]float64, v uint32) float64 {
+		sum := 0.0
+		for b := 0; v != 0; b++ {
+			if v&1 == 1 {
+				sum += w[b]
+			}
+			v >>= 1
+		}
+		return sum
+	}
+	// The bit weights core.NewLowNoiseDevice sets.
+	lowNoise := DefaultModel()
+	for b := range lowNoise.BitWeights {
+		z := uint64(b)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 30)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		frac := float64(z>>11) / (1 << 53)
+		lowNoise.BitWeights[b] = 1 + 0.9*(frac-0.5)
+	}
+	words := []uint32{0, 1, 1 << 31, math.MaxUint32}
+	prng := sampler.NewXoshiro256(9)
+	for range 4096 {
+		words = append(words, uint32(prng.Uint64()))
+	}
+	for _, tc := range []struct {
+		name  string
+		model *Model
+	}{{"default", DefaultModel()}, {"low-noise", lowNoise}} {
+		syn, err := NewSynthesizer(tc.model, sampler.NewXoshiro256(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if syn.uniform {
+			t.Fatalf("%s: bit weights read as uniform", tc.name)
+		}
+		for _, v := range words {
+			got, want := syn.weightedHW(v), bitLoop(&tc.model.BitWeights, v)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: weightedHW(%#x) = %v, want %v", tc.name, v, got, want)
+			}
+		}
 	}
 }

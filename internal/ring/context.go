@@ -109,19 +109,22 @@ func (c *Context) INTT(p *Poly) {
 	p.InNTT = false
 }
 
-// ComposeCRT returns coefficient i of p (which must be in coefficient
-// representation) as a big integer in [0, Q).
-func (c *Context) ComposeCRT(p *Poly, i int) *big.Int {
-	acc := new(big.Int)
-	term := new(big.Int)
-	for j, q := range c.Moduli {
-		// acc += qiHat_j * ((x_j * qiHatInv_j) mod q_j)
-		xj := modular.Mul(p.Coeffs[j][i], c.qiHatIn[j], q)
-		term.SetUint64(xj)
-		term.Mul(term, c.qiHat[j])
-		acc.Add(acc, term)
+// ComposeCRT sets dst to coefficient i of p (which must be in coefficient
+// representation) as an integer in [0, Q) and returns dst. A caller that
+// reuses dst across coefficients allocates nothing under one modulus.
+func (c *Context) ComposeCRT(dst *big.Int, p *Poly, i int) *big.Int {
+	if len(c.Moduli) == 1 {
+		// Q/q_0 = 1 and its inverse is 1: the value is the residue.
+		return dst.SetUint64(p.Coeffs[0][i] % c.Moduli[0])
 	}
-	return acc.Mod(acc, c.bigQ)
+	var term big.Int
+	dst.SetUint64(0)
+	for j, q := range c.Moduli {
+		// dst += qiHat_j * ((x_j * qiHatInv_j) mod q_j)
+		term.SetUint64(modular.Mul(p.Coeffs[j][i], c.qiHatIn[j], q))
+		dst.Add(dst, term.Mul(&term, c.qiHat[j]))
+	}
+	return dst.Mod(dst, c.bigQ)
 }
 
 // SetCoeffBig sets coefficient i of p from a big integer (reduced mod each

@@ -100,20 +100,29 @@ func TestNTTIsNegacyclicEvaluation(t *testing.T) {
 	})
 }
 
+// TestComposeCRTDifferential: ComposeCRT equals the reference CRT
+// composition under one and two moduli, with one destination reused
+// across coefficients.
 func TestComposeCRTDifferential(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be string) {
-		moduli := []uint64{12289, 257}
-		ctx, _ := newCtxOn(t, be, 32, moduli)
-		r := testkit.NewRNG(21)
-		p := r.Poly(ctx)
-		for i := 0; i < ctx.N; i++ {
-			got := ctx.ComposeCRT(p, i)
-			want, err := testkit.RefCRTCompose([]uint64{p.Coeffs[0][i], p.Coeffs[1][i]}, moduli)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cmp(want) != 0 {
-				t.Fatalf("coeff %d: ComposeCRT %v, ref %v", i, got, want)
+		for _, moduli := range [][]uint64{{12289}, {12289, 257}} {
+			ctx, _ := newCtxOn(t, be, 32, moduli)
+			r := testkit.NewRNG(21)
+			p := r.Poly(ctx)
+			got := new(big.Int)
+			residues := make([]uint64, len(moduli))
+			for i := 0; i < ctx.N; i++ {
+				ctx.ComposeCRT(got, p, i)
+				for j := range moduli {
+					residues[j] = p.Coeffs[j][i]
+				}
+				want, err := testkit.RefCRTCompose(residues, moduli)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Cmp(want) != 0 {
+					t.Fatalf("moduli %v, coeff %d: ComposeCRT %v, ref %v", moduli, i, got, want)
+				}
 			}
 		}
 	})
@@ -130,7 +139,7 @@ func TestSetCoeffBigRoundTrip(t *testing.T) {
 			v.SetUint64(r.Uint64())
 			v.Mod(v, bigQ)
 			ctx.SetCoeffBig(p, i, v)
-			if got := ctx.ComposeCRT(p, i); got.Cmp(v) != 0 {
+			if got := ctx.ComposeCRT(new(big.Int), p, i); got.Cmp(v) != 0 {
 				t.Fatalf("coeff %d: ComposeCRT(SetCoeffBig(%v)) = %v", i, v, got)
 			}
 		}

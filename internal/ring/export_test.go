@@ -1,6 +1,10 @@
 package ring
 
-import "reveal/internal/modular"
+import (
+	"math/big"
+
+	"reveal/internal/modular"
+)
 
 // Test accessors and helpers: scalar operations, norms, equality and the
 // ladder constructors that only tests use. The programs build contexts
@@ -42,8 +46,9 @@ func (c *Context) InfNormCentered(p *Poly) uint64 {
 	half := c.BigQ()
 	half.Rsh(half, 1)
 	var max uint64
+	v := new(big.Int)
 	for i := 0; i < c.N; i++ {
-		v := c.ComposeCRT(p, i)
+		c.ComposeCRT(v, p, i)
 		if v.Cmp(half) > 0 {
 			v.Sub(c.bigQ, v)
 		}

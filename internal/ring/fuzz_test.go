@@ -117,7 +117,7 @@ func FuzzCRTReconstruct(f *testing.F) {
 				t.Fatalf("decompose residue %d wrong: got %d want %d", j, p.Coeffs[j][0], want)
 			}
 		}
-		if got := ctx.ComposeCRT(p, 0); got.Cmp(v) != 0 {
+		if got := ctx.ComposeCRT(new(big.Int), p, 0); got.Cmp(v) != 0 {
 			t.Fatalf("reconstruct(decompose(%v)) = %v", v, got)
 		}
 		// Non-coprime bases must be rejected: a duplicated prime shares a

@@ -15,9 +15,6 @@ type Poly struct {
 	InNTT  bool
 }
 
-// Context returns the ring context this polynomial belongs to.
-func (p *Poly) Context() *Context { return p.ctx }
-
 // Clone returns a deep copy of p.
 func (p *Poly) Clone() *Poly {
 	c := p.ctx.NewPoly()

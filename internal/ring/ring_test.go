@@ -242,7 +242,7 @@ func TestComposeCRTMultiModulus(t *testing.T) {
 	p := ctx.NewPoly()
 	want := new(big.Int).SetUint64(123456789012)
 	ctx.SetCoeffBig(p, 3, want)
-	got := ctx.ComposeCRT(p, 3)
+	got := ctx.ComposeCRT(new(big.Int), p, 3)
 	if got.Cmp(new(big.Int).Mod(want, ctx.BigQ())) != 0 {
 		t.Errorf("CRT round trip: got %v want %v", got, want)
 	}
@@ -251,7 +251,7 @@ func TestComposeCRTMultiModulus(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		v := new(big.Int).Rand(rng, ctx.BigQ())
 		ctx.SetCoeffBig(p, 0, v)
-		if ctx.ComposeCRT(p, 0).Cmp(v) != 0 {
+		if ctx.ComposeCRT(new(big.Int), p, 0).Cmp(v) != 0 {
 			t.Fatalf("CRT round trip failed for %v", v)
 		}
 	}
@@ -295,9 +295,6 @@ func TestPolyCloneCopyZeroEqual(t *testing.T) {
 	b.Zero()
 	if !b.Equal(ctx.NewPoly()) {
 		t.Error("zero failed")
-	}
-	if a.Context() != ctx {
-		t.Error("context accessor wrong")
 	}
 	c := a.Clone()
 	ctx.NTT(c)
