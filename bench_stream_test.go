@@ -16,7 +16,7 @@ import (
 // acquisition feed takes. Reported metrics: traces/sec, MB/s of wire
 // ingest, and the mean time-to-first-hint latency in nanoseconds.
 func BenchmarkStream(b *testing.B) {
-	s := getLowNoiseSession(b)
+	s := benchSession(b, true)
 	pt := s.Params.NewPlaintext()
 	for i := range pt.Coeffs {
 		pt.Coeffs[i] = uint64(i*31) % s.Params.T

@@ -1,12 +1,11 @@
 // Command estimator is a standalone "LWE with side information" (DBDD)
-// security estimator reproducing Tables III and IV of the paper without
-// running the device: hints are simulated at the quality the paper's
-// measurements achieved.
+// security estimator: it estimates an LWE instance without running the
+// device, with hints simulated at the quality the paper's measurements
+// achieved. The paper's Tables III and IV, and the sweep over SEAL's
+// parameter sets, are claims of `revealctl experiments`.
 //
 // Usage:
 //
-//	estimator -table 3            # full hints (Table III)
-//	estimator -table 4            # branch-only hints (Table IV)
 //	estimator -n 1024 -q 132120577 -sigma 3.2 -hints none|sign|full
 package main
 
@@ -18,17 +17,14 @@ import (
 	"reveal/internal/dbdd"
 	"reveal/internal/experiments"
 	"reveal/internal/obs"
-	"reveal/internal/sampler"
 )
 
 func main() {
-	table := flag.Int("table", 0, "reproduce paper table 3 or 4 (overrides -hints)")
 	n := flag.Int("n", 1024, "LWE secret dimension (= #samples)")
 	q := flag.Float64("q", 132120577, "modulus")
 	sigma := flag.Float64("sigma", 3.2, "error standard deviation")
 	hints := flag.String("hints", "none", "hint model: none, sign, full")
 	seed := flag.Uint64("seed", 1, "seed for the simulated error vector")
-	sweep := flag.Bool("sweep", false, "estimate the attack across all SEAL default degrees")
 	runDir := flag.String("run-dir", "", "write manifest.json, metrics.txt and run.log into this directory")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
@@ -37,8 +33,7 @@ func main() {
 		run, err := obs.StartRun(*runDir, obs.RunOptions{
 			Tool: "estimator", Args: os.Args[1:], Seed: *seed,
 			Config: map[string]any{
-				"table": *table, "n": *n, "q": *q, "sigma": *sigma,
-				"hints": *hints, "sweep": *sweep,
+				"n": *n, "q": *q, "sigma": *sigma, "hints": *hints,
 			},
 			LogLevel: obs.ParseLevel(*logLevel),
 		})
@@ -52,167 +47,19 @@ func main() {
 		}()
 	}
 
-	if *sweep {
-		rows, err := experiments.RunSecuritySweep([]int{1024, 2048, 4096, 8192, 16384, 32768}, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(experiments.FormatSweep(rows))
-		return
+	in, err := experiments.IdealHints(*n, *q, *sigma, *hints, *seed)
+	if err != nil {
+		fail(err)
 	}
-
-	switch *table {
-	case 3:
-		if err := runTable3(*n, *q, *sigma, *seed); err != nil {
-			fail(err)
-		}
-	case 4:
-		if err := runTable4(*n, *q, *sigma, *seed); err != nil {
-			fail(err)
-		}
-	case 0:
-		if err := runCustom(*n, *q, *sigma, *hints, *seed); err != nil {
-			fail(err)
-		}
-	default:
-		fail(fmt.Errorf("unknown table %d (use 3 or 4)", *table))
+	bikz, err := in.EstimateBikz()
+	if err != nil {
+		fail(err)
 	}
+	fmt.Printf("n=%d q=%.0f sigma=%.2f hints=%s\n", *n, *q, *sigma, *hints)
+	fmt.Printf("bikz: %.2f  (≈ %.1f bits)\n", bikz, dbdd.BikzToBits(bikz))
 }
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "estimator:", err)
 	os.Exit(1)
-}
-
-// simulatedErrors draws an error vector from the paper's clipped Gaussian.
-func simulatedErrors(n int, sigma float64, seed uint64) ([]int64, error) {
-	cn, err := sampler.NewClippedNormal(sigma, 12.8*sigma)
-	if err != nil {
-		return nil, err
-	}
-	vals, _ := cn.SamplePoly(sampler.NewXoshiro256(seed), n)
-	return vals, nil
-}
-
-func baseInstance(n int, q, sigma float64) (*dbdd.Instance, error) {
-	return dbdd.NewLWEInstance(n, n, q, 2.0/3.0, sigma*sigma)
-}
-
-func runTable3(n int, q, sigma float64, seed uint64) error {
-	in, err := baseInstance(n, q, sigma)
-	if err != nil {
-		return err
-	}
-	base, err := in.EstimateBikz()
-	if err != nil {
-		return err
-	}
-	errs, err := simulatedErrors(n, sigma, seed)
-	if err != nil {
-		return err
-	}
-	hinted := in.Clone()
-	for i, e := range errs {
-		if err := hinted.PerfectHint(n+i, float64(e)); err != nil {
-			return err
-		}
-	}
-	after, err := hinted.EstimateBikz()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Table III — cost of attack with/without hints (SEAL-128)")
-	fmt.Printf("%-32s %10s %14s\n", "", "measured", "paper")
-	fmt.Printf("%-32s %10.2f %14s\n", "attack without hints (bikz)", base, "382.25")
-	fmt.Printf("%-32s %10.2f %14s\n", "attack with hints (bikz)", after, "12.2")
-	fmt.Printf("%-32s %10.1f %14s\n", "security without hints (bits)", dbdd.BikzToBits(base), "128")
-	fmt.Printf("%-32s %10.1f %14s\n", "security with hints (bits)", dbdd.BikzToBits(after), "4.4")
-	return nil
-}
-
-func runTable4(n int, q, sigma float64, seed uint64) error {
-	in, err := baseInstance(n, q, sigma)
-	if err != nil {
-		return err
-	}
-	base, err := in.EstimateBikz()
-	if err != nil {
-		return err
-	}
-	errs, err := simulatedErrors(n, sigma, seed)
-	if err != nil {
-		return err
-	}
-	hinted := in.Clone()
-	for i, e := range errs {
-		sign := 0
-		if e > 0 {
-			sign = 1
-		} else if e < 0 {
-			sign = -1
-		}
-		if err := hinted.SignHint(n+i, sign); err != nil {
-			return err
-		}
-	}
-	withHints, err := hinted.EstimateBikz()
-	if err != nil {
-		return err
-	}
-	guess, err := hinted.GuessBestCoordinateIn(n, 2*n)
-	if err != nil {
-		return err
-	}
-	withGuess, err := hinted.EstimateBikz()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Table IV — branch-only adversary (SEAL-128)")
-	fmt.Printf("%-36s %10s %14s\n", "", "measured", "paper")
-	fmt.Printf("%-36s %10.2f %14s\n", "attack without hints (bikz)", base, "382.25")
-	fmt.Printf("%-36s %10.2f %14s\n", "attack with hints (bikz)", withHints, "253.29")
-	fmt.Printf("%-36s %10.2f %14s\n", "attack with hints & guesses (bikz)", withGuess, "252.83")
-	fmt.Printf("%-36s %10d %14s\n", "number of guesses", 1, "1")
-	fmt.Printf("%-36s %9.0f%% %14s\n", "success probability", 100*guess.SuccessProb, "20%")
-	return nil
-}
-
-func runCustom(n int, q, sigma float64, hints string, seed uint64) error {
-	in, err := baseInstance(n, q, sigma)
-	if err != nil {
-		return err
-	}
-	switch hints {
-	case "none":
-	case "sign", "full":
-		errs, err := simulatedErrors(n, sigma, seed)
-		if err != nil {
-			return err
-		}
-		for i, e := range errs {
-			if hints == "full" {
-				err = in.PerfectHint(n+i, float64(e))
-			} else {
-				sign := 0
-				if e > 0 {
-					sign = 1
-				} else if e < 0 {
-					sign = -1
-				}
-				err = in.SignHint(n+i, sign)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unknown hint model %q", hints)
-	}
-	bikz, err := in.EstimateBikz()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("n=%d q=%.0f sigma=%.2f hints=%s\n", n, q, sigma, hints)
-	fmt.Printf("bikz: %.2f  (≈ %.1f bits)\n", bikz, dbdd.BikzToBits(bikz))
-	return nil
 }

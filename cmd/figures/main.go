@@ -88,8 +88,6 @@ func main() {
 		if err := trace.WriteCSV(w, series); err != nil {
 			fail(archived, err)
 		}
-		fmt.Fprintf(os.Stderr, "segment lengths: min %d, max %d, mean %.1f, %d distinct values\n",
-			tr.Min, tr.Max, tr.Mean, tr.DistinctN)
 		archived.SetResult("segments", len(tr.Lengths))
 		archived.SetResult("distinct_lengths", tr.DistinctN)
 	default:

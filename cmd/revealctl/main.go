@@ -5,7 +5,6 @@
 // Usage:
 //
 //	revealctl table1 [-profile N] [-encryptions N] [-seed S] [-json]
-//	revealctl table2 [-seed S] [-json]
 //	revealctl attack [-seed S] [-messages N] [-stream [-target-bikz B] [-chunk N]]
 //	revealctl profile [-o FILE] [-seed S]
 //	revealctl diagnose [-seed S] [-traces N] [-curves] [-json]
@@ -16,8 +15,9 @@
 //	revealctl top [-addr URL] [-interval DUR] [-n N]
 //	revealctl report [-addr URL] [-kind K] [-tenant T] [-window N] [-format F] [-o FILE]
 //	revealctl selftest [-seed S] [-workers N] [-json] [-q]
+//	revealctl experiments
 //
-// Every subcommand accepts the observability flags:
+// table1, attack, profile and diagnose accept the observability flags:
 //
 //	-run-dir DIR       archive the campaign as a reproducible artifact:
 //	                   DIR/manifest.json (config, seed, git describe,
@@ -47,8 +47,6 @@ func main() {
 	switch os.Args[1] {
 	case "table1":
 		err = runTable1(os.Args[2:])
-	case "table2":
-		err = runTable2(os.Args[2:])
 	case "attack":
 		err = runAttack(os.Args[2:])
 	case "profile":
@@ -69,6 +67,8 @@ func main() {
 		err = runReport(os.Args[2:])
 	case "selftest":
 		err = runSelftest(os.Args[2:])
+	case "experiments":
+		err = runExperiments(os.Args[2:], os.Stdout)
 	default:
 		usage()
 		os.Exit(2)
@@ -84,7 +84,6 @@ func usage() {
 
 commands:
   table1   reproduce Table I (template-attack confusion matrix)
-  table2   reproduce Table II (per-measurement guessing probabilities)
   attack   end-to-end single-trace attack with full message recovery
            (-stream: chunked streaming engine with batch digest cross-check)
   profile  run the profiling campaign and save the trained classifier
@@ -96,8 +95,11 @@ commands:
   top      live terminal dashboard over a running reveald (queue, workers, quality, events)
   report   quality-trajectory report (markdown/CSV) from a reveald history store
   selftest replay-determinism gate: serial vs parallel attack, digest printed
+  experiments
+           measure every claim of EXPERIMENTS.md, print its tables, and
+           exit 1 when a shape predicate fails
 
-observability (all commands):
+observability (table1, attack, profile, diagnose):
   -run-dir DIR        write manifest.json, metrics.txt, run.log
   -metrics-addr ADDR  live /metrics, /progress, /debug/pprof
   -log-level LEVEL    debug|info|warn|error
@@ -144,51 +146,6 @@ func runTable1(args []string) error {
 		return experiments.WriteJSON(os.Stdout, report)
 	}
 	fmt.Println(experiments.FormatTable1(res, -7, 7))
-	return nil
-}
-
-func runTable2(args []string) error {
-	fs := flag.NewFlagSet("table2", flag.ExitOnError)
-	seed := fs.Uint64("seed", 1, "experiment seed")
-	jsonOut := fs.Bool("json", false, "print the result as JSON instead of the table layout")
-	ofl := registerObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg := experiments.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.LowNoise = true // Table II shows the paper's near-certain posteriors
-	cfg.AttackEncryptions = 1
-	camp, err := ofl.start("table2", args, *seed, cfg)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := camp.finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "revealctl: finishing run:", err)
-		}
-	}()
-	if !*jsonOut {
-		fmt.Println("profiling low-noise device...")
-	}
-	s, err := experiments.NewSession(cfg)
-	if err != nil {
-		return err
-	}
-	t1, err := s.RunTable1()
-	if err != nil {
-		return err
-	}
-	rows, err := experiments.RunTable2(t1.LastOutcome.E2, t1.LastCapture.Truth.E2)
-	if err != nil {
-		return err
-	}
-	report := experiments.ReportTable2(rows)
-	camp.setResult("table2", report)
-	if *jsonOut {
-		return experiments.WriteJSON(os.Stdout, report)
-	}
-	fmt.Println(experiments.FormatTable2(rows))
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"reveal/internal/dbdd"
+	"reveal/internal/experiments"
 	"reveal/internal/sampler"
 )
 
@@ -28,42 +29,29 @@ func main() {
 		fmt.Printf("%-42s %8.2f bikz ≈ 2^%.1f\n", name, bikz, dbdd.BikzToBits(bikz))
 		return bikz
 	}
-
-	fresh := func() *dbdd.Instance {
-		in, err := dbdd.NewLWEInstance(n, n, q, 2.0/3.0, sigma*sigma)
+	// hinted integrates one ideal hint per coordinate of a simulated error
+	// vector (what the device actually sampled): none, its sign or its value.
+	hinted := func(hints string) *dbdd.Instance {
+		in, err := experiments.IdealHints(n, q, sigma, hints, 42)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return in
 	}
 
-	// A simulated error vector (what the device actually sampled).
+	// 0. No side information.
+	base := report("no hints (honest adversary)", hinted("none"))
+
+	// 1. Branch-only: signs and zeroes (V1 alone, Table IV).
+	signBikz := report("branch hints only (V1)", hinted("sign"))
+
+	// 2. Partial value hints: half the coefficients known exactly.
 	cn, err := sampler.NewClippedNormal(sigma, 12.8*sigma)
 	if err != nil {
 		log.Fatal(err)
 	}
 	errs, _ := cn.SamplePoly(sampler.NewXoshiro256(42), n)
-
-	// 0. No side information.
-	base := report("no hints (honest adversary)", fresh())
-
-	// 1. Branch-only: signs and zeroes (V1 alone, Table IV).
-	in := fresh()
-	for i, e := range errs {
-		sign := 0
-		if e > 0 {
-			sign = 1
-		} else if e < 0 {
-			sign = -1
-		}
-		if err := in.SignHint(n+i, sign); err != nil {
-			log.Fatal(err)
-		}
-	}
-	signBikz := report("branch hints only (V1)", in)
-
-	// 2. Partial value hints: half the coefficients known exactly.
-	in = fresh()
+	in := hinted("none")
 	for i := 0; i < n/2; i++ {
 		if err := in.PerfectHint(n+i, float64(errs[i])); err != nil {
 			log.Fatal(err)
@@ -72,13 +60,7 @@ func main() {
 	report("half the coefficients known", in)
 
 	// 3. Full hints (V1+V2+V3, Table III).
-	in = fresh()
-	for i, e := range errs {
-		if err := in.PerfectHint(n+i, float64(e)); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fullBikz := report("all coefficients known (full attack)", in)
+	fullBikz := report("all coefficients known (full attack)", hinted("full"))
 
 	fmt.Printf("\nsecurity drop: %.2f -> %.2f bikz (signs) -> %.2f bikz (full)\n",
 		base, signBikz, fullBikz)

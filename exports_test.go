@@ -22,9 +22,6 @@ type allowKind int
 const (
 	// testSupport: internal/testkit is test support by design.
 	testSupport allowKind = iota + 1
-	// experimentEntry: an experiment entry point that only the root
-	// package's benchmarks call, kept until a claims runner drives it.
-	experimentEntry
 	// sharedOracle: an oracle or helper that tests in more than one
 	// package use, so no single package's _test.go can hold it. The
 	// reason names those packages.
@@ -42,13 +39,6 @@ var exportAllowlist = []struct {
 	reason string
 }{
 	{"testkit", testSupport, "seeded generators, big-int references, golden files and the Prometheus text parser for tests"},
-
-	{"experiments.RunTable3", experimentEntry, "Table III hinted estimates, run by BenchmarkTable3FullHints"},
-	{"experiments.FormatTable3", experimentEntry, "Table III rendering of RunTable3's result"},
-	{"experiments.RunTable4", experimentEntry, "Table IV sign-only estimates, run by BenchmarkTable4SignOnlyHints"},
-	{"experiments.FormatTable4", experimentEntry, "Table IV rendering of RunTable4's result"},
-	{"experiments.RunCrossDevice", experimentEntry, "cross-device ablation, run by BenchmarkAblationCrossDevice"},
-	{"core.EvaluateMasking", experimentEntry, "masking countermeasure ablation, run by BenchmarkAblationMasking"},
 
 	{"linalg.SolveCholesky", sharedOracle, "per-vector solve the linalg kernel tests and the sca FuzzScorerReference compare against"},
 	{"linalg.Dot", sharedOracle, "dot product of the linalg tests, the sca scoring reference and the dbdd FullInstance oracle"},
@@ -105,7 +95,7 @@ func TestExportsReachable(t *testing.T) {
 	roots := programRoots
 	for _, e := range exportAllowlist {
 		if e.kind < testSupport || e.kind > sharedOracle || e.reason == "" {
-			t.Errorf("allowlist entry %s: needs one of the three kinds and a reason", e.id)
+			t.Errorf("allowlist entry %s: needs one of the two kinds and a reason", e.id)
 		}
 		var named []*declUnit
 		if p := s.pkgs[modulePath+"/internal/"+e.id]; p != nil {

@@ -98,7 +98,8 @@ func DefaultParameters(n int, t uint64) (*Parameters, error) {
 }
 
 // extraBits extends the ring ladder with the two research degrees the
-// security-sweep estimator covers but the attack pipeline does not target.
+// security-sweep claim of internal/experiments covers but the attack
+// pipeline does not target.
 var extraBits = map[int][]int{
 	16384: {48, 48, 48, 49, 49, 49, 49, 49, 49},
 	32768: {55, 55, 55, 55, 55, 55, 55, 55, 55, 55, 55, 55, 55, 55, 55, 56},

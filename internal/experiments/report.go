@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"reveal/internal/core"
 	"reveal/internal/sca"
 )
 
@@ -30,31 +29,6 @@ func (r *Table1Result) Report() Table1Report {
 		Confusion:    r.Confusion.Summary(),
 		Matrix:       r.Confusion.Counts(),
 	}
-}
-
-// Table2Report is the machine-readable form of Table II.
-type Table2Report struct {
-	Rows []Table2ReportRow `json:"rows"`
-}
-
-// Table2ReportRow is one measurement's probability table.
-type Table2ReportRow struct {
-	Secret   int            `json:"secret"`
-	Probs    core.Posterior `json:"probs"`
-	Centered float64        `json:"centered"`
-	Variance float64        `json:"variance"`
-}
-
-// ReportTable2 converts Table II rows to the machine-readable form.
-func ReportTable2(rows []Table2Row) Table2Report {
-	out := Table2Report{Rows: make([]Table2ReportRow, len(rows))}
-	for i, r := range rows {
-		out.Rows[i] = Table2ReportRow{
-			Secret: r.Secret, Probs: r.Probs,
-			Centered: r.Centered, Variance: r.Variance,
-		}
-	}
-	return out
 }
 
 // WriteJSON writes v as indented JSON followed by a newline — the -json

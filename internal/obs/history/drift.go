@@ -28,9 +28,6 @@ type DriftConfig struct {
 	// `revealctl compare`: accuracy/margin/SNR may only fall so far, bikz
 	// may only rise so far, and timing metrics never gate.
 	Tolerance float64
-	// MetricTolerance overrides the tolerance per metric name; keys ending
-	// in '*' match by prefix (obs.CompareOptions semantics).
-	MetricTolerance map[string]float64
 	// BaselinePath, when non-empty, persists pinned baselines as JSON so a
 	// restarted daemon keeps watching against the same reference.
 	BaselinePath string
@@ -146,7 +143,7 @@ func (w *Watchdog) evaluateLocked(kind string) []DriftAlert {
 	deltas, _ := obs.CompareMetrics(
 		&obs.RunMetrics{Path: "baseline", Kind: "history", Values: baseline},
 		&obs.RunMetrics{Path: "window", Kind: "history", Values: means},
-		obs.CompareOptions{Tolerance: w.cfg.Tolerance, MetricTolerance: w.cfg.MetricTolerance},
+		obs.CompareOptions{Tolerance: w.cfg.Tolerance},
 	)
 	state := w.alerting[kind]
 	if state == nil {

@@ -10,7 +10,9 @@
 // nil pointers whose methods are no-ops, and the instrumented hot paths pay
 // one atomic load per stage entry. Long campaigns enable it with
 //
-//	rec := obs.New(obs.Options{Level: slog.LevelInfo})
+//	rec := obs.New(obs.Options{Logger: obs.NewLogger(obs.LogOptions{
+//		Level: slog.LevelInfo, Output: os.Stderr,
+//	})})
 //	obs.SetGlobal(rec)
 //
 // or, for a fully archived run, obs.StartRun, which also writes
@@ -49,8 +51,6 @@ type Recorder struct {
 type Options struct {
 	// Logger receives the structured log stream. Nil discards logs.
 	Logger *slog.Logger
-	// Registry is the metrics registry; nil allocates a fresh one.
-	Registry *Registry
 	// TraceCapacity bounds the span trace-event buffer exported as
 	// trace.json; 0 disables span tracing.
 	TraceCapacity int
@@ -70,10 +70,7 @@ type Options struct {
 
 // New builds a Recorder.
 func New(opts Options) *Recorder {
-	reg := opts.Registry
-	if reg == nil {
-		reg = NewRegistry()
-	}
+	reg := NewRegistry()
 	rec := &Recorder{
 		registry:    reg,
 		logger:      opts.Logger,

@@ -3,7 +3,7 @@
 # simulator, power model and noise sampler), the attack path (linear algebra, template
 # scoring, DBDD, segmentation and classification) and the campaign
 # service (job queue and lease protocol, WAL, the segmented log under it
-# and the quality history, executor): each
+# and the quality history, executor) and the experiment claims: each
 # package listed in scripts/coverage_floor.txt must keep its statement
 # coverage at or above the committed floor. Raise a floor when coverage
 # improves; lowering one is a reviewed decision, not a silent CI edit.
