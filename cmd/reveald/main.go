@@ -27,7 +27,9 @@
 // Roles (the distributed campaign fabric). Every role that executes jobs
 // runs the same fabric worker: it leases a job, heartbeats the lease, and
 // reports the attempt back to the coordinator, which journals and records
-// it.
+// it. Its templates resolve in one order on every role: the worker's
+// -cache LRU, then the coordinator's content-addressed registry, then
+// profiling and an upload, so one worker trains per configuration.
 //
 //	all          the default: a coordinator plus an in-process worker with
 //	             -workers slots, leasing from its own queue through direct
@@ -36,9 +38,7 @@
 //	             nothing locally; jobs wait for workers to lease them
 //	worker       no API: lease jobs from -coordinator over HTTP, execute
 //	             them on -workers slots, heartbeat each lease at a third
-//	             of -lease-ttl, and report results back. Templates resolve
-//	             through the coordinator's content-addressed registry
-//	             (local LRU first), so one node trains per configuration.
+//	             of -lease-ttl, and report results back
 //
 // With -data-dir, coordinator roles journal every job-lifecycle transition
 // to an append-only WAL under <data-dir>/wal and snapshot it every
@@ -421,20 +421,14 @@ func runWorker(rec *obs.Recorder, cfg workerConfig) error {
 	// Ride out coordinator restarts: dial failures retry with backoff
 	// before the slot loop's own idle backoff takes over.
 	client.RetryAttempts = 4
-	cache := core.NewTemplateCache(max(cfg.CacheCapacity, 1))
-	runner := &service.Runner{
-		Cache: &service.RemoteTemplateCache{
-			Local:  cache,
-			Client: client,
-			Worker: id,
-		},
-		Workers: cfg.ClassifyWorkers,
-		DataDir: cfg.DataDir,
-	}
 	worker := &service.FabricWorker{
-		ID:       id,
-		Client:   client,
-		Runner:   runner,
+		ID:     id,
+		Client: client,
+		Runner: &service.Runner{
+			Cache:   core.NewTemplateCache(cfg.CacheCapacity),
+			Workers: cfg.ClassifyWorkers,
+			DataDir: cfg.DataDir,
+		},
 		Slots:    cfg.Slots,
 		LeaseTTL: cfg.LeaseTTL,
 	}

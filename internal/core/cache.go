@@ -89,18 +89,6 @@ func (c *TemplateCache) Len() int {
 	return c.order.Len()
 }
 
-// Get returns the cached classifier for key, marking it most recently used.
-func (c *TemplateCache) Get(key string) (*CoefficientClassifier, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).cls, true
-}
-
 // Put inserts (or refreshes) a classifier, evicting the least recently
 // used entry when the cache is full.
 func (c *TemplateCache) Put(key string, cls *CoefficientClassifier) {
@@ -160,8 +148,22 @@ func (c *TemplateCache) GetOrTrain(ctx context.Context, key string,
 	c.mu.Unlock()
 	reg.Counter(MetricTemplateCacheMisses).Inc()
 
+	trained := false
+	defer func() {
+		if trained {
+			return
+		}
+		// train panicked: release the key, so the next caller trains
+		// again and the waiters fail instead of blocking forever.
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		call.err = fmt.Errorf("core: training %s panicked", key)
+		close(call.done)
+	}()
 	trainStart := time.Now()
 	cls, err := train(ctx)
+	trained = true
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if err == nil {

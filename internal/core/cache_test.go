@@ -165,3 +165,44 @@ func TestGetOrTrainWaiterHonorsContext(t *testing.T) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 }
+
+// TestGetOrTrainPanicReleasesKey: a training run that panics fails the
+// callers waiting on it and leaves the key free, so the next caller trains
+// instead of blocking on the dead run.
+func TestGetOrTrainPanicReleasesKey(t *testing.T) {
+	c := NewTemplateCache(4)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	go func() {
+		defer func() { _ = recover() }()
+		_, _, _ = c.GetOrTrain(context.Background(), "k", func(context.Context) (*CoefficientClassifier, error) {
+			close(started)
+			<-release
+			panic("training corrupted")
+		})
+	}()
+	<-started
+	waited := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrTrain(context.Background(), "k", func(context.Context) (*CoefficientClassifier, error) {
+			return nil, fmt.Errorf("the waiter must not train")
+		})
+		waited <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter reach the in-flight run
+	close(release)
+	select {
+	case err := <-waited:
+		if err == nil {
+			t.Fatal("waiter on a panicked training run got no error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked after the training run panicked")
+	}
+	cls, hit, err := c.GetOrTrain(context.Background(), "k", func(context.Context) (*CoefficientClassifier, error) {
+		return &CoefficientClassifier{Length: 3}, nil
+	})
+	if err != nil || hit || cls.Length != 3 {
+		t.Fatalf("after the panic: cls=%+v hit=%v err=%v, want a fresh training run", cls, hit, err)
+	}
+}

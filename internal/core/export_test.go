@@ -148,3 +148,15 @@ func CrossValidateE1(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Cipherte
 	}
 	return float64(match) / float64(ctx.N), nil
 }
+
+// Get returns the cached classifier for key, marking it most recently used.
+func (c *TemplateCache) Get(key string) (*CoefficientClassifier, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*cacheEntry).cls, true
+}

@@ -55,9 +55,6 @@ type progressReport struct {
 	Stages        []StageStats `json:"stages"`
 }
 
-// maxProgressWait bounds the /progress?wait= delay parameter.
-const maxProgressWait = 30 * time.Second
-
 // maxEventWait bounds the /events?wait= long-poll parameter.
 const maxEventWait = 60 * time.Second
 
@@ -71,24 +68,7 @@ func ServeMetricsCfg(rec *Recorder, addr string, cfg ServeConfig) (*MetricsServe
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = rec.Registry().WritePrometheus(w)
 	})
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
-		// ?wait=dur delays the response (bounded): a deterministic hook for
-		// exercising graceful shutdown with a request in flight.
-		if ws := r.URL.Query().Get("wait"); ws != "" {
-			d, err := time.ParseDuration(ws)
-			if err != nil || d < 0 {
-				http.Error(w, "bad wait duration", http.StatusBadRequest)
-				return
-			}
-			if d > maxProgressWait {
-				d = maxProgressWait
-			}
-			select {
-			case <-time.After(d):
-			case <-r.Context().Done():
-				return
-			}
-		}
+	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -48,11 +48,11 @@ func TestServeMetricsWithMountsAPI(t *testing.T) {
 	}
 }
 
-// TestShutdownWaitsForInflightRequest starts a /progress request that
-// deliberately lingers (?wait=) and then shuts the server down: the drain
-// must let the in-flight response complete.
+// TestShutdownWaitsForInflightRequest holds an /events long-poll open
+// (?wait=) and then shuts the server down: the drain must let the
+// in-flight response complete.
 func TestShutdownWaitsForInflightRequest(t *testing.T) {
-	rec := New(Options{})
+	rec := New(Options{EventCapacity: 16})
 	srv, err := ServeMetricsCfg(rec, "127.0.0.1:0", ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestShutdownWaitsForInflightRequest(t *testing.T) {
 	got := make(chan result, 1)
 	go func() {
 		close(started)
-		resp, err := http.Get(base + "/progress?wait=300ms")
+		resp, err := http.Get(base + "/events?wait=300ms")
 		if err != nil {
 			got <- result{err: err}
 			return
@@ -89,7 +89,7 @@ func TestShutdownWaitsForInflightRequest(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("in-flight request failed during shutdown: %v", r.err)
 	}
-	if !strings.Contains(r.body, "uptime_seconds") {
+	if !strings.Contains(r.body, "next_seq") {
 		t.Fatalf("in-flight response truncated: %q", r.body)
 	}
 	// After shutdown the listener must be closed.
@@ -98,15 +98,27 @@ func TestShutdownWaitsForInflightRequest(t *testing.T) {
 	}
 }
 
-// TestProgressWaitValidation rejects malformed wait parameters.
+// TestProgressWaitValidation: /progress has no wait parameter (it answers
+// at once, whatever the query), and the /events long-poll, the one that
+// remains, rejects a malformed wait.
 func TestProgressWaitValidation(t *testing.T) {
-	rec := New(Options{})
+	rec := New(Options{EventCapacity: 16})
 	srv, err := ServeMetricsCfg(rec, "127.0.0.1:0", ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr() + "/progress?wait=bogus")
+	base := "http://" + srv.Addr()
+	start := time.Now()
+	resp, err := http.Get(base + "/progress?wait=10s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || time.Since(start) > 5*time.Second {
+		t.Fatalf("/progress?wait=10s = %d after %v, want 200 at once", resp.StatusCode, time.Since(start))
+	}
+	resp, err = http.Get(base + "/events?wait=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"reveal/internal/core"
 	"reveal/internal/jobs"
 	"reveal/internal/obs"
 	"reveal/internal/obs/history"
@@ -222,10 +224,43 @@ func (s *Server) recordResult(st jobs.Status, result any) {
 	}
 }
 
-// handleTemplateGet serves GET /api/v1/fabric/templates/{key}: the raw
-// WriteClassifier serialization.
+// TemplateGet implements Coordinator in process, and serves GET
+// /api/v1/fabric/templates/{key}: the raw WriteClassifier serialization.
+func (s *Server) TemplateGet(_ context.Context, key string) ([]byte, bool, error) {
+	blob, ok := s.registry.Get(key)
+	return blob, ok, nil
+}
+
+// TemplateClaim implements Coordinator in process, and serves POST
+// /api/v1/fabric/templates/{key}/claim: cross-worker single flight for
+// training.
+func (s *Server) TemplateClaim(_ context.Context, key, worker string) (bool, time.Duration, error) {
+	train, retry := s.registry.Claim(key, worker)
+	return train, retry, nil
+}
+
+// TemplatePut implements Coordinator in process, and serves PUT
+// /api/v1/fabric/templates/{key}. Bytes that do not read back as a
+// classifier are refused and nothing is stored.
+func (s *Server) TemplatePut(_ context.Context, key string, blob []byte) error {
+	if _, err := core.ReadClassifier(bytes.NewReader(blob)); err != nil {
+		return fmt.Errorf("service: template %s refused: %w", key, err)
+	}
+	s.registry.Put(key, blob)
+	return nil
+}
+
+// TemplateRelease implements Coordinator in process, and serves DELETE
+// /api/v1/fabric/templates/{key}/claim: the caller abandons its claim
+// without uploading (training failed).
+func (s *Server) TemplateRelease(_ context.Context, key, worker string) error {
+	s.registry.Release(key, worker)
+	return nil
+}
+
+// handleTemplateGet serves GET /api/v1/fabric/templates/{key}.
 func (s *Server) handleTemplateGet(w http.ResponseWriter, r *http.Request) {
-	blob, ok := s.registry.Get(r.PathValue("key"))
+	blob, ok, _ := s.TemplateGet(r.Context(), r.PathValue("key"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "template %s not in registry", r.PathValue("key"))
 		return
@@ -236,31 +271,31 @@ func (s *Server) handleTemplateGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTemplateClaim serves POST /api/v1/fabric/templates/{key}/claim
-// (?worker= names the claimer): cross-node single-flight for training.
+// (?worker= names the claimer).
 func (s *Server) handleTemplateClaim(w http.ResponseWriter, r *http.Request) {
-	train, retry := s.registry.Claim(r.PathValue("key"), r.URL.Query().Get("worker"))
+	train, retry, _ := s.TemplateClaim(r.Context(), r.PathValue("key"), r.URL.Query().Get("worker"))
 	writeJSON(w, http.StatusOK, claimResponse{Train: train, RetryAfterMS: retry.Milliseconds()})
 }
 
-// handleTemplatePut serves PUT /api/v1/fabric/templates/{key}. A DELETE on
-// the same path releases the caller's claim without uploading (training
-// failed).
+// handleTemplatePut serves PUT /api/v1/fabric/templates/{key}: 400 for a
+// body TemplatePut refuses.
 func (s *Server) handleTemplatePut(w http.ResponseWriter, r *http.Request) {
 	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading template: %v", err)
 		return
 	}
-	if len(blob) == 0 {
-		writeError(w, http.StatusBadRequest, "empty template upload")
+	if err := s.TemplatePut(r.Context(), r.PathValue("key"), blob); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.registry.Put(r.PathValue("key"), blob)
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleTemplateRelease serves DELETE /api/v1/fabric/templates/{key}/claim
+// (?worker= names the claimer).
 func (s *Server) handleTemplateRelease(w http.ResponseWriter, r *http.Request) {
-	s.registry.Release(r.PathValue("key"), r.URL.Query().Get("worker"))
+	_ = s.TemplateRelease(r.Context(), r.PathValue("key"), r.URL.Query().Get("worker"))
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -331,9 +366,6 @@ func qualityRunRecord(jobID, traceID, kind, tenant string, seed uint64,
 		rec.Metrics["sign_accuracy"] = res.SignAcc
 		rec.Metrics["zero_accuracy"] = res.ZeroAcc
 		rec.Metrics["mean_margin"] = res.MeanMargin
-		if res.HintedBikz > 0 {
-			rec.Metrics["hinted_bikz"] = res.HintedBikz
-		}
 		rec.Stages["profile_seconds"] = res.ProfileSeconds
 		rec.Stages["attack_seconds"] = res.AttackSeconds
 	case *StreamCampaignResult:

@@ -136,8 +136,8 @@ func TestFabricDeadWorkerRequeues(t *testing.T) {
 }
 
 // TestRemoteTemplateCacheSharesAcrossNodes: the first node trains and
-// uploads to the coordinator registry; a second node's miss resolves from
-// the registry without re-profiling, and yields a byte-identical
+// uploads to the coordinator registry; a second node's local miss resolves
+// from the registry without re-profiling, and yields a byte-identical
 // classifier.
 func TestRemoteTemplateCacheSharesAcrossNodes(t *testing.T) {
 	_, client := newTestService(t, Config{PoolWorkers: -1})
@@ -156,8 +156,8 @@ func TestRemoteTemplateCacheSharesAcrossNodes(t *testing.T) {
 		return core.ProfileCtx(ctx, d, o)
 	}
 
-	nodeA := &RemoteTemplateCache{Local: core.NewTemplateCache(2), Client: client, Worker: "node-a"}
-	clsA, hitA, err := nodeA.GetOrTrain(ctx, key, train)
+	nodeA := &Runner{Cache: core.NewTemplateCache(2)}
+	clsA, hitA, err := nodeA.templates(ctx, client, "node-a", key, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,8 @@ func TestRemoteTemplateCacheSharesAcrossNodes(t *testing.T) {
 		t.Fatalf("first node: hit=%v trains=%d, want miss and one training run", hitA, trains.Load())
 	}
 
-	nodeB := &RemoteTemplateCache{Local: core.NewTemplateCache(2), Client: client, Worker: "node-b"}
-	clsB, hitB, err := nodeB.GetOrTrain(ctx, key, train)
+	nodeB := &Runner{Cache: core.NewTemplateCache(2)}
+	clsB, hitB, err := nodeB.templates(ctx, client, "node-b", key, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +184,103 @@ func TestRemoteTemplateCacheSharesAcrossNodes(t *testing.T) {
 		t.Fatal("registry round-trip produced a different classifier")
 	}
 	// Third lookup is an in-process LRU hit: no registry traffic needed.
-	if _, hit, err := nodeB.GetOrTrain(ctx, key, train); err != nil || !hit {
+	if _, hit, err := nodeB.templates(ctx, client, "node-b", key, train); err != nil || !hit {
 		t.Fatalf("local re-lookup: hit=%v err=%v", hit, err)
+	}
+}
+
+// gatedCoordinator holds every registry lookup until gate closes, and
+// counts the lookups.
+type gatedCoordinator struct {
+	*Client
+	gate chan struct{}
+	gets atomic.Int32
+}
+
+func (g *gatedCoordinator) TemplateGet(ctx context.Context, key string) ([]byte, bool, error) {
+	g.gets.Add(1)
+	select {
+	case <-g.gate:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+	return g.Client.TemplateGet(ctx, key)
+}
+
+// TestWaitingJobReportsCacheHit: a fabric worker with two slots leases two
+// campaigns with one template key while the first one's templates are
+// still being resolved. The second waits on that in-flight training run
+// instead of reaching the registry or profiling, and reports cache_hit.
+func TestWaitingJobReportsCacheHit(t *testing.T) {
+	svc, client := newTestService(t, Config{PoolWorkers: -1})
+	coord := &gatedCoordinator{Client: client, gate: make(chan struct{})}
+	w := runFabricWorker(t, &FabricWorker{
+		ID:     "pair",
+		Client: coord,
+		Runner: &Runner{Cache: core.NewTemplateCache(1), Workers: 1},
+		Slots:  2,
+	})
+	ctx := context.Background()
+	spec := &CampaignSpec{Kind: KindAttack, Seed: 9, ProfileTracesPerValue: 4, Encryptions: 1, Workers: 1}
+	var ids []string
+	for i := 0; i < 2; i++ {
+		st, err := client.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, busy := w.Stats(); busy == 2 && coord.gets.Load() == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never held both campaigns with one lookup in flight")
+		}
+	}
+	// The checks below hold whether the second attempt waits on the
+	// in-flight run or finds it finished; the pause makes the wait the
+	// path taken.
+	time.Sleep(50 * time.Millisecond)
+	close(coord.gate)
+	hits := 0
+	for _, id := range ids {
+		waitDone(t, client, id, 60*time.Second)
+		var res AttackCampaignResult
+		if err := client.Result(ctx, id, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit {
+			hits++
+		}
+	}
+	if hits != 1 || coord.gets.Load() != 1 {
+		t.Fatalf("%d of 2 campaigns report cache_hit after %d registry lookups; want 1 and 1",
+			hits, coord.gets.Load())
+	}
+	if n := svc.registry.Len(); n != 1 {
+		t.Fatalf("registry holds %d templates, want the one trained", n)
+	}
+}
+
+// TestRegistryRefusesGarbage: the registry stores only bytes that read back
+// as a classifier. A refused PUT answers 400, and the key stays absent.
+func TestRegistryRefusesGarbage(t *testing.T) {
+	svc, client := newTestService(t, Config{PoolWorkers: -1})
+	ctx := context.Background()
+	for _, blob := range [][]byte{[]byte("not a classifier"), nil} {
+		if err := client.TemplatePut(ctx, "tmpl-garbage", blob); StatusCode(err) != http.StatusBadRequest {
+			t.Fatalf("PUT of %q = %v, want HTTP 400", blob, err)
+		}
+		if _, ok, err := client.TemplateGet(ctx, "tmpl-garbage"); err != nil || ok {
+			t.Fatalf("GET after a refused PUT: ok=%v err=%v, want 404", ok, err)
+		}
+		if err := svc.TemplatePut(ctx, "tmpl-garbage", blob); err == nil {
+			t.Fatalf("in-process PUT of %q accepted", blob)
+		}
+	}
+	if n := svc.registry.Len(); n != 0 {
+		t.Fatalf("registry holds %d templates after refused PUTs", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,21 +19,12 @@ import (
 	"reveal/internal/sca"
 )
 
-// Runner executes campaign jobs: it resolves templates through the shared
-// LRU cache, captures deterministic synthetic encryptions, and runs the
-// (optionally multi-worker) single-trace attack.
-// TemplateSource resolves trained classifiers by template key — the
-// in-process core.TemplateCache in single-node deployments, or a
-// RemoteTemplateCache chaining the local LRU to the coordinator's
-// registry on fabric workers.
-type TemplateSource interface {
-	GetOrTrain(ctx context.Context, key string,
-		train func(context.Context) (*core.CoefficientClassifier, error)) (*core.CoefficientClassifier, bool, error)
-}
-
+// Runner executes campaign jobs: it resolves templates through its local
+// cache and the coordinator's registry, captures deterministic synthetic
+// encryptions, and runs the (optionally multi-worker) single-trace attack.
 type Runner struct {
-	// Cache is the shared template source (required).
-	Cache TemplateSource
+	// Cache is the worker's local template cache (required).
+	Cache *core.TemplateCache
 	// Workers is the default classification worker count for campaigns
 	// that do not set their own (values <= 1 run serially).
 	Workers int
@@ -71,10 +63,6 @@ type AttackCampaignResult struct {
 	ProfileSeconds float64      `json:"profile_seconds"`
 	AttackSeconds  float64      `json:"attack_seconds"`
 	Runs           []RunSummary `json:"runs"`
-	// BaselineBikz / HintedBikz carry the DBDD security-loss estimate of
-	// the last encryption's hints when the spec set estimate_bikz.
-	BaselineBikz float64 `json:"bikz_baseline,omitempty"`
-	HintedBikz   float64 `json:"bikz_with_hints,omitempty"`
 	// LastProbs holds the per-coefficient posterior of the last
 	// encryption's e2 polynomial when the spec asked for it (each table on
 	// the wire as a value → probability object).
@@ -97,10 +85,11 @@ type SleepCampaignResult struct {
 	Attempts int    `json:"attempts"`
 }
 
-// Run executes one attempt of a leased job (the FabricWorker entry point).
-// ctx is canceled when the lease is lost, the job is canceled, its deadline
-// passes, or the worker stops hard; the core stage boundaries honor it.
-func (r *Runner) Run(ctx context.Context, job *jobs.Job) (any, error) {
+// Run executes one attempt of a leased job for the named worker, which
+// reaches the template registry through coord. ctx is canceled when the
+// lease is lost, the job is canceled, its deadline passes, or the worker
+// stops hard; the core stage boundaries honor it.
+func (r *Runner) Run(ctx context.Context, job *jobs.Job, coord Coordinator, worker string) (any, error) {
 	spec, ok := job.Payload.(*CampaignSpec)
 	if !ok {
 		return nil, fmt.Errorf("service: job %s payload is %T, want *CampaignSpec", job.ID, job.Payload)
@@ -116,13 +105,13 @@ func (r *Runner) Run(ctx context.Context, job *jobs.Job) (any, error) {
 	)
 	switch spec.Kind {
 	case KindAttack:
-		result, err = r.runAttack(ctx, spec)
+		result, err = r.runAttack(ctx, spec, coord, worker)
 	case KindDiagnose:
 		result, err = r.runDiagnose(ctx, spec)
 	case KindSleep:
 		result, err = runSleep(ctx, spec, job.Attempts)
 	case KindStream:
-		result, err = r.runStream(ctx, spec)
+		result, err = r.runStream(ctx, spec, coord, worker)
 	default:
 		return nil, fmt.Errorf("service: unknown campaign kind %q", spec.Kind)
 	}
@@ -136,18 +125,6 @@ func (r *Runner) Run(ctx context.Context, job *jobs.Job) (any, error) {
 		lg.Warn("job artifacts not fully written", "error", werr)
 	}
 	return result, nil
-}
-
-// sumTopMargins accumulates the top1−top2 posterior margin over every
-// coefficient's probability table.
-func sumTopMargins(probs []core.Posterior) (sum float64, n int) {
-	for _, table := range probs {
-		if m, ok := sca.TopMargin(table.P); ok {
-			sum += m
-			n++
-		}
-	}
-	return sum, n
 }
 
 // jobLogger builds the job-scoped logger: the global stream teed with the
@@ -181,18 +158,95 @@ func (r *Runner) jobLogger(job *jobs.Job) (*slog.Logger, func()) {
 	return attrs(obs.TeeLogger(obs.Log(), fileLg)), func() { _ = f.Close() }
 }
 
-// classifier resolves the spec's trained classifier through the template
-// cache, profiling on a miss.
-func (r *Runner) classifier(ctx context.Context, spec *CampaignSpec) (*core.CoefficientClassifier, string, bool, error) {
-	profDev, popts := spec.deviceAndOptions()
-	key := core.TemplateCacheKey(profDev, popts)
+const (
+	// registryPollInterval caps the wait between registry polls while
+	// another worker trains.
+	registryPollInterval = 250 * time.Millisecond
+	// registryClaimTimeout bounds how long to wait on another worker's
+	// training before training here anyway: a dead trainer must not wedge
+	// the fleet even if its claim somehow never expires.
+	registryClaimTimeout = 5 * time.Minute
+)
+
+// templates looks key up in order:
+//  1. the local cache: a hit, or a wait on training already in flight on
+//     this worker;
+//  2. the coordinator's registry: a GET, else a claim on the key, polling
+//     while another worker holds it;
+//  3. train, then PUT the result to the registry.
+//
+// The local cache's single flight covers steps 2 and 3, so concurrent jobs
+// on one worker reach the registry once. hit reports that train did not
+// run for this call.
+func (r *Runner) templates(ctx context.Context, coord Coordinator, worker, key string,
+	train func(context.Context) (*core.CoefficientClassifier, error)) (*core.CoefficientClassifier, bool, error) {
+	fetched := false
 	cls, hit, err := r.Cache.GetOrTrain(ctx, key, func(ctx context.Context) (*core.CoefficientClassifier, error) {
-		return core.ProfileCtx(ctx, profDev, popts)
+		cls, fromRegistry, err := registryOrTrain(ctx, coord, worker, key, train)
+		fetched = fromRegistry
+		return cls, err
 	})
-	if err != nil {
-		return nil, key, false, fmt.Errorf("service: profiling for %s: %w", key, err)
+	return cls, hit || fetched, err
+}
+
+// registryOrTrain fetches key from the coordinator's registry, or wins the
+// key's training claim, trains and uploads, or polls while another worker
+// trains. fromRegistry reports a registry download.
+func registryOrTrain(ctx context.Context, coord Coordinator, worker, key string,
+	train func(context.Context) (*core.CoefficientClassifier, error)) (*core.CoefficientClassifier, bool, error) {
+	giveUp := time.Now().Add(registryClaimTimeout)
+	for {
+		blob, ok, err := coord.TemplateGet(ctx, key)
+		if err != nil {
+			// Coordinator unreachable: training here beats failing the job,
+			// and the upload below is best-effort anyway.
+			obs.Log().Warn("registry lookup failed, training locally", "key", key, "error", err)
+			break
+		}
+		if ok {
+			cls, err := core.ReadClassifier(bytes.NewReader(blob))
+			if err == nil {
+				obs.Log().Debug("template fetched from registry", "key", key, "bytes", len(blob))
+				return cls, true, nil
+			}
+			obs.Log().Warn("registry template unreadable, retraining", "key", key, "error", err)
+			break
+		}
+		trainHere, retryAfter, err := coord.TemplateClaim(ctx, key, worker)
+		if err != nil || trainHere {
+			break
+		}
+		// Another worker holds the claim: poll for its upload.
+		if time.Now().After(giveUp) {
+			obs.Log().Warn("claim wait timed out, training locally", "key", key)
+			break
+		}
+		pause := retryAfter
+		if pause <= 0 || pause > registryPollInterval {
+			pause = registryPollInterval
+		}
+		select {
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		case <-time.After(pause):
+		}
 	}
-	return cls, key, hit, nil
+	cls, err := train(ctx)
+	if err != nil {
+		// Hand the claim to the next worker instead of stalling it for the
+		// full claim TTL.
+		relCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_ = coord.TemplateRelease(relCtx, key, worker)
+		cancel()
+		return nil, false, err
+	}
+	var buf bytes.Buffer
+	if err := core.WriteClassifier(&buf, cls); err != nil {
+		obs.Log().Warn("template not serializable for registry", "key", key, "error", err)
+	} else if err := coord.TemplatePut(ctx, key, buf.Bytes()); err != nil {
+		obs.Log().Warn("template upload failed", "key", key, "error", err)
+	}
+	return cls, false, nil
 }
 
 // workersFor resolves the effective classification worker count.
@@ -210,124 +264,171 @@ func (r *Runner) workersFor(spec *CampaignSpec) int {
 	return w
 }
 
-// runAttack executes an "attack" campaign. The attacked device is a fresh
-// one salted away from the profiling device, so the captured noise stream
-// (and therefore the result) is byte-identical whether the templates came
-// from the cache or a fresh profiling run.
-func (r *Runner) runAttack(ctx context.Context, spec *CampaignSpec) (*AttackCampaignResult, error) {
+// campaign is what the attack and stream kinds share: the resolved
+// templates, the attacked parameter set, the accuracy tally over every
+// classified coefficient, and the campaign's timing.
+type campaign struct {
+	cls    *core.CoefficientClassifier
+	key    string
+	hit    bool
+	params *bfv.Parameters
+
+	total, valOK, signOK, zeroTotal, zeroOK int
+	marginSum                               float64
+	marginN                                 int
+
+	// profile is the time spent resolving templates; elapsed is the wall
+	// clock once the last encryption was handled.
+	profile, elapsed time.Duration
+}
+
+// runCampaign resolves the spec's templates, then captures spec.Encryptions
+// encryptions of the plaintexts (i*31 + run*7) mod t and hands each capture
+// to step, the kind's classification of it. The attacked device is a fresh
+// one salted away from the profiling device, so the captured noise stream,
+// and therefore the result, is the same whether the templates came from a
+// cache, the registry or a fresh profiling run.
+func (r *Runner) runCampaign(ctx context.Context, spec *CampaignSpec, coord Coordinator, worker string,
+	step func(c *campaign, run int, cap *core.EncryptionCapture) error) (*campaign, error) {
 	start := time.Now()
-	cls, key, hit, err := r.classifier(ctx, spec)
+	profDev, popts := spec.deviceAndOptions()
+	c := &campaign{key: core.TemplateCacheKey(profDev, popts)}
+	var err error
+	c.cls, c.hit, err = r.templates(ctx, coord, worker, c.key, func(ctx context.Context) (*core.CoefficientClassifier, error) {
+		return core.ProfileCtx(ctx, profDev, popts)
+	})
 	if err != nil {
+		return nil, fmt.Errorf("service: profiling for %s: %w", c.key, err)
+	}
+	c.profile = time.Since(start)
+	if c.params, err = spec.params(); err != nil {
 		return nil, err
 	}
-	profileElapsed := time.Since(start)
 	var attackDev *core.Device
 	if spec.LowNoise {
 		attackDev = core.NewLowNoiseDevice(spec.Seed ^ attackDeviceSalt)
 	} else {
 		attackDev = core.NewDevice(spec.Seed ^ attackDeviceSalt)
 	}
-	params, err := spec.params()
-	if err != nil {
-		return nil, err
-	}
 	prng := sampler.NewXoshiro256(spec.Seed ^ 0xABCD)
-	kg := bfv.NewKeyGenerator(params, prng)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	enc := bfv.NewEncryptor(params, pk, prng)
-
-	workers := r.workersFor(spec)
-	res := &AttackCampaignResult{
-		Kind: spec.Kind, Seed: spec.Seed, TemplateKey: key, CacheHit: hit,
-		Workers: workers, Encryptions: spec.Encryptions,
-	}
-	valOK, signOK, zeroOK, zeroTotal, total := 0, 0, 0, 0, 0
-	var marginSum float64
-	marginN := 0
-	var lastOutcome *core.AttackOutcome
+	kg := bfv.NewKeyGenerator(c.params, prng)
+	pk := kg.GenPublicKey(kg.GenSecretKey())
+	enc := bfv.NewEncryptor(c.params, pk, prng)
 	for run := 0; run < spec.Encryptions; run++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("service: campaign canceled at encryption %d/%d: %w",
 				run, spec.Encryptions, err)
 		}
-		pt := params.NewPlaintext()
+		pt := c.params.NewPlaintext()
 		for i := range pt.Coeffs {
-			pt.Coeffs[i] = uint64(i*31+run*7) % params.T
+			pt.Coeffs[i] = uint64(i*31+run*7) % c.params.T
 		}
-		cap, err := core.CaptureEncryptionCtx(ctx, attackDev, params, enc, pt)
+		cap, err := core.CaptureEncryptionCtx(ctx, attackDev, c.params, enc, pt)
 		if err != nil {
 			return nil, fmt.Errorf("service: capturing encryption %d: %w", run, err)
 		}
-		out, err := cls.AttackWithOptions(ctx, cap, params.N, core.AttackOptions{Workers: workers})
+		if err := step(c, run, cap); err != nil {
+			return nil, err
+		}
+	}
+	c.elapsed = time.Since(start)
+	return c, nil
+}
+
+// score tallies a classified polynomial, or its classified prefix, against
+// the encryption's truth.
+func (c *campaign) score(res *core.AttackResult, truth []int64) {
+	for i, v := range res.Values {
+		tv := int(truth[i])
+		c.total++
+		if v == tv {
+			c.valOK++
+		}
+		if res.Signs[i] == sca.SignOf(tv) {
+			c.signOK++
+		}
+		if tv == 0 {
+			c.zeroTotal++
+			if v == 0 {
+				c.zeroOK++
+			}
+		}
+	}
+	// Margins sum per polynomial, then into the campaign's total: the
+	// order of the float additions fixes mean_margin's bits.
+	var sum float64
+	for _, post := range res.Probs {
+		if m, ok := sca.TopMargin(post.P); ok {
+			sum += m
+			c.marginN++
+		}
+	}
+	c.marginSum += sum
+}
+
+// accuracy returns the value and sign accuracy and the mean posterior
+// margin P(top1) − P(top2) over every scored coefficient.
+func (c *campaign) accuracy() (value, sign, margin float64) {
+	if c.marginN > 0 {
+		margin = c.marginSum / float64(c.marginN)
+	}
+	return ratio(c.valOK, c.total), ratio(c.signOK, c.total), margin
+}
+
+// seconds splits the campaign's wall clock into template resolution and
+// the encryptions that followed, and returns the whole in milliseconds.
+func (c *campaign) seconds() (profile, rest float64, ms int64) {
+	profile = c.profile.Seconds()
+	return profile, c.elapsed.Seconds() - profile, c.elapsed.Milliseconds()
+}
+
+// ratio is num/den, or 0 when den is 0.
+func ratio(num, den int) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
+// runAttack executes an "attack" campaign: the batch attack on each
+// encryption's e1 and e2 traces.
+func (r *Runner) runAttack(ctx context.Context, spec *CampaignSpec, coord Coordinator, worker string) (*AttackCampaignResult, error) {
+	workers := r.workersFor(spec)
+	res := &AttackCampaignResult{
+		Kind: spec.Kind, Seed: spec.Seed, Workers: workers, Encryptions: spec.Encryptions,
+	}
+	c, err := r.runCampaign(ctx, spec, coord, worker, func(c *campaign, run int, cap *core.EncryptionCapture) error {
+		out, err := c.cls.AttackWithOptions(ctx, cap, c.params.N, core.AttackOptions{Workers: workers})
 		if err != nil {
-			return nil, fmt.Errorf("service: attacking encryption %d: %w", run, err)
+			return fmt.Errorf("service: attacking encryption %d: %w", run, err)
 		}
 		rs := RunSummary{Run: run}
 		if rs.ValueAccE1, rs.SignAccE1, err = out.E1.Accuracy(cap.Truth.E1); err != nil {
-			return nil, err
+			return err
 		}
 		if rs.ValueAccE2, rs.SignAccE2, err = out.E2.Accuracy(cap.Truth.E2); err != nil {
-			return nil, err
+			return err
 		}
 		res.Runs = append(res.Runs, rs)
-		score := func(ar *core.AttackResult, truth []int64) {
-			for i, v := range ar.Values {
-				tv := int(truth[i])
-				total++
-				if v == tv {
-					valOK++
-				}
-				if ar.Signs[i] == sca.SignOf(tv) {
-					signOK++
-				}
-				if tv == 0 {
-					zeroTotal++
-					if v == 0 {
-						zeroOK++
-					}
-				}
-			}
-		}
-		score(out.E1, cap.Truth.E1)
-		score(out.E2, cap.Truth.E2)
-		for _, probs := range [][]core.Posterior{out.E1.Probs, out.E2.Probs} {
-			s, n := sumTopMargins(probs)
-			marginSum += s
-			marginN += n
-		}
+		c.score(out.E1, cap.Truth.E1)
+		c.score(out.E2, cap.Truth.E2)
 		core.EmitOutcomeEvents(ctx, out, cap)
-		lastOutcome = out
 		if spec.KeepProbs && run == spec.Encryptions-1 {
 			res.LastProbs = out.E2.Probs
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Coefficients = total
-	if total > 0 {
-		res.ValueAcc = float64(valOK) / float64(total)
-		res.SignAcc = float64(signOK) / float64(total)
-	}
-	if zeroTotal > 0 {
-		res.ZeroAcc = float64(zeroOK) / float64(zeroTotal)
-	}
-	if marginN > 0 {
-		res.MeanMargin = marginSum / float64(marginN)
-	}
-	if spec.EstimateBikz && lastOutcome != nil {
-		loss, err := core.EstimateFullHints(params, lastOutcome.E2)
-		if err != nil {
-			return nil, fmt.Errorf("service: estimating hinted security: %w", err)
-		}
-		res.BaselineBikz = loss.BaselineBikz
-		res.HintedBikz = loss.HintedBikz
-	}
-	res.ProfileSeconds = profileElapsed.Seconds()
-	res.AttackSeconds = time.Since(start).Seconds() - res.ProfileSeconds
-	res.ElapsedMS = time.Since(start).Milliseconds()
+	res.TemplateKey, res.CacheHit, res.Coefficients = c.key, c.hit, c.total
+	res.ValueAcc, res.SignAcc, res.MeanMargin = c.accuracy()
+	res.ZeroAcc = ratio(c.zeroOK, c.zeroTotal)
+	res.ProfileSeconds, res.AttackSeconds, res.ElapsedMS = c.seconds()
 	obs.LogCtx(ctx).Info("attack campaign finished",
 		"seed", spec.Seed, "encryptions", spec.Encryptions,
 		"coefficients", res.Coefficients, "value_acc", res.ValueAcc,
-		"cache_hit", hit, "workers", workers)
+		"cache_hit", res.CacheHit, "workers", workers)
 	return res, nil
 }
 

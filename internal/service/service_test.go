@@ -97,6 +97,11 @@ func TestEndToEndAttackCampaign(t *testing.T) {
 	if got.SignAcc < 0.9 {
 		t.Errorf("sign accuracy %.3f implausibly low", got.SignAcc)
 	}
+	// The in-process worker publishes what it trains to the registry that
+	// remote workers read.
+	if stats, err := client.StatsFull(ctx); err != nil || stats.RegistryTemplates != 1 {
+		t.Errorf("registry_templates = %d (%v) after the first campaign, want 1", stats.RegistryTemplates, err)
+	}
 
 	// Direct replication through core, bypassing the service entirely.
 	profDev, popts := spec.deviceAndOptions()

@@ -62,10 +62,6 @@ type CampaignSpec struct {
 	// KeepProbs embeds the full per-coefficient posterior tables of the
 	// last encryption in the result (large; off by default).
 	KeepProbs bool `json:"keep_probs,omitempty"`
-	// EstimateBikz additionally runs the DBDD security-loss estimate on the
-	// last encryption's hints and records baseline/hinted bikz in the
-	// result and the quality history (adds noticeable CPU; off by default).
-	EstimateBikz bool `json:"estimate_bikz,omitempty"`
 	// Tenant attributes the campaign to a client identity for the
 	// per-tenant service counters (optional, at most 64 characters).
 	Tenant string `json:"tenant,omitempty"`

@@ -5,13 +5,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"reveal/internal/bfv"
 	"reveal/internal/core"
 	"reveal/internal/obs"
-	"reveal/internal/sampler"
-	"reveal/internal/sca"
 	"reveal/internal/trace"
 )
 
@@ -80,62 +77,24 @@ type StreamCampaignResult struct {
 	ElapsedMS      int64              `json:"elapsed_ms"`
 }
 
-// runStream executes a "stream" campaign: the same deterministic capture
-// pipeline as runAttack, but each e2 trace is serialized to the RVTS wire
-// format and replayed chunk by chunk through the streaming engine, so the
-// job exercises exactly what a live acquisition feed would.
-func (r *Runner) runStream(ctx context.Context, spec *CampaignSpec) (*StreamCampaignResult, error) {
-	start := time.Now()
-	cls, key, hit, err := r.classifier(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	profileElapsed := time.Since(start)
-	var attackDev *core.Device
-	if spec.LowNoise {
-		attackDev = core.NewLowNoiseDevice(spec.Seed ^ attackDeviceSalt)
-	} else {
-		attackDev = core.NewDevice(spec.Seed ^ attackDeviceSalt)
-	}
-	params, err := spec.params()
-	if err != nil {
-		return nil, err
-	}
-	prng := sampler.NewXoshiro256(spec.Seed ^ 0xABCD)
-	kg := bfv.NewKeyGenerator(params, prng)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	enc := bfv.NewEncryptor(params, pk, prng)
-
+// runStream executes a "stream" campaign: each encryption's e2 trace is
+// serialized to the RVTS wire format and replayed chunk by chunk through
+// the streaming engine, so the job exercises exactly what a live
+// acquisition feed would.
+func (r *Runner) runStream(ctx context.Context, spec *CampaignSpec, coord Coordinator, worker string) (*StreamCampaignResult, error) {
 	chunk := spec.ChunkSamples
 	if chunk == 0 {
 		chunk = defaultStreamChunkSamples
 	}
 	res := &StreamCampaignResult{
-		Kind: spec.Kind, Seed: spec.Seed, TemplateKey: key, CacheHit: hit,
-		Encryptions: spec.Encryptions, TargetBikz: spec.TargetBikz,
-		DigestsMatch: spec.VerifyBatch,
+		Kind: spec.Kind, Seed: spec.Seed, Encryptions: spec.Encryptions,
+		TargetBikz: spec.TargetBikz, DigestsMatch: spec.VerifyBatch,
 	}
-	valOK, signOK := 0, 0
-	var marginSum float64
-	marginN := 0
 	var ttfhSum, ttvSum float64
-	for run := 0; run < spec.Encryptions; run++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("service: campaign canceled at encryption %d/%d: %w",
-				run, spec.Encryptions, err)
-		}
-		pt := params.NewPlaintext()
-		for i := range pt.Coeffs {
-			pt.Coeffs[i] = uint64(i*31+run*7) % params.T
-		}
-		cap, err := core.CaptureEncryptionCtx(ctx, attackDev, params, enc, pt)
+	c, err := r.runCampaign(ctx, spec, coord, worker, func(c *campaign, run int, cap *core.EncryptionCapture) error {
+		streamRes, verdict, ingested, err := streamOneTrace(ctx, c.cls, c.params, spec, cap.TraceE2, chunk)
 		if err != nil {
-			return nil, fmt.Errorf("service: capturing encryption %d: %w", run, err)
-		}
-		streamRes, verdict, ingested, err := streamOneTrace(ctx, cls, params, spec, cap.TraceE2, chunk)
-		if err != nil {
-			return nil, fmt.Errorf("service: streaming encryption %d: %w", run, err)
+			return fmt.Errorf("service: streaming encryption %d: %w", run, err)
 		}
 		core.EmitCoeffEvents(ctx, "e2", streamRes, cap.Truth.E2)
 		rs := StreamRunSummary{
@@ -145,59 +104,43 @@ func (r *Runner) runStream(ctx context.Context, spec *CampaignSpec) (*StreamCamp
 			TTVSeconds:  verdict.TimeToVerdict.Seconds(),
 		}
 		if rs.ValueAcc, rs.SignAcc, err = streamRes.Accuracy(cap.Truth.E2[:verdict.Classified]); err != nil {
-			return nil, err
+			return err
 		}
 		if spec.VerifyBatch {
-			match, err := cls.MatchesBatchPrefix(ctx, cap.TraceE2, params.N, streamRes)
+			match, err := c.cls.MatchesBatchPrefix(ctx, cap.TraceE2, c.params.N, streamRes)
 			if err != nil {
-				return nil, fmt.Errorf("service: batch verification of encryption %d: %w", run, err)
+				return fmt.Errorf("service: batch verification of encryption %d: %w", run, err)
 			}
 			rs.DigestsMatch = match
-			if !match {
-				res.DigestsMatch = false
-			}
+			res.DigestsMatch = res.DigestsMatch && match
 		}
 		res.Runs = append(res.Runs, rs)
-		res.ClassifiedTotal += verdict.Classified
-		res.CoefficientsTotal += params.N
 		if verdict.EarlyExit {
 			res.EarlyExitRuns++
 		}
 		res.IngestBytes += ingested
 		res.BaselineBikz = verdict.BaselineBikz
 		res.HintedBikz = verdict.HintedBikz
-		marginSum += verdict.MarginSum
-		marginN += verdict.MarginCount
 		ttfhSum += rs.TTFHSeconds
 		ttvSum += rs.TTVSeconds
-		for i, v := range streamRes.Values {
-			if int64(v) == cap.Truth.E2[i] {
-				valOK++
-			}
-			if streamRes.Signs[i] == sca.SignOf(int(cap.Truth.E2[i])) {
-				signOK++
-			}
-		}
+		c.score(streamRes, cap.Truth.E2)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if res.ClassifiedTotal > 0 {
-		res.ValueAcc = float64(valOK) / float64(res.ClassifiedTotal)
-		res.SignAcc = float64(signOK) / float64(res.ClassifiedTotal)
+	res.TemplateKey, res.CacheHit = c.key, c.hit
+	res.ClassifiedTotal, res.CoefficientsTotal = c.total, c.params.N*spec.Encryptions
+	res.ValueAcc, res.SignAcc, res.MeanMargin = c.accuracy()
+	if n := float64(len(res.Runs)); n > 0 {
+		res.MeanTTFHSeconds, res.MeanTTVSeconds = ttfhSum/n, ttvSum/n
 	}
-	if marginN > 0 {
-		res.MeanMargin = marginSum / float64(marginN)
-	}
-	if len(res.Runs) > 0 {
-		res.MeanTTFHSeconds = ttfhSum / float64(len(res.Runs))
-		res.MeanTTVSeconds = ttvSum / float64(len(res.Runs))
-	}
-	res.ProfileSeconds = profileElapsed.Seconds()
-	res.StreamSeconds = time.Since(start).Seconds() - res.ProfileSeconds
-	res.ElapsedMS = time.Since(start).Milliseconds()
+	res.ProfileSeconds, res.StreamSeconds, res.ElapsedMS = c.seconds()
 	obs.LogCtx(ctx).Info("stream campaign finished",
 		"seed", spec.Seed, "encryptions", spec.Encryptions,
 		"classified", res.ClassifiedTotal, "of", res.CoefficientsTotal,
 		"early_exit_runs", res.EarlyExitRuns, "digests_match", res.DigestsMatch,
-		"ingest_bytes", res.IngestBytes, "cache_hit", hit)
+		"ingest_bytes", res.IngestBytes, "cache_hit", res.CacheHit)
 	return res, nil
 }
 

@@ -116,6 +116,7 @@ func TestStreamCampaignJournalsE2(t *testing.T) {
 	const traceID = "00000000000000e2"
 	ctx := obs.WithTraceContext(context.Background(), obs.TraceContext{TraceID: traceID})
 	r := &Runner{Cache: core.NewTemplateCache(1), Workers: 1}
+	coord := New(Config{PoolWorkers: -1})
 	journal := func(spec *CampaignSpec, run func(context.Context, *CampaignSpec) error) []obs.CoeffEvent {
 		t.Helper()
 		if err := spec.Normalize(); err != nil {
@@ -138,9 +139,15 @@ func TestStreamCampaignJournalsE2(t *testing.T) {
 		return e2
 	}
 	streamed := journal(&CampaignSpec{Kind: KindStream, Seed: 21, ProfileTracesPerValue: 8},
-		func(ctx context.Context, spec *CampaignSpec) error { _, err := r.runStream(ctx, spec); return err })
+		func(ctx context.Context, spec *CampaignSpec) error {
+			_, err := r.runStream(ctx, spec, coord, "local")
+			return err
+		})
 	batch := journal(&CampaignSpec{Kind: KindAttack, Seed: 21, ProfileTracesPerValue: 8},
-		func(ctx context.Context, spec *CampaignSpec) error { _, err := r.runAttack(ctx, spec); return err })
+		func(ctx context.Context, spec *CampaignSpec) error {
+			_, err := r.runAttack(ctx, spec, coord, "local")
+			return err
+		})
 	const n = 1024
 	if len(streamed) != n || len(batch) != n {
 		t.Fatalf("journaled %d stream and %d batch e2 events, want %d each", len(streamed), len(batch), n)

@@ -12,11 +12,12 @@ import (
 	"reveal/internal/obs"
 )
 
-// Coordinator is the lease protocol a FabricWorker executes jobs through.
-// *Client speaks it over HTTP to a remote coordinator; *Server implements
-// it in process with the code behind its fabric endpoints. On both
-// transports a lost lease matches jobs.ErrLeaseLost or jobs.ErrUnknownJob
-// with errors.Is.
+// Coordinator is the lease protocol a FabricWorker executes jobs through,
+// and the template registry its Runner resolves templates through. *Client
+// speaks it over HTTP to a remote coordinator; *Server implements it in
+// process with the code behind its fabric endpoints. On both transports a
+// lost lease matches jobs.ErrLeaseLost or jobs.ErrUnknownJob with
+// errors.Is.
 type Coordinator interface {
 	// LeaseJob leases one job, long-polling up to wait; a nil job means
 	// none became eligible in time.
@@ -26,6 +27,20 @@ type Coordinator interface {
 	// CompleteJob reports a leased attempt's outcome (errMsg empty =
 	// success) and returns the job's resulting status.
 	CompleteJob(ctx context.Context, id, worker, token string, result any, errMsg string) (jobs.Status, error)
+
+	// TemplateGet fetches a serialized classifier from the registry
+	// (ok=false when it holds none for key).
+	TemplateGet(ctx context.Context, key string) (blob []byte, ok bool, err error)
+	// TemplateClaim asks for the right to train key: train=true means the
+	// caller profiles and uploads; otherwise it polls TemplateGet again
+	// after retryAfter.
+	TemplateClaim(ctx context.Context, key, worker string) (train bool, retryAfter time.Duration, err error)
+	// TemplatePut stores a serialized classifier and releases the claim on
+	// key. It refuses bytes core.ReadClassifier refuses.
+	TemplatePut(ctx context.Context, key string, blob []byte) error
+	// TemplateRelease abandons a training claim so another worker can
+	// take it.
+	TemplateRelease(ctx context.Context, key, worker string) error
 }
 
 // Worker metric names (global obs registry), exported by every process
@@ -49,9 +64,9 @@ type FabricWorker struct {
 	// RetryAttempts set so a coordinator restart is ridden out instead of
 	// killing the loop.
 	Client Coordinator
-	// Runner executes the leased campaigns (required). On a worker node its
-	// Cache is typically a RemoteTemplateCache so templates are shared
-	// fleet-wide.
+	// Runner executes the leased campaigns (required). A template its
+	// Cache misses resolves through Client's registry, so each template
+	// is trained once across the fleet.
 	Runner *Runner
 	// Slots is how many jobs run concurrently (minimum 1).
 	Slots int
@@ -254,7 +269,7 @@ func (w *FabricWorker) run(ctx context.Context, job *jobs.Job) (result any, err 
 			err = fmt.Errorf("service: runner panicked: %v", r)
 		}
 	}()
-	return w.Runner.Run(ctx, job)
+	return w.Runner.Run(ctx, job, w.Client, w.ID)
 }
 
 // heartbeat renews the lease at a third of its TTL until the attempt ends.

@@ -47,30 +47,31 @@ func waitDone(t *testing.T, client *Client, id string, limit time.Duration) jobs
 	return st
 }
 
-// panickySource is a TemplateSource whose first lookup panics; later
-// lookups train through a real cache.
-type panickySource struct {
+// panickyCoordinator is a coordinator whose first template lookup panics;
+// later calls reach the coordinator over HTTP.
+type panickyCoordinator struct {
+	*Client
 	calls atomic.Int32
-	cache *core.TemplateCache
 }
 
-func (p *panickySource) GetOrTrain(ctx context.Context, key string,
-	train func(context.Context) (*core.CoefficientClassifier, error)) (*core.CoefficientClassifier, bool, error) {
+func (p *panickyCoordinator) TemplateGet(ctx context.Context, key string) ([]byte, bool, error) {
 	if p.calls.Add(1) == 1 {
-		panic("template source corrupted")
+		panic("template registry corrupted")
 	}
-	return p.cache.GetOrTrain(ctx, key, train)
+	return p.Client.TemplateGet(ctx, key)
 }
 
 // TestRunnerPanicIsAFailedAttempt: a runner panic on a fabric worker fails
 // only its attempt — the worker survives and reports the failure, and the
-// retried job completes on attempt 2.
+// retried job completes on attempt 2. The panic comes from the first
+// template lookup, inside the local cache's training run, so the retry
+// also shows that the panic left the key free.
 func TestRunnerPanicIsAFailedAttempt(t *testing.T) {
 	_, client := newTestService(t, Config{PoolWorkers: -1})
 	runFabricWorker(t, &FabricWorker{
 		ID:     "panicky",
-		Client: client,
-		Runner: &Runner{Cache: &panickySource{cache: core.NewTemplateCache(1)}, Workers: 1},
+		Client: &panickyCoordinator{Client: client},
+		Runner: &Runner{Cache: core.NewTemplateCache(1), Workers: 1},
 	})
 	st, err := client.Submit(context.Background(), &CampaignSpec{
 		Kind: KindAttack, Seed: 3, ProfileTracesPerValue: 4, Encryptions: 1, Workers: 1,
