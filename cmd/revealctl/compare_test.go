@@ -262,11 +262,11 @@ func TestParseSubmitArgsSpecFile(t *testing.T) {
 func TestParseSubmitArgsSpecStdin(t *testing.T) {
 	var stderr bytes.Buffer
 	cfg, err := parseSubmitArgs([]string{"-spec", "-"},
-		strings.NewReader(`{"kind":"sleep","sleep_ms":10}`), &stderr)
+		strings.NewReader(`{"kind":"stream","target_bikz":330}`), &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Spec.Kind != service.KindSleep {
+	if cfg.Spec.Kind != service.KindStream || cfg.Spec.TargetBikz != 330 {
 		t.Fatalf("stdin spec not read: %+v", cfg.Spec)
 	}
 }

@@ -12,20 +12,17 @@ import (
 
 // runLoadgen implements `revealctl loadgen`: drive a synthetic campaign
 // load (N tenants, mixed kinds) against a running reveald and report the
-// sustained jobs/sec and the submit→done latency quantiles, optionally as
-// a BENCH_Loadgen.json snapshot for the `revealctl compare` gate.
+// sustained jobs/sec and the submit→done latency quantiles.
 func runLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	addr := fs.String("addr", "http://127.0.0.1:9090", "reveald base URL")
 	tenants := fs.Int("tenants", 4, "synthetic tenant identities to spread jobs over")
 	jobsN := fs.Int("jobs", 64, "total campaigns to submit")
 	concurrency := fs.Int("concurrency", 8, "concurrent submitters")
-	kinds := fs.String("kinds", "sleep", "comma-separated campaign kind mix (sleep, attack, diagnose)")
-	sleepMS := fs.Int("sleep-ms", 20, "duration of each sleep campaign")
+	kinds := fs.String("kinds", "attack", "comma-separated campaign kind mix (attack, stream, diagnose)")
 	seed := fs.Uint64("seed", 1, "campaign seed (shared, so attack kinds reuse one template)")
 	timeout := fs.Duration("timeout", 5*time.Minute, "overall run deadline")
 	retry := fs.Int("retry", 3, "transient connection-error retries per request")
-	out := fs.String("o", "", "also write a BENCH_Loadgen.json snapshot here")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -50,16 +47,10 @@ func runLoadgen(args []string) error {
 		Jobs:        *jobsN,
 		Concurrency: *concurrency,
 		Kinds:       kindList,
-		SleepMS:     *sleepMS,
 		Seed:        *seed,
 	})
 	if err != nil {
 		return err
-	}
-	if *out != "" {
-		if err := rep.WriteBenchSnapshot(*out, "Loadgen"); err != nil {
-			return fmt.Errorf("writing %s: %w", *out, err)
-		}
 	}
 	if *jsonOut {
 		return printJSON(rep)
@@ -68,8 +59,5 @@ func runLoadgen(args []string) error {
 		rep.Done, rep.Failed, rep.ElapsedSeconds, rep.JobsPerSecond, rep.Rejections)
 	fmt.Printf("latency p50 %.3fs  p95 %.3fs  max %.3fs\n",
 		rep.LatencyP50Seconds, rep.LatencyP95Seconds, rep.LatencyMaxSeconds)
-	if *out != "" {
-		fmt.Printf("snapshot written to %s\n", *out)
-	}
 	return nil
 }

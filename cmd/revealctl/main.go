@@ -11,7 +11,7 @@
 //	revealctl compare [-tol T] [-metric-tol name=T] [-gate-perf] OLD NEW
 //	revealctl submit [-addr URL] [-spec FILE | -kind K -seed S ...] [-tenant T] [-wait] [-retry N]
 //	revealctl status [-addr URL] [-id ID] [-result] [-json] [-retry N]
-//	revealctl loadgen [-addr URL] [-tenants N] [-jobs N] [-kinds K,K] [-o FILE]
+//	revealctl loadgen [-addr URL] [-tenants N] [-jobs N] [-kinds K,K] [-json]
 //	revealctl top [-addr URL] [-interval DUR] [-n N]
 //	revealctl report [-addr URL] [-kind K] [-tenant T] [-window N] [-format F] [-o FILE]
 //	revealctl selftest [-seed S] [-workers N] [-json] [-q]

@@ -34,7 +34,7 @@ func parseSubmitArgs(args []string, stdin io.Reader, stderr io.Writer) (*submitC
 	cfg := &submitConfig{}
 	fs.StringVar(&cfg.Addr, "addr", "http://127.0.0.1:9090", "reveald base URL")
 	specPath := fs.String("spec", "", "campaign spec JSON file (- for stdin); inline flags below are ignored when set")
-	kind := fs.String("kind", "attack", "campaign kind: attack, diagnose, sleep, stream")
+	kind := fs.String("kind", "attack", "campaign kind: attack, diagnose, stream")
 	seed := fs.Uint64("seed", 1, "campaign seed")
 	lowNoise := fs.Bool("lownoise", false, "use the low-noise measurement setup")
 	paramSet := fs.String("param-set", "", "SEAL parameter set: paper/n1024 (default), n2048, n4096, n8192")

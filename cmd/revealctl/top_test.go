@@ -22,7 +22,7 @@ func TestRenderTop(t *testing.T) {
 		Workers: 4, WorkersBusy: 1, UptimeSeconds: 125,
 		Kinds: []jobs.KindStats{
 			{Kind: "attack", Submitted: 7, Done: 5, Failed: 1, Retried: 2, Queued: 1, Running: 1},
-			{Kind: "sleep", Submitted: 2, Done: 2},
+			{Kind: "diagnose", Submitted: 2, Done: 2},
 		},
 		AttemptLatency: map[string]obs.HistogramSnapshot{
 			"attack": {Count: 6, P50: 0.25, P95: 1.2, P99: 75},
@@ -59,7 +59,7 @@ func TestRenderTop(t *testing.T) {
 		"queue 3 queued / 1 running",
 		"templates cached 2",
 		"attack",
-		"sleep",
+		"diagnose",
 		"250.0ms", // attack p50
 		"1.20s",   // attack p95
 		"1m15s",   // attack p99 crosses into duration formatting
@@ -91,8 +91,8 @@ func TestRenderTop(t *testing.T) {
 	}
 	// A kind with no latency observations renders "-" placeholders.
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "sleep") && !strings.Contains(line, "-") {
-			t.Errorf("sleep row should show '-' for unobserved quantiles: %q", line)
+		if strings.HasPrefix(line, "diagnose") && !strings.Contains(line, "-") {
+			t.Errorf("diagnose row should show '-' for unobserved quantiles: %q", line)
 		}
 	}
 }

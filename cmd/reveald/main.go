@@ -10,8 +10,8 @@
 // Campaign kinds: "attack" (batch single-trace attacks), "stream" (the
 // streaming engine: each trace replayed chunk by chunk through the RVTS
 // wire format, coefficients classified as their segments close, optional
-// early exit on a target bikz, optional batch digest cross-check),
-// "diagnose" (leakage assessment), and "sleep" (testing aid).
+// early exit on a target bikz, optional batch digest cross-check), and
+// "diagnose" (leakage assessment).
 //
 // Usage:
 //

@@ -11,7 +11,6 @@ import (
 
 	"reveal/internal/dbdd"
 	"reveal/internal/obs"
-	"reveal/internal/sca"
 )
 
 // posteriorOf is the dense form of a posterior table in map form.
@@ -86,9 +85,9 @@ func digestInput(data []byte, post Posterior, lo int64, shape uint64) *AttackRes
 
 // The oracles below are the map-form posterior consumers that ran in
 // production before posteriors went dense: dbdd.HintFromProbabilities with
-// its label-window walk, obs.PosteriorStats with its per-call key sort,
-// and sca.TopMargin over map iteration order. FuzzDensePosterior holds the
-// dense functions to them bit for bit.
+// its label-window walk, obs.PosteriorStats' entropy and rank with its
+// per-call key sort, and the top-two margin over map iteration order.
+// FuzzDensePosterior holds the dense functions to them bit for bit.
 
 // oracleWindow is the label span oracleLabelWindow files directly.
 const oracleWindow = 128
@@ -162,22 +161,16 @@ func oracleHint(probs map[int]float64) dbdd.CoefficientHint {
 	return dbdd.CoefficientHint{Mean: mean, Variance: variance}
 }
 
-func oraclePosteriorStats(probs map[int]float64, trueValue int) (margin, entropyBits float64, rank int) {
+func oraclePosteriorStats(probs map[int]float64, trueValue int) (entropyBits float64, rank int) {
 	keys := make([]int, 0, len(probs))
 	for k := range probs {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	top1, top2 := math.Inf(-1), math.Inf(-1)
 	pTrue, hasTrue := probs[trueValue]
 	rank = 1
 	for _, k := range keys {
 		p := probs[k]
-		if p > top1 {
-			top1, top2 = p, top1
-		} else if p > top2 {
-			top2 = p
-		}
 		if p > 0 {
 			entropyBits -= p * math.Log2(p)
 		}
@@ -188,15 +181,7 @@ func oraclePosteriorStats(probs map[int]float64, trueValue int) (margin, entropy
 	if !hasTrue {
 		rank = len(probs) + 1
 	}
-	switch {
-	case math.IsInf(top1, -1):
-		margin = 0
-	case math.IsInf(top2, -1):
-		margin = top1
-	default:
-		margin = top1 - top2
-	}
-	return margin, entropyBits, rank
+	return entropyBits, rank
 }
 
 func oracleTopMargin(probs map[int]float64) (margin float64, ok bool) {
@@ -300,15 +285,15 @@ func FuzzDensePosterior(f *testing.F) {
 		if !sameBits(got.Mean, want.Mean) || !sameBits(got.Variance, want.Variance) {
 			t.Fatalf("hint %+v, oracle %+v", got, want)
 		}
-		gm, ge, gr := obs.PosteriorStats(post.Labels, post.P, trueValue)
-		wm, we, wr := oraclePosteriorStats(m, trueValue)
-		if !sameBits(gm, wm) || !sameBits(ge, we) || gr != wr {
-			t.Fatalf("stats (%v, %v, %d), oracle (%v, %v, %d)", gm, ge, gr, wm, we, wr)
-		}
-		gt, gok := sca.TopMargin(post.P)
+		gt, gok := obs.TopMargin(post.P)
 		wt, wok := oracleTopMargin(m)
 		if !sameBits(gt, wt) || gok != wok {
 			t.Fatalf("top margin (%v, %v), oracle (%v, %v)", gt, gok, wt, wok)
+		}
+		gm, ge, gr := obs.PosteriorStats(post.Labels, post.P, trueValue)
+		we, wr := oraclePosteriorStats(m, trueValue)
+		if !sameBits(gm, wt) || !sameBits(ge, we) || gr != wr {
+			t.Fatalf("stats (%v, %v, %d), oracle (%v, %v, %d)", gm, ge, gr, wt, we, wr)
 		}
 		if got, want := post.At(trueValue), m[trueValue]; !sameBits(got, want) {
 			t.Fatalf("At(%d) = %v, map holds %v", trueValue, got, want)

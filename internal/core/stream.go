@@ -8,7 +8,6 @@ import (
 	"reveal/internal/bfv"
 	"reveal/internal/dbdd"
 	"reveal/internal/obs"
-	"reveal/internal/sca"
 	"reveal/internal/trace"
 )
 
@@ -86,16 +85,12 @@ type StreamVerdict struct {
 	TimeToVerdict   time.Duration
 	// SamplesIngested counts trace samples committed to the segmenter.
 	SamplesIngested int
-	// MarginSum/MarginCount aggregate the banked posterior margins
-	// (top1 − top2) over every classified coefficient.
-	MarginSum   float64
-	MarginCount int
 }
 
 // StreamAttack classifies one error polynomial's trace as its samples
 // arrive: each segment is classified by the pooled segScorer the moment
-// its closing peak is confirmed, posterior margins are banked, and — when
-// a target bikz is set — the attack integrates each coefficient's hint
+// its closing peak is confirmed, its posterior is banked, and — when a
+// target bikz is set — the attack integrates each coefficient's hint
 // incrementally and stops as soon as the estimate reaches the target.
 //
 // Determinism contract: over a complete trace with early exit disabled the
@@ -324,12 +319,6 @@ func (sa *StreamAttack) Finish() (*AttackResult, *StreamVerdict, error) {
 		TimeToFirstHint: sa.firstHint,
 		TimeToVerdict:   sa.verdictAt,
 		SamplesIngested: sa.samples,
-	}
-	for _, post := range sa.res.Probs {
-		if m, ok := sca.TopMargin(post.P); ok {
-			sa.verdict.MarginSum += m
-			sa.verdict.MarginCount++
-		}
 	}
 	reg := obs.Global().Registry()
 	reg.Histogram(MetricStreamTTFHSeconds).Observe(sa.firstHint.Seconds())

@@ -111,8 +111,9 @@ func (w *Watchdog) registry() *obs.Registry {
 }
 
 // Observe feeds one freshly appended record into the watchdog and returns
-// any alerts that fired on it. Records without quality metrics (e.g. the
-// "sleep" testing kind) are ignored.
+// any alerts that fired on it. Records without quality metrics (a result
+// the coordinator could not decode, or a diagnose campaign without a
+// report) are ignored.
 func (w *Watchdog) Observe(rec RunRecord) []DriftAlert {
 	if w == nil || len(rec.Metrics) == 0 {
 		return nil

@@ -196,8 +196,8 @@ func TestWatchdogPin(t *testing.T) {
 	if alerts := w.Observe(record("attack", map[string]float64{"value_accuracy": 0.7})); len(alerts) != 0 {
 		t.Fatalf("post-pin steady state fired: %+v", alerts)
 	}
-	// The sleep kind (no metrics) is ignored entirely.
-	if alerts := w.Observe(RunRecord{Kind: "sleep"}); alerts != nil {
+	// A record without metrics is ignored entirely.
+	if alerts := w.Observe(RunRecord{Kind: "diagnose"}); alerts != nil {
 		t.Fatalf("metric-less record fired: %+v", alerts)
 	}
 	var nilW *Watchdog

@@ -92,24 +92,6 @@ type RunOptions struct {
 	// MetricsAddr, when non-empty, serves /metrics, /progress and
 	// /debug/pprof on that address for the lifetime of the run.
 	MetricsAddr string
-	// TraceCapacity bounds the span trace-event buffer written to
-	// trace.json (0 = DefaultTraceCapacity, negative disables tracing).
-	TraceCapacity int
-	// CoeffCapacity bounds the per-coefficient journal written to
-	// coeffs.jsonl (0 = DefaultCoeffCapacity, negative disables it).
-	CoeffCapacity int
-}
-
-// capacityOrDefault resolves the StartRun capacity convention.
-func capacityOrDefault(v, def int) int {
-	switch {
-	case v < 0:
-		return 0
-	case v == 0:
-		return def
-	default:
-		return v
-	}
 }
 
 // StartRun creates dir, builds a recorder logging to both stderr and
@@ -132,8 +114,8 @@ func StartRun(dir string, opts RunOptions) (*Run, error) {
 	}
 	rec := New(Options{
 		Logger:        TeeLogger(fileLogger, console),
-		TraceCapacity: capacityOrDefault(opts.TraceCapacity, DefaultTraceCapacity),
-		CoeffCapacity: capacityOrDefault(opts.CoeffCapacity, DefaultCoeffCapacity),
+		TraceCapacity: DefaultTraceCapacity,
+		CoeffCapacity: DefaultCoeffCapacity,
 	})
 
 	var cfg json.RawMessage

@@ -274,22 +274,37 @@ func (r *Recorder) RecordCoeff(ev CoeffEvent) {
 	r.coeffEvents.add(ev)
 }
 
-// PosteriorStats derives the CoeffEvent quality fields from a posterior
-// over candidate values — p[k] is the probability of labels[k], labels
-// ascending: the top-two margin, the Shannon entropy in bits, and the
-// 1-based rank of trueValue (len(labels)+1 when the true value is not a
-// candidate). The entropy is a float sum over candidates in ascending
-// label order, so the journal keeps bitwise replay determinism.
-func PosteriorStats(labels []int, p []float64, trueValue int) (margin, entropyBits float64, rank int) {
-	top1, top2 := math.Inf(-1), math.Inf(-1)
-	k, hasTrue := slices.BinarySearch(labels, trueValue)
-	rank = 1
+// TopMargin returns P(top1) − P(top2) of one posterior probability table,
+// given as its probabilities in any order — the per-coefficient confidence
+// that the journal records and campaign results average (mean margin drops
+// before accuracy does). ok is false for an empty table, which contributes
+// nothing to an average.
+func TopMargin(p []float64) (margin float64, ok bool) {
+	if len(p) == 0 {
+		return 0, false
+	}
+	var top1, top2 float64
 	for _, q := range p {
 		if q > top1 {
 			top1, top2 = q, top1
 		} else if q > top2 {
 			top2 = q
 		}
+	}
+	return top1 - top2, true
+}
+
+// PosteriorStats derives the CoeffEvent quality fields from a posterior
+// over candidate values — p[k] is the probability of labels[k], labels
+// ascending: the TopMargin, the Shannon entropy in bits, and the 1-based
+// rank of trueValue (len(labels)+1 when the true value is not a
+// candidate). The entropy is a float sum over candidates in ascending
+// label order, so the journal keeps bitwise replay determinism.
+func PosteriorStats(labels []int, p []float64, trueValue int) (margin, entropyBits float64, rank int) {
+	margin, _ = TopMargin(p)
+	k, hasTrue := slices.BinarySearch(labels, trueValue)
+	rank = 1
+	for _, q := range p {
 		if q > 0 {
 			entropyBits -= q * math.Log2(q)
 		}
@@ -299,14 +314,6 @@ func PosteriorStats(labels []int, p []float64, trueValue int) (margin, entropyBi
 	}
 	if !hasTrue {
 		rank = len(labels) + 1
-	}
-	switch {
-	case math.IsInf(top1, -1):
-		margin = 0
-	case math.IsInf(top2, -1):
-		margin = top1
-	default:
-		margin = top1 - top2
 	}
 	return margin, entropyBits, rank
 }

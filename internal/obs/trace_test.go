@@ -152,6 +152,31 @@ func TestRecordCoeffJournalAndMetrics(t *testing.T) {
 	}
 }
 
+func TestTopMargin(t *testing.T) {
+	cases := []struct {
+		name   string
+		probs  []float64
+		margin float64
+		ok     bool
+	}{
+		{"empty", nil, 0, false},
+		{"single", []float64{0.9}, 0.9, true},
+		{"two", []float64{0.7, 0.2}, 0.5, true},
+		{"many", []float64{0.5, 0.3, 0.15, 0.05}, 0.2, true},
+		{"ascending", []float64{0.05, 0.15, 0.3, 0.5}, 0.2, true},
+		{"tied", []float64{0.4, 0.4, 0.2}, 0, true},
+	}
+	for _, tc := range cases {
+		m, ok := TopMargin(tc.probs)
+		if ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+		}
+		if math.Abs(m-tc.margin) > 1e-12 {
+			t.Errorf("%s: margin = %v, want %v", tc.name, m, tc.margin)
+		}
+	}
+}
+
 func TestPosteriorStats(t *testing.T) {
 	labels, probs := []int{-1, 0, 1}, []float64{0.1, 0.7, 0.2}
 	margin, entropy, rank := PosteriorStats(labels, probs, 0)
@@ -205,15 +230,16 @@ func TestRunFinishWritesEventArtifacts(t *testing.T) {
 	}
 }
 
+// TestRunDisabledTracing: a run whose recorder buffers neither spans nor
+// coefficient events writes neither trace.json nor coeffs.jsonl.
 func TestRunDisabledTracing(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
-	run, err := StartRun(dir, RunOptions{
-		Tool: "obs_test", Command: "notrace", Quiet: true,
-		TraceCapacity: -1, CoeffCapacity: -1,
-	})
+	run, err := StartRun(dir, RunOptions{Tool: "obs_test", Command: "notrace", Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	run.Recorder = New(Options{Logger: run.Recorder.Logger()})
+	SetGlobal(run.Recorder)
 	StartSpan("classify").End()
 	if err := run.Finish(); err != nil {
 		t.Fatal(err)

@@ -328,8 +328,6 @@ func decodeResultByKind(kind string, raw json.RawMessage) any {
 		typed = new(AttackCampaignResult)
 	case KindDiagnose:
 		typed = new(DiagnoseCampaignResult)
-	case KindSleep:
-		typed = new(SleepCampaignResult)
 	case KindStream:
 		typed = new(StreamCampaignResult)
 	}

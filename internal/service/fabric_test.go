@@ -3,9 +3,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -16,13 +20,13 @@ import (
 	"reveal/internal/jobs/wal"
 )
 
-// newFabricWorker assembles a worker node against the given coordinator
-// client, with latencies tuned for tests, and runs it until test cleanup.
-func newFabricWorker(t *testing.T, id string, client *Client, slots int) *FabricWorker {
+// newFabricWorker assembles a worker node leasing from coord, with
+// latencies tuned for tests, and runs it until test cleanup.
+func newFabricWorker(t *testing.T, id string, coord Coordinator, slots int) *FabricWorker {
 	t.Helper()
 	return runFabricWorker(t, &FabricWorker{
 		ID:     id,
-		Client: client,
+		Client: coord,
 		Runner: &Runner{Cache: core.NewTemplateCache(2), Workers: 1},
 		Slots:  slots,
 	})
@@ -53,45 +57,97 @@ func runFabricWorker(t *testing.T, w *FabricWorker) *FabricWorker {
 	return w
 }
 
-func sleepSpec(ms, failAttempts int) *CampaignSpec {
-	return &CampaignSpec{Kind: KindSleep, SleepMS: ms, FailAttempts: failAttempts}
+// smallAttack is a one-encryption attack campaign whose profiling run
+// trains in milliseconds.
+func smallAttack(seed uint64) *CampaignSpec {
+	return &CampaignSpec{Kind: KindAttack, Seed: seed, ProfileTracesPerValue: 4, Encryptions: 1, Workers: 1}
+}
+
+// testTemplates is the serialized classifier a serving testCoordinator
+// answers with: smallAttack(0)'s templates, trained once per test binary.
+var testTemplates = sync.OnceValues(func() ([]byte, error) {
+	dev, popts := smallAttack(0).deviceAndOptions()
+	cls, err := core.Profile(dev, popts)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = core.WriteClassifier(&buf, cls)
+	return buf.Bytes(), err
+})
+
+// testCoordinator is the coordinator a test's FabricWorker leases through:
+// the in-process *Server, which is what a -role all worker leases from, or
+// a *Client for the HTTP path, with its template lookups steered by the
+// test. TemplateGet counts every call, panics while panics is positive
+// (the attempt fails), waits while hold is open until the test closes it
+// or the attempt's context ends, and with serve answers every key with
+// testTemplates, so a released job finishes after one encryption.
+type testCoordinator struct {
+	Coordinator
+	hold   chan struct{}
+	serve  bool
+	panics atomic.Int32
+	gets   atomic.Int32
+}
+
+func (c *testCoordinator) TemplateGet(ctx context.Context, key string) ([]byte, bool, error) {
+	c.gets.Add(1)
+	if c.panics.Add(-1) >= 0 {
+		panic("template registry corrupted")
+	}
+	if c.hold != nil {
+		select {
+		case <-c.hold:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+	}
+	if c.serve {
+		blob, err := testTemplates()
+		return blob, err == nil, err
+	}
+	return c.Coordinator.TemplateGet(ctx, key)
+}
+
+// waitGets polls until c has seen n template lookups: an attempt waiting
+// on hold has reached it.
+func waitGets(t *testing.T, c *testCoordinator, n int32) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); c.gets.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d template lookups after 5s, want %d", c.gets.Load(), n)
+		}
+	}
 }
 
 // TestFabricEndToEnd drives the distributed path: a pure coordinator (no
 // in-process worker) with a fabric worker leasing over HTTP. Every submitted
-// job — including one that fails its first attempt and retries — must
+// job — including one whose first attempt fails and retries — must
 // complete, with queue-wait/attempt accounting intact.
 func TestFabricEndToEnd(t *testing.T) {
 	svc, client := newTestService(t, Config{PoolWorkers: -1})
-	newFabricWorker(t, "node-a", client, 2)
+	coord := &testCoordinator{Coordinator: client, serve: true}
+	coord.panics.Store(1)
+	newFabricWorker(t, "node-a", coord, 2)
 	ctx := context.Background()
 
-	specs := []*CampaignSpec{sleepSpec(5, 0), sleepSpec(5, 0), sleepSpec(1, 1)}
+	// One template key per job, so the failed lookup fails one job alone.
 	var ids []string
-	for _, spec := range specs {
-		st, err := client.Submit(ctx, spec)
+	for seed := uint64(1); seed <= 3; seed++ {
+		st, err := client.Submit(ctx, smallAttack(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
 	}
-	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	for i, id := range ids {
-		st, err := client.WaitDone(waitCtx, id, 10*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != jobs.StateDone {
-			t.Fatalf("job %s ended %s: %s", id, st.State, st.Error)
-		}
-		wantAttempts := 1
-		if specs[i].FailAttempts > 0 {
-			wantAttempts = specs[i].FailAttempts + 1
-		}
-		if st.Attempts != wantAttempts {
-			t.Fatalf("job %s attempts = %d, want %d", id, st.Attempts, wantAttempts)
-		}
+	var attempts []int
+	for _, id := range ids {
+		attempts = append(attempts, waitDone(t, client, id, 30*time.Second).Attempts)
+	}
+	slices.Sort(attempts)
+	if !slices.Equal(attempts, []int{1, 1, 2}) {
+		t.Fatalf("attempts per job = %v, want one job retried once", attempts)
 	}
 	if got := svc.Queue().Leased(); got != 0 {
 		t.Fatalf("leased gauge after drain = %d, want 0", got)
@@ -106,7 +162,7 @@ func TestFabricDeadWorkerRequeues(t *testing.T) {
 	_, client := newTestService(t, Config{PoolWorkers: -1})
 	ctx := context.Background()
 
-	st, err := client.Submit(ctx, sleepSpec(5, 0))
+	st, err := client.Submit(ctx, smallAttack(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,31 +245,13 @@ func TestRemoteTemplateCacheSharesAcrossNodes(t *testing.T) {
 	}
 }
 
-// gatedCoordinator holds every registry lookup until gate closes, and
-// counts the lookups.
-type gatedCoordinator struct {
-	*Client
-	gate chan struct{}
-	gets atomic.Int32
-}
-
-func (g *gatedCoordinator) TemplateGet(ctx context.Context, key string) ([]byte, bool, error) {
-	g.gets.Add(1)
-	select {
-	case <-g.gate:
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	}
-	return g.Client.TemplateGet(ctx, key)
-}
-
 // TestWaitingJobReportsCacheHit: a fabric worker with two slots leases two
 // campaigns with one template key while the first one's templates are
 // still being resolved. The second waits on that in-flight training run
 // instead of reaching the registry or profiling, and reports cache_hit.
 func TestWaitingJobReportsCacheHit(t *testing.T) {
 	svc, client := newTestService(t, Config{PoolWorkers: -1})
-	coord := &gatedCoordinator{Client: client, gate: make(chan struct{})}
+	coord := &testCoordinator{Coordinator: client, hold: make(chan struct{})}
 	w := runFabricWorker(t, &FabricWorker{
 		ID:     "pair",
 		Client: coord,
@@ -242,7 +280,7 @@ func TestWaitingJobReportsCacheHit(t *testing.T) {
 	// in-flight run or finds it finished; the pause makes the wait the
 	// path taken.
 	time.Sleep(50 * time.Millisecond)
-	close(coord.gate)
+	close(coord.hold)
 	hits := 0
 	for _, id := range ids {
 		waitDone(t, client, id, 60*time.Second)
@@ -294,11 +332,11 @@ func TestSubmitBackpressure(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 2; i++ {
-		if _, err := client.Submit(ctx, sleepSpec(5, 0)); err != nil {
+		if _, err := client.Submit(ctx, smallAttack(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := client.Submit(ctx, sleepSpec(5, 0))
+	_, err := client.Submit(ctx, smallAttack(1))
 	if StatusCode(err) != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity submit = %v, want HTTP 429", err)
 	}
@@ -330,7 +368,7 @@ func TestClientRetriesTransientDialErrors(t *testing.T) {
 	client.RetryAttempts = 3
 	client.RetryBase = time.Millisecond
 
-	st, err := client.Submit(context.Background(), sleepSpec(1, 0))
+	st, err := client.Submit(context.Background(), smallAttack(1))
 	if err != nil {
 		t.Fatalf("submit through flaky transport = %v, want success after retries", err)
 	}
@@ -349,7 +387,7 @@ func TestClientRetriesTransientDialErrors(t *testing.T) {
 	c2 := NewClient(failing.URL)
 	c2.RetryAttempts = 3
 	c2.RetryBase = time.Millisecond
-	if _, err := c2.Submit(context.Background(), sleepSpec(1, 0)); StatusCode(err) != http.StatusInternalServerError {
+	if _, err := c2.Submit(context.Background(), smallAttack(1)); StatusCode(err) != http.StatusInternalServerError {
 		t.Fatalf("5xx submit = %v, want HTTP 500 surfaced", err)
 	}
 	if hits.Load() != 1 {
@@ -380,7 +418,7 @@ func TestServiceWALRestart(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 2; i++ {
-		st, err := client1.Submit(ctx, sleepSpec(1, 0))
+		st, err := client1.Submit(ctx, smallAttack(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,4 +467,64 @@ func TestServiceWALRestart(t *testing.T) {
 			t.Fatalf("replayed job %s ended %s: %s", id, st.State, st.Error)
 		}
 	}
+}
+
+// TestRestoreFailsRetiredSleepJob is the upgrade path from a journal that
+// holds a queued job of the retired "sleep" kind: the restart fails that
+// job with the payload decode error instead of requeueing it, and an
+// attack campaign submitted afterwards runs to completion.
+func TestRestoreFailsRetiredSleepJob(t *testing.T) {
+	dir := t.TempDir()
+	log1, _, err := wal.Open(wal.Options{Dir: dir, SyncSubmits: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The job image a coordinator journaled for a queued
+	// {"kind":"sleep","sleep_ms":8000,"tenant":"ci"} before the kind was
+	// retired, byte for byte.
+	var img wal.JobImage
+	if err := json.Unmarshal([]byte(`{"id":"job-000001","kind":"sleep","tenant":"ci",`+
+		`"payload":{"kind":"sleep","seed":0,"low_noise":false,"tenant":"ci","sleep_ms":8000},`+
+		`"state":"queued","max_attempts":3,"submitted_at":"2026-10-20T19:03:33.152784145Z",`+
+		`"finished_at":"0001-01-01T00:00:00Z","deadline":"0001-01-01T00:00:00Z",`+
+		`"not_before":"0001-01-01T00:00:00Z","lease_expiry":"0001-01-01T00:00:00Z"}`), &img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log1.Append(wal.Record{Type: wal.RecSubmit, Job: img}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log2, rep, err := wal.Open(wal.Options{Dir: dir, SyncSubmits: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := fastQueue()
+	opts.WAL = log2
+	svc := New(Config{PoolWorkers: 1, QueueOptions: opts})
+	if requeued, terminal := svc.Queue().Restore(rep, DecodeCampaignPayload); requeued != 0 || terminal != 1 {
+		t.Fatalf("restore = %d requeued, %d terminal; want 0, 1", requeued, terminal)
+	}
+	st, ok := svc.Queue().Get("job-000001")
+	if !ok || st.State != jobs.StateFailed || !strings.Contains(st.Error, "payload decode failed") ||
+		!strings.Contains(st.Error, `unknown campaign kind "sleep"`) {
+		t.Fatalf("journaled sleep job after restore = %+v, want failed on its payload decode", st)
+	}
+	svc.Start()
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = svc.Shutdown(sctx)
+		_ = log2.Close()
+	})
+	client := NewClient(ts.URL)
+	next, err := client.Submit(context.Background(), smallAttack(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, client, next.ID, 30*time.Second)
 }

@@ -31,7 +31,7 @@ func FuzzCampaignSpec(f *testing.F) {
 		}
 		// Post-conditions of a normalized spec.
 		switch spec.Kind {
-		case KindAttack, KindDiagnose, KindSleep, KindStream:
+		case KindAttack, KindDiagnose, KindStream:
 		default:
 			t.Fatalf("normalized spec has kind %q", spec.Kind)
 		}
@@ -45,8 +45,7 @@ func FuzzCampaignSpec(f *testing.F) {
 			t.Fatalf("normalized spec exceeds the chunk cap: %d samples", spec.ChunkSamples)
 		}
 		if spec.ProfileTracesPerValue < 0 || spec.Workers < 0 || spec.MaxAttempts < 0 ||
-			spec.TimeoutMS < 0 || spec.SleepMS < 0 || spec.FailAttempts < 0 ||
-			spec.ChunkSamples < 0 || spec.TargetBikz < 0 {
+			spec.TimeoutMS < 0 || spec.ChunkSamples < 0 || spec.TargetBikz < 0 {
 			t.Fatal("normalized spec retains negative fields")
 		}
 		if spec.Timeout() < 0 {

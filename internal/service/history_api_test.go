@@ -7,27 +7,20 @@ import (
 	"testing"
 	"time"
 
-	"reveal/internal/jobs"
 	"reveal/internal/obs/history"
 )
 
-// submitSleepAndWait pushes one sleep campaign through the service and
-// waits for it to finish — the cheapest way to populate the history store.
-func submitSleepAndWait(t *testing.T, client *Client, tenant string) {
+// submitAndWait pushes one small attack campaign for tenant through the
+// service and waits for it to finish, which appends one history record.
+func submitAndWait(t *testing.T, client *Client, tenant string) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	st, err := client.Submit(ctx, &CampaignSpec{Kind: KindSleep, SleepMS: 1, Tenant: tenant})
+	spec := smallAttack(1)
+	spec.Tenant = tenant
+	st, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := client.WaitDone(ctx, st.ID, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.State != jobs.StateDone {
-		t.Fatalf("sleep campaign ended %s: %s", done.State, done.Error)
-	}
+	waitDone(t, client, st.ID, 30*time.Second)
 }
 
 // TestHistoryAPIEndToEnd drives campaigns through the service and reads
@@ -52,12 +45,12 @@ func TestHistoryAPIEndToEnd(t *testing.T) {
 	})
 
 	for i := 0; i < 3; i++ {
-		submitSleepAndWait(t, client, "tenant-a")
+		submitAndWait(t, client, "tenant-a")
 	}
-	submitSleepAndWait(t, client, "tenant-b")
+	submitAndWait(t, client, "tenant-b")
 
 	ctx := context.Background()
-	page, err := client.History(ctx, "sleep", "", 0, 0)
+	page, err := client.History(ctx, "attack", "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +79,14 @@ func TestHistoryAPIEndToEnd(t *testing.T) {
 	}
 
 	// Cursor pagination: two pages of two.
-	p1, err := client.History(ctx, "sleep", "", 0, 2)
+	p1, err := client.History(ctx, "attack", "", 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p1.Records) != 2 || p1.NextAfter == 0 {
 		t.Fatalf("page 1 = %d records, next_after=%d", len(p1.Records), p1.NextAfter)
 	}
-	p2, err := client.History(ctx, "sleep", "", p1.NextAfter, 2)
+	p2, err := client.History(ctx, "attack", "", p1.NextAfter, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +102,7 @@ func TestHistoryAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(agg.Aggregates) != 1 || agg.Aggregates[0].Kind != "sleep" {
+	if len(agg.Aggregates) != 1 || agg.Aggregates[0].Kind != KindAttack {
 		t.Fatalf("aggregates = %+v", agg.Aggregates)
 	}
 	if agg.Aggregates[0].Runs != 4 {

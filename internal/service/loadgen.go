@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -27,15 +25,11 @@ type LoadgenOptions struct {
 	// Concurrency is the number of concurrent submitters (default 8) —
 	// the offered parallelism, independent of the service's worker count.
 	Concurrency int
-	// Kinds is the campaign mix, cycled per job (default: sleep only —
-	// cheap enough that the measurement exercises the queue and fabric
-	// rather than the classifier).
+	// Kinds is the campaign mix, cycled per job (default: attack only).
 	Kinds []string
-	// SleepMS is the duration of each sleep campaign (default 20).
-	SleepMS int
-	// Seed salts the per-job campaign seeds so attack campaigns across a
-	// run share one template key (the realistic steady state: templates
-	// train once and every job hits the cache or registry).
+	// Seed is every job's campaign seed, so the attack campaigns of a run
+	// share one template key (the realistic steady state: templates train
+	// once and every job hits the cache or registry).
 	Seed uint64
 	// Poll is the completion poll interval (default 25 ms).
 	Poll time.Duration
@@ -80,10 +74,7 @@ func RunLoadgen(ctx context.Context, client *Client, opts LoadgenOptions) (*Load
 		opts.Concurrency = 8
 	}
 	if len(opts.Kinds) == 0 {
-		opts.Kinds = []string{KindSleep}
-	}
-	if opts.SleepMS <= 0 {
-		opts.SleepMS = 20
+		opts.Kinds = []string{KindAttack}
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 25 * time.Millisecond
@@ -122,13 +113,9 @@ func RunLoadgen(ctx context.Context, client *Client, opts LoadgenOptions) (*Load
 					return
 				}
 				spec := &CampaignSpec{
-					Kind:    opts.Kinds[i%len(opts.Kinds)],
-					Seed:    opts.Seed,
-					SleepMS: opts.SleepMS,
-					Tenant:  fmt.Sprintf("loadgen-%d", i%opts.Tenants),
-				}
-				if spec.Kind == KindAttack {
-					spec.Encryptions = 1
+					Kind:   opts.Kinds[i%len(opts.Kinds)],
+					Seed:   opts.Seed,
+					Tenant: fmt.Sprintf("loadgen-%d", i%opts.Tenants),
 				}
 				submitted := time.Now()
 				var st jobs.Status
@@ -215,42 +202,4 @@ func quantile(sorted []float64, q float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// BenchMetrics renders the report in the BENCH_*.json metric vocabulary:
-// items_per_second (higher is better) and *_seconds latencies (lower is
-// better), so `revealctl compare -gate-perf` gates each in the right
-// direction.
-func (r *LoadgenReport) BenchMetrics() map[string]float64 {
-	return map[string]float64{
-		"items_per_second":    r.JobsPerSecond,
-		"latency_p50_seconds": r.LatencyP50Seconds,
-		"latency_p95_seconds": r.LatencyP95Seconds,
-		"latency_max_seconds": r.LatencyMaxSeconds,
-		"jobs":                float64(r.Jobs),
-		"failed":              float64(r.Failed),
-		"rejections":          float64(r.Rejections),
-		"tenants":             float64(r.Tenants),
-	}
-}
-
-// WriteBenchSnapshot writes the report as a BENCH_*.json benchmark
-// snapshot (the `revealctl compare` input format) at path.
-func (r *LoadgenReport) WriteBenchSnapshot(path, name string) error {
-	nsPerOp := 0.0
-	if n := r.Done + r.Failed; n > 0 {
-		nsPerOp = r.ElapsedSeconds * 1e9 / float64(n)
-	}
-	snap := map[string]any{
-		"name":             name,
-		"iterations":       r.Jobs,
-		"ns_per_op":        nsPerOp,
-		"items_per_second": r.JobsPerSecond,
-		"metrics":          r.BenchMetrics(),
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -78,13 +78,6 @@ type DiagnoseCampaignResult struct {
 	ElapsedMS int64                   `json:"elapsed_ms"`
 }
 
-// SleepCampaignResult is the result payload of a "sleep" campaign.
-type SleepCampaignResult struct {
-	Kind     string `json:"kind"`
-	SleptMS  int    `json:"slept_ms"`
-	Attempts int    `json:"attempts"`
-}
-
 // Run executes one attempt of a leased job for the named worker, which
 // reaches the template registry through coord. ctx is canceled when the
 // lease is lost, the job is canceled, its deadline passes, or the worker
@@ -108,8 +101,6 @@ func (r *Runner) Run(ctx context.Context, job *jobs.Job, coord Coordinator, work
 		result, err = r.runAttack(ctx, spec, coord, worker)
 	case KindDiagnose:
 		result, err = r.runDiagnose(ctx, spec)
-	case KindSleep:
-		result, err = runSleep(ctx, spec, job.Attempts)
 	case KindStream:
 		result, err = r.runStream(ctx, spec, coord, worker)
 	default:
@@ -358,7 +349,7 @@ func (c *campaign) score(res *core.AttackResult, truth []int64) {
 	// order of the float additions fixes mean_margin's bits.
 	var sum float64
 	for _, post := range res.Probs {
-		if m, ok := sca.TopMargin(post.P); ok {
+		if m, ok := obs.TopMargin(post.P); ok {
 			sum += m
 			c.marginN++
 		}
@@ -444,22 +435,6 @@ func (r *Runner) runDiagnose(ctx context.Context, spec *CampaignSpec) (*Diagnose
 		Kind: spec.Kind, Seed: spec.Seed, Report: report,
 		ElapsedMS: time.Since(start).Milliseconds(),
 	}, nil
-}
-
-// runSleep executes the "sleep" testing kind.
-func runSleep(ctx context.Context, spec *CampaignSpec, attempt int) (*SleepCampaignResult, error) {
-	if attempt <= spec.FailAttempts {
-		return nil, fmt.Errorf("service: induced failure on attempt %d/%d", attempt, spec.FailAttempts)
-	}
-	d := time.Duration(spec.SleepMS) * time.Millisecond
-	if d > 0 {
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return nil, fmt.Errorf("service: sleep canceled: %w", ctx.Err())
-		}
-	}
-	return &SleepCampaignResult{Kind: spec.Kind, SleptMS: spec.SleepMS, Attempts: attempt}, nil
 }
 
 // writeJobArtifacts archives one finished job into DataDir/<jobID>/:

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,51 +206,37 @@ func TestEndToEndAttackCampaign(t *testing.T) {
 }
 
 // TestJobLifecycleOverHTTP observes queued → running → done through the
-// API with a single worker and two sleep campaigns.
+// API on one slot: while the first campaign's template lookup is held the
+// second stays queued, and once released they finish in order.
 func TestJobLifecycleOverHTTP(t *testing.T) {
-	_, client := newTestService(t, Config{PoolWorkers: 1})
+	svc, client := newTestService(t, Config{PoolWorkers: -1})
+	coord := &testCoordinator{Coordinator: svc, hold: make(chan struct{}), serve: true}
+	newFabricWorker(t, "solo", coord, 1)
 	ctx := context.Background()
 
-	first, err := client.Submit(ctx, &CampaignSpec{Kind: KindSleep, SleepMS: 300})
+	first, err := client.Submit(ctx, smallAttack(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := client.Submit(ctx, &CampaignSpec{Kind: KindSleep, SleepMS: 10})
+	second, err := client.Submit(ctx, smallAttack(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The single worker must be on the first job; the second stays queued.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st1, err := client.Campaign(ctx, first.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st1.State == jobs.StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("first job never ran: %s", st1.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The single slot must be on the first job; the second stays queued.
+	waitRunning(t, client, first.ID)
+	waitGets(t, coord, 1)
 	st2, err := client.Campaign(ctx, second.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2.State != jobs.StateQueued {
-		t.Fatalf("second job = %s while first is running on 1 worker", st2.State)
+		t.Fatalf("second job = %s while first is running on 1 slot", st2.State)
 	}
-	waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	for _, id := range []string{first.ID, second.ID} {
-		st, err := client.WaitDone(waitCtx, id, 10*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != jobs.StateDone {
-			t.Fatalf("job %s ended %s: %s", id, st.State, st.Error)
-		}
+	close(coord.hold)
+	done1 := waitDone(t, client, first.ID, 30*time.Second)
+	done2 := waitDone(t, client, second.ID, 30*time.Second)
+	if done2.StartedAt.Before(*done1.FinishedAt) {
+		t.Fatalf("second job started at %v, before the first finished at %v", done2.StartedAt, done1.FinishedAt)
 	}
 	list, err := client.List(ctx)
 	if err != nil {
@@ -260,16 +247,20 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	}
 }
 
-// TestRetryOverHTTP exercises the retry machinery through the API: a sleep
-// campaign failing its first attempt succeeds on the second.
+// TestRetryOverHTTP exercises the retry machinery through the API: a
+// campaign whose first attempt fails (its first template lookup panics)
+// succeeds on the second.
 func TestRetryOverHTTP(t *testing.T) {
-	_, client := newTestService(t, Config{PoolWorkers: 1})
+	svc, client := newTestService(t, Config{PoolWorkers: -1})
+	coord := &testCoordinator{Coordinator: svc, serve: true}
+	coord.panics.Store(1)
+	newFabricWorker(t, "retrier", coord, 1)
 	ctx := context.Background()
-	st, err := client.Submit(ctx, &CampaignSpec{Kind: KindSleep, SleepMS: 5, FailAttempts: 1})
+	st, err := client.Submit(ctx, smallAttack(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	done, err := client.WaitDone(waitCtx, st.ID, 10*time.Millisecond)
 	if err != nil {
@@ -278,26 +269,31 @@ func TestRetryOverHTTP(t *testing.T) {
 	if done.State != jobs.StateDone || done.Attempts != 2 {
 		t.Fatalf("job = %s after %d attempts, want done after 2 (%s)", done.State, done.Attempts, done.Error)
 	}
-	var res SleepCampaignResult
+	var res AttackCampaignResult
 	if err := client.Result(ctx, st.ID, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 2 {
-		t.Fatalf("result attempts = %d, want 2", res.Attempts)
+	if len(res.Runs) != 1 || res.Coefficients != 2*1024 {
+		t.Fatalf("retried result = %d runs, %d coefficients; want the second attempt's 1 run of 2048",
+			len(res.Runs), res.Coefficients)
 	}
 }
 
-// TestCancelOverHTTP cancels a running sleep campaign via DELETE: the
-// response is already final, and the in-process worker drops the attempt
-// at once, so its only slot is free for the next job.
+// TestCancelOverHTTP cancels a running campaign via DELETE: the response
+// is already final, and the worker, leasing in process, drops the attempt
+// at once — its template lookup still held — so its only slot is free for
+// the next job.
 func TestCancelOverHTTP(t *testing.T) {
-	_, client := newTestService(t, Config{PoolWorkers: 1})
+	svc, client := newTestService(t, Config{PoolWorkers: -1})
+	coord := &testCoordinator{Coordinator: svc, hold: make(chan struct{}), serve: true}
+	w := newFabricWorker(t, "solo", coord, 1)
 	ctx := context.Background()
-	st, err := client.Submit(ctx, &CampaignSpec{Kind: KindSleep, SleepMS: 30000})
+	st, err := client.Submit(ctx, smallAttack(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, client, st.ID)
+	waitGets(t, coord, 1)
 	done, err := client.Cancel(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -305,11 +301,13 @@ func TestCancelOverHTTP(t *testing.T) {
 	if done.State != jobs.StateFailed || done.Error != "canceled" {
 		t.Fatalf("canceled job = %s (%q)", done.State, done.Error)
 	}
-	next, err := client.Submit(ctx, sleepSpec(10, 0))
+	waitIdle(t, w)
+	close(coord.hold)
+	next, err := client.Submit(ctx, smallAttack(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, client, next.ID, 2*time.Second)
+	waitDone(t, client, next.ID, 10*time.Second)
 }
 
 // TestShutdownDrainsRunningJob verifies SIGTERM semantics at the service
@@ -323,25 +321,15 @@ func TestShutdownDrainsRunningJob(t *testing.T) {
 	client := NewClient(ts.URL)
 	ctx := context.Background()
 
-	st, err := client.Submit(ctx, &CampaignSpec{Kind: KindSleep, SleepMS: 300})
+	// Long enough to be in flight when the drain starts.
+	spec := smallAttack(1)
+	spec.Encryptions = 50
+	st, err := client.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cur, err := client.Campaign(ctx, st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == jobs.StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never ran: %s", cur.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	waitRunning(t, client, st.ID)
+	drainCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
 	if err := svc.Shutdown(drainCtx); err != nil {
 		t.Fatalf("drain failed: %v", err)
@@ -350,10 +338,11 @@ func TestShutdownDrainsRunningJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.State != jobs.StateDone {
-		t.Fatalf("in-flight job after drain = %s (%s)", done.State, done.Error)
+	if done.State != jobs.StateDone || done.Attempts != 1 {
+		t.Fatalf("in-flight job after drain = %s on attempt %d (%s), want done on attempt 1",
+			done.State, done.Attempts, done.Error)
 	}
-	if _, err := client.Submit(ctx, &CampaignSpec{Kind: KindSleep}); err == nil {
+	if _, err := client.Submit(ctx, smallAttack(1)); err == nil {
 		t.Fatal("submission accepted after shutdown")
 	}
 }
@@ -388,7 +377,7 @@ func TestAPIMountedNextToObservability(t *testing.T) {
 	}
 	// The API works through the shared listener too.
 	client := NewClient(base)
-	st, err := client.Submit(context.Background(), &CampaignSpec{Kind: KindSleep, SleepMS: 5})
+	st, err := client.Submit(context.Background(), smallAttack(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,6 +397,17 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := client.Submit(ctx, &CampaignSpec{Kind: KindAttack, Encryptions: 5000}); err == nil {
 		t.Error("oversized campaign accepted")
+	}
+	// The retired sleep kind and its fields are refused like any other.
+	for _, body := range []string{`{"kind":"sleep"}`, `{"kind":"attack","sleep_ms":10}`, `{"fail_attempts":1}`} {
+		resp, err := http.Post(client.BaseURL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s = HTTP %d, want 400", body, resp.StatusCode)
+		}
 	}
 	if _, err := client.Campaign(ctx, "job-999999"); err == nil {
 		t.Error("unknown job id returned no error")

@@ -23,10 +23,6 @@ const (
 	// KindDiagnose runs the leakage assessment (SNR, t-tests, POI overlap,
 	// template health) for the spec's device configuration.
 	KindDiagnose = "diagnose"
-	// KindSleep is a deterministic testing aid: it idles for SleepMS
-	// milliseconds (honoring cancellation) and optionally fails its first
-	// FailAttempts attempts to exercise the retry machinery end to end.
-	KindSleep = "sleep"
 	// KindStream runs the attack through the streaming engine: each
 	// captured trace is serialized to the RVTS wire format and replayed in
 	// chunks through core.StreamAttack, classifying every coefficient the
@@ -38,7 +34,7 @@ const (
 // CampaignSpec is the submission payload of POST /api/v1/campaigns.
 type CampaignSpec struct {
 	// Kind selects the campaign type: "attack" (default), "diagnose", or
-	// "sleep".
+	// "stream".
 	Kind string `json:"kind"`
 	// Seed makes the campaign deterministic end to end (device noise, BFV
 	// keys, plaintexts).
@@ -72,10 +68,6 @@ type CampaignSpec struct {
 	// attempts) in milliseconds.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 
-	// SleepMS and FailAttempts configure the "sleep" testing kind.
-	SleepMS      int `json:"sleep_ms,omitempty"`
-	FailAttempts int `json:"fail_attempts,omitempty"`
-
 	// TargetBikz, ChunkSamples and VerifyBatch configure the "stream" kind.
 	// TargetBikz > 0 arms early exit: the stream stops ingesting the moment
 	// the banked hints push the DBDD estimate to (or below) the target.
@@ -101,7 +93,7 @@ func (s *CampaignSpec) Normalize() error {
 		s.Kind = KindAttack
 	}
 	switch s.Kind {
-	case KindAttack, KindDiagnose, KindSleep, KindStream:
+	case KindAttack, KindDiagnose, KindStream:
 	default:
 		return fmt.Errorf("service: unknown campaign kind %q", s.Kind)
 	}
@@ -112,8 +104,7 @@ func (s *CampaignSpec) Normalize() error {
 		return fmt.Errorf("service: encryptions %d exceeds the per-campaign limit of 1000", s.Encryptions)
 	}
 	if s.ProfileTracesPerValue < 0 || s.Workers < 0 || s.MaxAttempts < 0 ||
-		s.TimeoutMS < 0 || s.SleepMS < 0 || s.FailAttempts < 0 ||
-		s.ChunkSamples < 0 || s.TargetBikz < 0 {
+		s.TimeoutMS < 0 || s.ChunkSamples < 0 || s.TargetBikz < 0 {
 		return fmt.Errorf("service: negative values are not allowed in a campaign spec")
 	}
 	if s.ChunkSamples > maxChunkSamples {

@@ -174,7 +174,7 @@ func TestStreamSpecValidation(t *testing.T) {
 	for _, bad := range []*CampaignSpec{
 		{Kind: KindAttack, TargetBikz: 10},
 		{Kind: KindAttack, ChunkSamples: 64},
-		{Kind: KindSleep, VerifyBatch: true},
+		{Kind: KindDiagnose, VerifyBatch: true},
 		{Kind: KindStream, TargetBikz: -1},
 		{Kind: KindStream, ChunkSamples: -1},
 		{Kind: KindStream, ChunkSamples: maxChunkSamples + 1},

@@ -217,7 +217,7 @@ func testTraceIDEndToEnd(t *testing.T, poolWorkers int) {
 func TestTraceIDMintedAndSanitized(t *testing.T) {
 	_, _, ts := newTracedService(t, 1)
 
-	echoed, st := submitTraced(t, ts, &CampaignSpec{Kind: KindSleep, SleepMS: 1}, "")
+	echoed, st := submitTraced(t, ts, smallAttack(1), "")
 	if !obs.ValidTraceID(echoed) {
 		t.Fatalf("minted header %q is invalid", echoed)
 	}
@@ -227,7 +227,7 @@ func TestTraceIDMintedAndSanitized(t *testing.T) {
 
 	// In-range for an HTTP header but outside the trace-ID charset.
 	hostile := "bad id!"
-	echoed2, st2 := submitTraced(t, ts, &CampaignSpec{Kind: KindSleep, SleepMS: 1}, hostile)
+	echoed2, st2 := submitTraced(t, ts, smallAttack(1), hostile)
 	if echoed2 == hostile || !obs.ValidTraceID(echoed2) {
 		t.Fatalf("malformed header echoed back: %q", echoed2)
 	}
@@ -244,15 +244,11 @@ func TestStatsExposesKindsAndLatency(t *testing.T) {
 	client := NewClient(ts.URL)
 	ctx := context.Background()
 
-	st, err := client.Submit(ctx, &CampaignSpec{Kind: KindSleep, SleepMS: 10})
+	st, err := client.Submit(ctx, smallAttack(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if done, err := client.WaitDone(waitCtx, st.ID, 10*time.Millisecond); err != nil || done.State != jobs.StateDone {
-		t.Fatalf("sleep campaign: %+v, %v", done, err)
-	}
+	waitDone(t, client, st.ID, 30*time.Second)
 
 	stats, err := client.StatsFull(ctx)
 	if err != nil {
@@ -264,19 +260,19 @@ func TestStatsExposesKindsAndLatency(t *testing.T) {
 	if stats.UptimeSeconds <= 0 {
 		t.Errorf("uptime = %g", stats.UptimeSeconds)
 	}
-	var sleep *jobs.KindStats
+	var attack *jobs.KindStats
 	for i := range stats.Kinds {
-		if stats.Kinds[i].Kind == KindSleep {
-			sleep = &stats.Kinds[i]
+		if stats.Kinds[i].Kind == KindAttack {
+			attack = &stats.Kinds[i]
 		}
 	}
-	if sleep == nil || sleep.Submitted != 1 || sleep.Done != 1 {
+	if attack == nil || attack.Submitted != 1 || attack.Done != 1 {
 		t.Fatalf("per-kind stats = %+v", stats.Kinds)
 	}
-	if lat, ok := stats.AttemptLatency[KindSleep]; !ok || lat.Count != 1 {
-		t.Errorf("attempt latency for %s = %+v, %v", KindSleep, stats.AttemptLatency[KindSleep], ok)
+	if lat, ok := stats.AttemptLatency[KindAttack]; !ok || lat.Count != 1 {
+		t.Errorf("attempt latency for %s = %+v, %v", KindAttack, stats.AttemptLatency[KindAttack], ok)
 	}
-	if qw, ok := stats.QueueWait[KindSleep]; !ok || qw.Count != 1 {
-		t.Errorf("queue wait for %s = %+v, %v", KindSleep, stats.QueueWait[KindSleep], ok)
+	if qw, ok := stats.QueueWait[KindAttack]; !ok || qw.Count != 1 {
+		t.Errorf("queue wait for %s = %+v, %v", KindAttack, stats.QueueWait[KindAttack], ok)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,18 +46,17 @@ func waitDone(t *testing.T, client *Client, id string, limit time.Duration) jobs
 	return st
 }
 
-// panickyCoordinator is a coordinator whose first template lookup panics;
-// later calls reach the coordinator over HTTP.
-type panickyCoordinator struct {
-	*Client
-	calls atomic.Int32
-}
-
-func (p *panickyCoordinator) TemplateGet(ctx context.Context, key string) ([]byte, bool, error) {
-	if p.calls.Add(1) == 1 {
-		panic("template registry corrupted")
+// waitIdle polls until none of w's slots runs an attempt.
+func waitIdle(t *testing.T, w *FabricWorker) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, busy := w.Stats(); busy == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker still busy after 5s")
+		}
 	}
-	return p.Client.TemplateGet(ctx, key)
 }
 
 // TestRunnerPanicIsAFailedAttempt: a runner panic on a fabric worker fails
@@ -68,14 +66,14 @@ func (p *panickyCoordinator) TemplateGet(ctx context.Context, key string) ([]byt
 // also shows that the panic left the key free.
 func TestRunnerPanicIsAFailedAttempt(t *testing.T) {
 	_, client := newTestService(t, Config{PoolWorkers: -1})
+	coord := &testCoordinator{Coordinator: client}
+	coord.panics.Store(1)
 	runFabricWorker(t, &FabricWorker{
 		ID:     "panicky",
-		Client: &panickyCoordinator{Client: client},
+		Client: coord,
 		Runner: &Runner{Cache: core.NewTemplateCache(1), Workers: 1},
 	})
-	st, err := client.Submit(context.Background(), &CampaignSpec{
-		Kind: KindAttack, Seed: 3, ProfileTracesPerValue: 4, Encryptions: 1, Workers: 1,
-	})
+	st, err := client.Submit(context.Background(), smallAttack(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,9 @@ func TestDrainTimeoutCancelsRunning(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := NewClient(ts.URL)
-	st, err := client.Submit(context.Background(), sleepSpec(30000, 0))
+	spec := smallAttack(1)
+	spec.Encryptions = 1000 // far past the drain deadline
+	st, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,8 @@ func TestDrainTimeoutCancelsRunning(t *testing.T) {
 // canceled and the job fails without a retry.
 func TestDeadlineCancelsRunningAttempt(t *testing.T) {
 	_, client := newTestService(t, Config{PoolWorkers: 1})
-	spec := sleepSpec(30000, 0)
+	spec := smallAttack(1)
+	spec.Encryptions = 1000 // far past the deadline
 	spec.TimeoutMS = 100
 	st, err := client.Submit(context.Background(), spec)
 	if err != nil {
@@ -157,7 +158,10 @@ func TestWorkerShutdownDrains(t *testing.T) {
 	go func() { runErr <- w.Run(context.Background()) }()
 	ctx := context.Background()
 
-	first, err := client.Submit(ctx, sleepSpec(300, 0))
+	// Long enough to be in flight when the drain starts.
+	spec := smallAttack(1)
+	spec.Encryptions = 50
+	first, err := client.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +175,7 @@ func TestWorkerShutdownDrains(t *testing.T) {
 			t.Fatal("worker never started the job")
 		}
 	}
-	second, err := client.Submit(ctx, sleepSpec(1, 0))
+	second, err := client.Submit(ctx, smallAttack(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +205,12 @@ func TestWorkerShutdownDrains(t *testing.T) {
 func TestWorkerSlotsRunConcurrently(t *testing.T) {
 	svc, client := newTestService(t, Config{PoolWorkers: 4})
 	ctx := context.Background()
+	// Long enough that all four overlap.
+	spec := smallAttack(1)
+	spec.Encryptions = 20
 	var ids []string
 	for i := 0; i < 4; i++ {
-		st, err := client.Submit(ctx, sleepSpec(500, 0))
+		st, err := client.Submit(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +235,7 @@ func TestWorkerSlotsRunConcurrently(t *testing.T) {
 		t.Fatalf("stats = %d workers, %d leased; want 4, 4", stats.Workers, stats.Leased)
 	}
 	for _, id := range ids {
-		waitDone(t, client, id, 10*time.Second)
+		waitDone(t, client, id, 60*time.Second)
 	}
 }
 
@@ -238,15 +245,17 @@ func TestWorkerSlotsRunConcurrently(t *testing.T) {
 // renewal, freeing its slot for the next job.
 func TestCancelLeasedJobOverFabric(t *testing.T) {
 	_, client := newTestService(t, Config{PoolWorkers: -1})
-	newFabricWorker(t, "holder", client, 1)
+	coord := &testCoordinator{Coordinator: client, hold: make(chan struct{}), serve: true}
+	w := newFabricWorker(t, "holder", coord, 1)
 	ctx := context.Background()
-	st, err := client.Submit(ctx, sleepSpec(30000, 0))
+	st, err := client.Submit(ctx, smallAttack(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cur := waitRunning(t, client, st.ID); cur.LeaseWorker != "holder" {
 		t.Fatalf("lease holder = %q", cur.LeaseWorker)
 	}
+	waitGets(t, coord, 1)
 	canceled, err := client.Cancel(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +266,10 @@ func TestCancelLeasedJobOverFabric(t *testing.T) {
 	if got, err := client.Campaign(ctx, st.ID); err != nil || got.State != jobs.StateFailed || got.Error != "canceled" {
 		t.Fatalf("GET after DELETE = %+v, %v", got, err)
 	}
-	next, err := client.Submit(ctx, sleepSpec(10, 0))
+	// The attempt ends at the worker's next renewal, its lookup still held.
+	waitIdle(t, w)
+	close(coord.hold)
+	next, err := client.Submit(ctx, smallAttack(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,11 @@ func TestRevealdServiceSmoke(t *testing.T) {
 		t.Fatalf("/readyz = %d before drain", resp.StatusCode)
 	}
 
-	// Submit a traced sleep campaign exactly as revealctl would.
+	// Submit a traced small attack campaign exactly as revealctl would.
 	const traceID = "smoke-trace-0001"
-	spec, err := json.Marshal(map[string]any{"kind": "sleep", "sleep_ms": 10, "tenant": "smoke"})
+	spec, err := json.Marshal(map[string]any{
+		"kind": "attack", "seed": 3, "profile_traces_per_value": 4, "workers": 1, "tenant": "smoke",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestRevealdServiceSmoke(t *testing.T) {
 	if v, ok := pm.Value(obs.LabelKey(obs.MetricHTTPRequests, "route", "/api/v1/campaigns")); !ok || v < 1 {
 		t.Errorf("per-route request counter missing or zero: %v, %v", v, ok)
 	}
-	if v, ok := pm.Value(`reveal_jobs_queue_wait_seconds_count{kind="sleep"}`); !ok || v != 1 {
+	if v, ok := pm.Value(`reveal_jobs_queue_wait_seconds_count{kind="attack"}`); !ok || v != 1 {
 		t.Errorf("per-kind queue-wait histogram = %v, %v; want 1 observation", v, ok)
 	}
 	if v, ok := pm.Value(obs.LabelKey(jobs.MetricJobsTotal, "state", "done")); !ok || v != 1 {
